@@ -1,0 +1,126 @@
+"""The two nonlinear ENSO oscillator models and their parameter sets.
+
+Coupled recharge oscillator (sea-surface temperature anomaly H, thermocline
+depth anomaly h)::
+
+    dH/dt = c*H + eta*h - eps*H**3
+    dh/dt = -theta*H - gamma*h
+
+Delayed oscillator, with the delay constant sigma folded into a constant
+factor::
+
+    (1 - beta*sigma) * dH/dt = (alpha - beta)*H - eps*H**3
+
+Both start from anomaly 1 in the reproduction runs; the initial values are
+kept as fields so the solvers stay general.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass
+
+from .errors import ParameterRangeWarning, SingularModelError, UsageError
+from .series import SeriesPoly
+
+
+def _finite(value: float, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise UsageError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _warn_eps_range(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        warnings.warn(
+            f"eps={eps} is outside the usual perturbation range (0, 1)",
+            ParameterRangeWarning,
+            stacklevel=3,
+        )
+
+
+@dataclass(frozen=True)
+class CoupledParams:
+    """Constants of the coupled oscillator; eps is the cubic perturbation."""
+
+    c: float
+    eta: float
+    gamma: float
+    theta: float
+    eps: float
+    H0: float = 1.0
+    h0: float = 1.0
+
+    def __post_init__(self):
+        for name in ("c", "eta", "gamma", "theta", "eps", "H0", "h0"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        _warn_eps_range(self.eps)
+
+
+@dataclass(frozen=True)
+class DelayedParams:
+    """Constants of the delayed oscillator.
+
+    All four constants are physically positive; values outside that range are
+    accepted with a warning so parameter sweeps can probe boundaries.
+    ``beta*sigma == 1`` is rejected outright: the factor ``1 - beta*sigma``
+    divides every coefficient of the model.
+    """
+
+    alpha: float
+    beta: float
+    sigma: float
+    eps: float
+    H0: float = 1.0
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "sigma", "eps", "H0"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        if self.beta * self.sigma == 1.0:
+            raise SingularModelError("beta*sigma == 1 makes the model singular")
+        if min(self.alpha, self.beta, self.sigma, self.eps) <= 0.0:
+            warnings.warn(
+                "alpha, beta, sigma and eps are physically positive",
+                ParameterRangeWarning,
+                stacklevel=3,
+            )
+        else:
+            _warn_eps_range(self.eps)
+
+
+@dataclass(frozen=True)
+class SolutionPair:
+    """Series solutions of the coupled model: H and h about the same point."""
+
+    H: SeriesPoly
+    h: SeriesPoly
+
+    def __post_init__(self):
+        if self.H.cap != self.h.cap or self.H.t0 != self.h.t0:
+            raise UsageError("H and h series must share cap and expansion point")
+
+
+def reduced_delayed_coeffs(p: DelayedParams) -> tuple[float, float]:
+    """Normalize the delayed model to ``dH/dt = a*H - b*H**3``.
+
+    Returns ``a = (alpha - beta) / (1 - beta*sigma)`` and
+    ``b = eps / (1 - beta*sigma)``.
+    """
+    denom = 1.0 - p.beta * p.sigma
+    if denom == 0.0:
+        raise SingularModelError("beta*sigma == 1 makes the model singular")
+    return (p.alpha - p.beta) / denom, p.eps / denom
+
+
+def coupled_rhs(p: CoupledParams, H: float, h: float) -> tuple[float, float]:
+    """Pointwise right-hand side of the coupled model."""
+    # H*H*H rather than H**3: multiplication saturates to inf, pow raises
+    return (p.c * H + p.eta * h - p.eps * (H * H * H), -p.theta * H - p.gamma * h)
+
+
+def delayed_rhs(p: DelayedParams, H: float) -> float:
+    """Pointwise right-hand side of the normalized delayed model."""
+    a, b = reduced_delayed_coeffs(p)
+    return a * H - b * (H * H * H)
