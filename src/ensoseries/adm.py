@@ -10,63 +10,83 @@ nonlinearity the classic derivative definition
 
 collapses to a convolution over component indices,
 
-    A_k = sum_{i+j+l=k} u_i * u_j * u_l,
+    A_k = sum_{i+j+l=k} u_i * u_j * u_l.
 
-which is what is computed here; no symbolic machinery is needed.  The
-derivative form is kept above as the cross-check oracle used by the tests.
-
-Because ``u_0`` is constant, component k comes out as a single monomial in t,
-and the partial sums coincide with the differential-transform series; the
-tests pin that equivalence down.
+Because ``u_0`` is constant and each turn integrates once, component k is a
+single monomial ``u_k * t**k``.  ``A_k`` is then a monomial of degree k too,
+its weight the scalar convolution above over the component weights, and
+integrating divides by k+1.  So the solver carries one float weight per
+component and takes the weight of ``A_k`` from the cube accumulator it shares
+with the differential transform.  :func:`adomian_cubic` keeps the dense form
+over :class:`SeriesPoly` components; the tests rebuild the components from
+it, as an oracle independent of that accumulator.  The partial sums coincide
+with the differential-transform series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SeriesOverflowError, UsageError
+from .dtm import _CubeAccumulator
+from .errors import COEFF_LIMIT, UsageError, check_coeffs
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
 from .series import SeriesPoly
-
-_OFF_DEGREE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class AdmState:
-    """Computed solution components; ``v_components`` is None for the scalar model."""
+    """Component weights: component k of H is ``u_weights[k] * t**k``, likewise for h.
 
-    u_components: tuple[SeriesPoly, ...]
-    v_components: tuple[SeriesPoly, ...] | None
-    n_terms: int
+    ``v_weights`` is None for the scalar model.  Components and partial sums
+    are dense series up to degree ``cap``.
+    """
+
+    u_weights: tuple[float, ...]
+    v_weights: tuple[float, ...] | None
+    cap: int
 
     def __post_init__(self):
-        if self.n_terms != len(self.u_components):
-            raise UsageError("n_terms must match the component count")
-        if self.v_components is not None and len(self.v_components) != self.n_terms:
+        if self.cap < self.n_terms:
+            raise UsageError(f"cap {self.cap} too small for {self.n_terms} components")
+        if self.v_weights is not None and len(self.v_weights) != self.n_terms:
             raise UsageError("u and v component counts must match")
-        # component k cannot reach above degree k when the first one is constant
-        groups = (self.u_components,) if self.v_components is None else (self.u_components, self.v_components)
-        for comps in groups:
-            for k, comp in enumerate(comps):
-                for c in comp.coeffs[k + 1 :]:
-                    if abs(c) > _OFF_DEGREE_TOL:
-                        raise UsageError(f"component {k} has weight above degree {k}")
 
-    def solution(self) -> SolutionPair | SeriesPoly:
-        """Partial sum of all computed components."""
-        H = self.u_components[0]
-        for comp in self.u_components[1:]:
-            H = H + comp
-        if self.v_components is None:
+    @property
+    def n_terms(self) -> int:
+        return len(self.u_weights)
+
+    @property
+    def u_components(self) -> tuple[SeriesPoly, ...]:
+        return tuple(SeriesPoly.monomial(w, k, self.cap) for k, w in enumerate(self.u_weights))
+
+    @property
+    def v_components(self) -> tuple[SeriesPoly, ...] | None:
+        if self.v_weights is None:
+            return None
+        return tuple(SeriesPoly.monomial(w, k, self.cap) for k, w in enumerate(self.v_weights))
+
+    def solution(self, n: int | None = None) -> SolutionPair | SeriesPoly:
+        """Partial sum of the first ``n`` components, with cap ``n``.
+
+        Without ``n``, the sum of all computed components with the solve's
+        cap.  Weights never change as more components are computed, so one
+        solve yields every shorter partial sum.
+        """
+        if n is None:
+            n, cap = self.n_terms, self.cap
+        elif 1 <= n <= self.n_terms:
+            cap = n
+        else:
+            raise UsageError(f"need 1 <= n <= {self.n_terms}, got {n}")
+        pad = (0.0,) * (cap + 1 - n)
+        H = SeriesPoly(self.u_weights[:n] + pad)
+        if self.v_weights is None:
             return H
-        h = self.v_components[0]
-        for comp in self.v_components[1:]:
-            h = h + comp
-        return SolutionPair(H, h)
+        return SolutionPair(H, SeriesPoly(self.v_weights[:n] + pad))
 
 
 def adomian_cubic(components: tuple[SeriesPoly, ...] | list[SeriesPoly], k: int) -> SeriesPoly:
-    """k-th Adomian polynomial of the cube nonlinearity.
+    """k-th Adomian polynomial of the cube nonlinearity, over dense components.
 
     ``A_k = sum_{i+j+l=k} u_i * u_j * u_l`` over the given components.
     """
@@ -84,45 +104,6 @@ def adomian_cubic(components: tuple[SeriesPoly, ...] | list[SeriesPoly], k: int)
     return acc
 
 
-class _AdomianAccumulator:
-    """Incremental ``A_k`` via a running component-index square cache.
-
-    Mirrors :func:`adomian_cubic` but folds each new component into the
-    pairwise cache once, so a full n-component solve costs O(n^2) series
-    products instead of O(n^3).
-    """
-
-    def __init__(self, max_index: int, cap: int):
-        self._pairs = [SeriesPoly.zero(cap) for _ in range(max_index + 1)]
-        self._comps: list[SeriesPoly] = []
-        self._max = max_index
-
-    def push(self, comp: SeriesPoly) -> None:
-        k = len(self._comps)
-        lim = self._max - k
-        if lim >= 0:
-            for j in range(min(k, lim + 1)):
-                self._pairs[k + j] = self._pairs[k + j] + comp.cauchy_mul(self._comps[j]).scale(2.0)
-            if k <= lim:
-                self._pairs[2 * k] = self._pairs[2 * k] + comp.cauchy_mul(comp)
-        self._comps.append(comp)
-
-    def ak(self, k: int) -> SeriesPoly:
-        acc = SeriesPoly.zero(self._comps[0].cap)
-        for l in range(k + 1):
-            acc = acc + self._comps[l].cauchy_mul(self._pairs[k - l])
-        return acc
-
-
-def _check_component(comp: SeriesPoly, index: int) -> SeriesPoly:
-    from .dtm import COEFF_LIMIT
-
-    for c in comp.coeffs:
-        if abs(c) > COEFF_LIMIT:
-            raise SeriesOverflowError(index, c, what="component")
-    return comp
-
-
 def adm_solve_coupled(p: CoupledParams, n_terms: int, cap: int) -> AdmState:
     """Compute ``n_terms`` components for each of H and h.
 
@@ -131,30 +112,33 @@ def adm_solve_coupled(p: CoupledParams, n_terms: int, cap: int) -> AdmState:
     initial values.
     """
     _check_solve_args(n_terms, cap)
-    u = [SeriesPoly.constant(p.H0, cap)]
-    v = [SeriesPoly.constant(p.h0, cap)]
-    acc = _AdomianAccumulator(max(n_terms - 2, 0), cap)
+    u = [p.H0]
+    v = [p.h0]
+    adomian = _CubeAccumulator(max(n_terms - 2, 0))
     for k in range(n_terms - 1):
-        acc.push(u[k])
-        a_k = acc.ak(k)
-        integrand_u = u[k].scale(p.c) + v[k].scale(p.eta) - a_k.scale(p.eps)
-        integrand_v = u[k].scale(-p.theta) + v[k].scale(-p.gamma)
-        u.append(_check_component(integrand_u.antiderivative(), k + 1))
-        v.append(_check_component(integrand_v.antiderivative(), k + 1))
-    return AdmState(tuple(u), tuple(v), n_terms)
+        adomian.push(u[k])
+        uk = (p.c * u[k] + p.eta * v[k] - p.eps * adomian.nk(k)) / (k + 1)
+        vk = (-p.theta * u[k] - p.gamma * v[k]) / (k + 1)
+        u.append(uk)
+        v.append(vk)
+        if not (-COEFF_LIMIT <= uk <= COEFF_LIMIT and -COEFF_LIMIT <= vk <= COEFF_LIMIT):
+            break  # check_coeffs below names component k+1
+    return AdmState(check_coeffs(tuple(u)), check_coeffs(tuple(v)), cap)
 
 
 def adm_solve_delayed(p: DelayedParams, n_terms: int, cap: int) -> AdmState:
     """Compute ``n_terms`` components for the scalar delayed model."""
     _check_solve_args(n_terms, cap)
     a, b = reduced_delayed_coeffs(p)
-    u = [SeriesPoly.constant(p.H0, cap)]
-    acc = _AdomianAccumulator(max(n_terms - 2, 0), cap)
+    u = [p.H0]
+    adomian = _CubeAccumulator(max(n_terms - 2, 0))
     for k in range(n_terms - 1):
-        acc.push(u[k])
-        a_k = acc.ak(k)
-        u.append(_check_component((u[k].scale(a) - a_k.scale(b)).antiderivative(), k + 1))
-    return AdmState(tuple(u), None, n_terms)
+        adomian.push(u[k])
+        uk = (a * u[k] - b * adomian.nk(k)) / (k + 1)
+        u.append(uk)
+        if not -COEFF_LIMIT <= uk <= COEFF_LIMIT:
+            break  # check_coeffs below names component k+1
+    return AdmState(check_coeffs(tuple(u)), None, cap)
 
 
 def _check_solve_args(n_terms: int, cap: int) -> None:

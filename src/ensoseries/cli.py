@@ -18,13 +18,13 @@ import math
 import sys
 
 from .adm import adm_solve_coupled, adm_solve_delayed
-from .dtm import solve_coupled, solve_delayed
+from .dtm import transform_coupled, transform_delayed
 from .errors import NumericError, UsageError
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .oracle import exact_delayed, rk4_values
 from .reference import load_table
 from .series import SeriesPoly
-from .vim import vim_solve
+from .vim import initial_state, vim_step_coupled, vim_step_delayed
 
 _COUPLED_DEFAULTS = {"c": 1.0, "eta": 1.0, "gamma": 1.0, "theta": 1.0}
 _DELAYED_DEFAULTS = {"alpha": 0.5, "beta": 0.3, "sigma": 0.25}
@@ -75,15 +75,10 @@ def _solution_values(method, params, grid, order, terms, iters, oracle_step):
         return [(exact_delayed(params, t),) for t in grid]
     if method == "rk4":
         return rk4_values(params, grid, oracle_step)
-    if method == "dtm":
-        sol = solve_coupled(params, order) if coupled else solve_delayed(params, order)
-    elif method == "adm":
-        state = (adm_solve_coupled if coupled else adm_solve_delayed)(params, terms, terms)
-        sol = state.solution()
-    elif method == "vim":
-        sol = vim_solve(params, iters)
-    else:
+    counts = {"dtm": order, "adm": terms, "vim": iters}
+    if method not in counts:
         raise UsageError(f"unknown method {method!r}")
+    sol = next(_solutions(method, params, counts[method], counts[method]))
     if isinstance(sol, SolutionPair):
         return [(sol.H.eval(t), sol.h.eval(t)) for t in grid]
     return [(sol.eval(t),) for t in grid]
@@ -98,70 +93,90 @@ def _write(out_path, lines) -> None:
             fh.write(text)
 
 
-def cmd_table(args) -> int:
+def _column_setup(args):
+    """Model, parameter sets, grid, and ``solve(method, params)``: values on the grid."""
     model, params_list = _params_from_args(args)
     grid = _grid(args.t_max, args.t_step)
     order = _resolve_order(args)
     terms = args.terms if args.terms is not None else order + 1
-    default_methods = "dtm,adm,vim" if model == "coupled" else "exact,dtm,adm,vim"
-    methods = (args.methods or default_methods).split(",")
-    header = ["t"]
-    columns = []
-    failed = False
-    for method in methods:
-        for params in params_list:
-            header.append(f"{method}_eps{params.eps:g}")
-            try:
-                values = _solution_values(
-                    method, params, grid, order, terms, args.iters, args.oracle_step
-                )
-                cells = [_fmt(v[0]) for v in values]
-            except NumericError as exc:
-                print(f"{method} eps={params.eps:g}: {exc}", file=sys.stderr)
-                cells = [ERROR_CELL] * len(grid)
-            if ERROR_CELL in cells:
-                failed = True
-            columns.append(cells)
+
+    def solve(method, params):
+        return _solution_values(method, params, grid, order, terms, args.iters, args.oracle_step)
+
+    return model, params_list, grid, solve
+
+
+def _emit(out_path, grid, specs, columns) -> int:
+    """Write ``t`` and one column per name; exit code 3 if any cell is an error.
+
+    ``specs`` lists ``(method, params, names)``, and ``columns(method,
+    params)`` returns the values of each name.  A numeric failure turns all
+    of them into error cells.
+    """
+    header, cells = ["t"], []
+    for method, params, names in specs:
+        try:
+            cols = [[_fmt(v) for v in col] for col in columns(method, params)]
+        except NumericError as exc:
+            print(f"{method} eps={params.eps:g}: {exc}", file=sys.stderr)
+            cols = [[ERROR_CELL] * len(grid) for _ in names]
+        header += names
+        cells += cols
     lines = [",".join(header)]
     for i, t in enumerate(grid):
-        lines.append(",".join([f"{t:.9f}"] + [col[i] for col in columns]))
-    _write(args.out, lines)
-    return 3 if failed else 0
+        lines.append(",".join([f"{t:.9f}"] + [col[i] for col in cells]))
+    _write(out_path, lines)
+    return 3 if any(ERROR_CELL in col for col in cells) else 0
+
+
+def cmd_table(args) -> int:
+    model, params_list, grid, solve = _column_setup(args)
+    default_methods = "dtm,adm,vim" if model == "coupled" else "exact,dtm,adm,vim"
+    methods = (args.methods or default_methods).split(",")
+    specs = [(m, p, [f"{m}_eps{p.eps:g}"]) for m in methods for p in params_list]
+    return _emit(args.out, grid, specs, lambda m, p: [[v[0] for v in solve(m, p)]])
 
 
 def cmd_errors(args) -> int:
-    model, params_list = _params_from_args(args)
-    grid = _grid(args.t_max, args.t_step)
-    order = _resolve_order(args)
-    terms = args.terms if args.terms is not None else order + 1
+    model, params_list, grid, solve = _column_setup(args)
     oracle = args.oracle or ("exact" if model == "delayed" else "rk4")
     methods = (args.methods or "dtm,adm,vim").split(",")
-    header = ["t"]
-    columns = []
-    failed = False
-    for params in params_list:
-        truth = [
-            v[0]
-            for v in _solution_values(oracle, params, grid, order, terms, args.iters, args.oracle_step)
-        ]
-        for method in methods:
-            header.append(f"err_{method}_eps{params.eps:g}")
-            try:
-                values = _solution_values(
-                    method, params, grid, order, terms, args.iters, args.oracle_step
-                )
-                cells = [_fmt(abs(v[0] - w)) for v, w in zip(values, truth)]
-            except NumericError as exc:
-                print(f"{method} eps={params.eps:g}: {exc}", file=sys.stderr)
-                cells = [ERROR_CELL] * len(grid)
-            if ERROR_CELL in cells:
-                failed = True
-            columns.append(cells)
-    lines = [",".join(header)]
-    for i, t in enumerate(grid):
-        lines.append(",".join([f"{t:.9f}"] + [col[i] for col in columns]))
-    _write(args.out, lines)
-    return 3 if failed else 0
+    truth = {p: [v[0] for v in solve(oracle, p)] for p in params_list}
+    specs = [(m, p, [f"err_{m}_eps{p.eps:g}"]) for p in params_list for m in methods]
+    return _emit(
+        args.out, grid, specs,
+        lambda m, p: [[abs(v[0] - w) for v, w in zip(solve(m, p), truth[p])]],
+    )
+
+
+def _solutions(method, params, lo, hi):
+    """Series solution at each order, component or iteration count n in lo..hi.
+
+    All come from one solve at hi: raising the order leaves lower
+    coefficients, components and iterates bit-for-bit unchanged, so each n
+    is a prefix of that solve.  Yields a :class:`SolutionPair` for the
+    coupled model, a single :class:`SeriesPoly` for the scalar one.
+    """
+    coupled = isinstance(params, CoupledParams)
+    if method == "dtm":
+        res = (transform_coupled if coupled else transform_delayed)(params, hi)
+        for n in range(lo, hi + 1):
+            H = SeriesPoly(res.W[: n + 1])
+            yield SolutionPair(H, SeriesPoly(res.V[: n + 1])) if coupled else H
+    elif method == "adm":
+        state = (adm_solve_coupled if coupled else adm_solve_delayed)(params, hi, hi)
+        for n in range(lo, hi + 1):
+            yield state.solution(n)
+    else:
+        if hi < 0:
+            raise UsageError("iterations must be >= 0")
+        step = vim_step_coupled if coupled else vim_step_delayed
+        state = initial_state(params)
+        for n in range(hi + 1):
+            if n >= lo:
+                yield SolutionPair(state.H_iter, state.h_iter) if coupled else state.H_iter
+            if n < hi:
+                state = step(state, params)
 
 
 def cmd_sweep(args) -> int:
@@ -171,14 +186,9 @@ def cmd_sweep(args) -> int:
     if args.min < (1 if args.method != "dtm" else 0) or args.max < args.min:
         raise UsageError("need min <= max (and a positive count for adm/vim)")
     rows = []
-    for n in range(args.min, args.max + 1):
-        values = [
-            v[0]
-            for v in _solution_values(
-                args.method, params, list(table.grid), n, n, n, args.oracle_step
-            )
-        ]
-        rows.append((n, max(abs(v - w) for v, w in zip(values, target))))
+    for n, sol in enumerate(_solutions(args.method, params, args.min, args.max), args.min):
+        H = sol.H if isinstance(sol, SolutionPair) else sol
+        rows.append((n, max(abs(H.eval(t) - w) for t, w in zip(table.grid, target))))
     best_n = min(rows, key=lambda r: r[1])[0]
     lines = [f"{args.method}_n,max_abs_dev,best"]
     for n, dev in rows:
@@ -188,37 +198,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    model, params_list = _params_from_args(args)
-    grid = _grid(args.t_max, args.t_step)
-    order = _resolve_order(args)
-    terms = args.terms if args.terms is not None else order + 1
+    model, params_list, grid, solve = _column_setup(args)
     default_methods = "dtm,adm,vim,rk4" if model == "coupled" else "dtm,adm,vim,exact"
     methods = (args.methods or default_methods).split(",")
-    header = ["t"]
-    columns = []
-    failed = False
-    for method in methods:
-        for params in params_list:
-            names = [f"H_{method}_eps{params.eps:g}"]
-            if model == "coupled" and method != "exact":
-                names.append(f"h_{method}_eps{params.eps:g}")
-            try:
-                values = _solution_values(
-                    method, params, grid, order, terms, args.iters, args.oracle_step
-                )
-                cols = [[_fmt(v[i]) for v in values] for i in range(len(names))]
-            except NumericError as exc:
-                print(f"{method} eps={params.eps:g}: {exc}", file=sys.stderr)
-                cols = [[ERROR_CELL] * len(grid) for _ in names]
-            if any(ERROR_CELL in col for col in cols):
-                failed = True
-            header.extend(names)
-            columns.extend(cols)
-    lines = [",".join(header)]
-    for i, t in enumerate(grid):
-        lines.append(",".join([f"{t:.9f}"] + [col[i] for col in columns]))
-    _write(args.out, lines)
-    return 3 if failed else 0
+    specs = [
+        (m, p, [f"{x}_{m}_eps{p.eps:g}" for x in ("Hh" if model == "coupled" and m != "exact" else "H")])
+        for m in methods
+        for p in params_list
+    ]
+    return _emit(args.out, grid, specs, lambda m, p: list(zip(*solve(m, p))))
 
 
 def _add_common(sub, model_required=True):

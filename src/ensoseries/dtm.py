@@ -16,16 +16,11 @@ instead of re-cubing the series at every step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import SeriesOverflowError, UsageError
+from .errors import COEFF_LIMIT, UsageError, check_coeffs
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
 from .series import SeriesPoly
-
-# Coefficients beyond this magnitude mean the evaluation left the trusted
-# region (typically a point outside the series' convergence disc).
-COEFF_LIMIT = 1e15
 
 
 @dataclass(frozen=True)
@@ -41,12 +36,6 @@ class DtmResult:
             raise UsageError("W must hold order+1 coefficients")
         if self.V is not None and len(self.V) != self.order + 1:
             raise UsageError("V must hold order+1 coefficients")
-
-
-def _check_coeff(value: float, index: int) -> float:
-    if not math.isfinite(value) or abs(value) > COEFF_LIMIT:
-        raise SeriesOverflowError(index, value)
-    return value
 
 
 class _CubeAccumulator:
@@ -96,11 +85,13 @@ def transform_coupled(p: CoupledParams, order: int) -> DtmResult:
         wk = W[k]
         cube.push(wk)
         nk = cube.nk(k)
-        w_next = (p.c * wk + p.eta * V[k] - p.eps * nk) / (k + 1)
-        v_next = (-p.theta * wk - p.gamma * V[k]) / (k + 1)
-        W.append(_check_coeff(w_next, k + 1))
-        V.append(_check_coeff(v_next, k + 1))
-    return DtmResult(tuple(W), tuple(V), order)
+        w = (p.c * wk + p.eta * V[k] - p.eps * nk) / (k + 1)
+        v = (-p.theta * wk - p.gamma * V[k]) / (k + 1)
+        W.append(w)
+        V.append(v)
+        if not (-COEFF_LIMIT <= w <= COEFF_LIMIT and -COEFF_LIMIT <= v <= COEFF_LIMIT):
+            break  # check_coeffs below names index k+1
+    return DtmResult(check_coeffs(tuple(W)), check_coeffs(tuple(V)), order)
 
 
 def transform_delayed(p: DelayedParams, order: int) -> DtmResult:
@@ -114,8 +105,11 @@ def transform_delayed(p: DelayedParams, order: int) -> DtmResult:
         wk = W[k]
         cube.push(wk)
         nk = cube.nk(k)
-        W.append(_check_coeff((a * wk - b * nk) / (k + 1), k + 1))
-    return DtmResult(tuple(W), None, order)
+        w = (a * wk - b * nk) / (k + 1)
+        W.append(w)
+        if not -COEFF_LIMIT <= w <= COEFF_LIMIT:
+            break  # check_coeffs below names index k+1
+    return DtmResult(check_coeffs(tuple(W)), None, order)
 
 
 def assemble(result: DtmResult) -> SolutionPair | SeriesPoly:

@@ -1,8 +1,12 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and the overflow guard.
 
 The CLI maps these onto exit codes: ``UsageError`` exits with 2, any
 ``NumericError`` with 3.
 """
+
+# Coefficients beyond this magnitude mean the evaluation left the trusted
+# region (typically a point outside the series' convergence disc).
+COEFF_LIMIT = 1e15
 
 
 class UsageError(ValueError):
@@ -16,15 +20,31 @@ class NumericError(ArithmeticError):
 class SeriesOverflowError(NumericError):
     """A computed coefficient left the trusted range.
 
-    Raised as soon as a coefficient is non-finite or exceeds the magnitude
-    guard; continuing would only propagate garbage. ``index`` names the first
-    offending coefficient.
+    Raised when a solver finds a coefficient that is non-finite or exceeds the
+    magnitude guard; using it would only propagate garbage. ``index`` names
+    the first offending coefficient.
     """
 
-    def __init__(self, index: int, value: float, what: str = "coefficient"):
+    def __init__(self, index: int, value: float):
         self.index = index
         self.value = value
-        super().__init__(f"{what} {index} overflowed (|{value!r}| beyond trusted range)")
+        super().__init__(f"coefficient {index} overflowed (|{value!r}| beyond trusted range)")
+
+
+def check_coeffs(coeffs):
+    """Return ``coeffs`` if all are finite and within ``COEFF_LIMIT`` in magnitude.
+
+    Otherwise raise :class:`SeriesOverflowError` naming the first offender.
+    A passing check takes one pass in C: if the magnitudes sum to at most
+    the limit, each is within it (NaN and infinities fail that comparison).
+    Only otherwise are the coefficients inspected one by one.
+    """
+    if sum(map(abs, coeffs)) <= COEFF_LIMIT:
+        return coeffs
+    for k, c in enumerate(coeffs):
+        if not -COEFF_LIMIT <= c <= COEFF_LIMIT:
+            raise SeriesOverflowError(k, c)
+    return coeffs
 
 
 class SingularModelError(NumericError):

@@ -7,7 +7,7 @@ equation: substituting ``w = H**-2`` gives the linear equation
     w(t) = b/a + (H0**-2 - b/a) * exp(-2*a*t)        (a != 0)
     w(t) = H0**-2 + 2*b*t                            (a == 0)
 
-and ``H(t) = w(t)**-0.5``.  The closed form is validated against the RK4
+and ``H(t) = sign(H0) * w(t)**-0.5``.  The closed form is validated against the RK4
 integrator before it is trusted anywhere (the acceptance suite runs that gate
 explicitly), and RK4 doubles as the reference for the coupled model, which
 has no elementary closed form.
@@ -59,18 +59,36 @@ class Trajectory:
 
 
 def exact_delayed(p: DelayedParams, t: float) -> float:
-    """Closed-form solution of the delayed model at time ``t``."""
+    """Closed-form solution of the delayed model at time ``t``.
+
+    Computed as ``H = H0 * q**-0.5`` with ``q = H0**2 * w``, so H keeps the
+    sign of H0, and H0 = 0 gives the equilibrium H = 0.  Where ``exp(-2*a*t)``
+    leaves the float range, q grows like ``(1 - H0**2 * b/a) * exp(-2*a*t)``:
+    H is then taken in log space if that factor is positive, and the solution
+    has blown up before t if it is negative.
+    """
     if not math.isfinite(t):
         raise UsageError("t must be finite")
+    if p.H0 == 0.0:
+        return 0.0
     a, b = reduced_delayed_coeffs(p)
-    w0 = p.H0 ** -2
+    s = p.H0 * p.H0
     if a == 0.0:
-        w = w0 + 2.0 * b * t
+        q = 1.0 + 2.0 * b * s * t
     else:
-        w = b / a + (w0 - b / a) * math.exp(-2.0 * a * t)
-    if w <= 0.0:
-        raise DomainError(f"solution blows up before t={t} (w={w})")
-    return w ** -0.5
+        r = s * b / a
+        x = -2.0 * a * t
+        try:
+            q = r + (1.0 - r) * math.exp(x)
+        except OverflowError:
+            if r == 1.0:
+                return p.H0
+            if r > 1.0:
+                raise DomainError(f"solution blows up before t={t}") from None
+            return p.H0 * math.exp(-0.5 * (x + math.log1p(-r)))
+    if not q > 0.0:
+        raise DomainError(f"solution blows up before t={t} (H0**2 * w = {q})")
+    return p.H0 * q ** -0.5
 
 
 def _rhs_for(params: CoupledParams | DelayedParams):

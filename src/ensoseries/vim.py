@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SeriesOverflowError, UsageError
+from .errors import UsageError, check_coeffs
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
 from .series import SeriesPoly
 
@@ -56,15 +56,6 @@ def initial_state(params: CoupledParams | DelayedParams, degree_cap: int = DEFAU
     return VimState(H, None, 0)
 
 
-def _checked(series: SeriesPoly) -> SeriesPoly:
-    from .dtm import COEFF_LIMIT
-
-    for k, c in enumerate(series.coeffs):
-        if abs(c) > COEFF_LIMIT:
-            raise SeriesOverflowError(k, c)
-    return series
-
-
 def vim_step_coupled(state: VimState, p: CoupledParams) -> VimState:
     """One correction step of the coupled system."""
     if state.h_iter is None:
@@ -72,11 +63,11 @@ def vim_step_coupled(state: VimState, p: CoupledParams) -> VimState:
     H, h = state.H_iter, state.h_iter
     res_H = H.derivative() - H.scale(p.c) - h.scale(p.eta) + H.cube().scale(p.eps)
     res_h = h.derivative() + H.scale(p.theta) + h.scale(p.gamma)
-    return VimState(
-        _checked(H - res_H.antiderivative()),
-        _checked(h - res_h.antiderivative()),
-        state.iteration + 1,
-    )
+    H_next = H - res_H.antiderivative()
+    h_next = h - res_h.antiderivative()
+    check_coeffs(H_next.coeffs)
+    check_coeffs(h_next.coeffs)
+    return VimState(H_next, h_next, state.iteration + 1)
 
 
 def vim_step_delayed(state: VimState, p: DelayedParams) -> VimState:
@@ -84,7 +75,9 @@ def vim_step_delayed(state: VimState, p: DelayedParams) -> VimState:
     a, b = reduced_delayed_coeffs(p)
     H = state.H_iter
     res = H.derivative() - H.scale(a) + H.cube().scale(b)
-    return VimState(_checked(H - res.antiderivative()), None, state.iteration + 1)
+    H_next = H - res.antiderivative()
+    check_coeffs(H_next.coeffs)
+    return VimState(H_next, None, state.iteration + 1)
 
 
 def vim_solve(

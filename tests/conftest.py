@@ -19,7 +19,13 @@ from ensoseries import (
     DelayedParams,
     ParameterRangeWarning,
     SeriesOverflowError,
+    adm_solve_coupled,
+    adm_solve_delayed,
+    transform_coupled,
+    transform_delayed,
 )
+
+ADM_K_MAX = 20
 
 
 def draw_coupled(rng: random.Random) -> CoupledParams:
@@ -53,3 +59,22 @@ def draw_until(draw, rng: random.Random, compute, max_tries: int = 400):
         except SeriesOverflowError:
             continue
     pytest.fail("could not draw enough non-overflowing parameter sets")
+
+
+def adm_dtm_draws():
+    """Acceptance criterion 4's draws: ``(params, (AdmState, DtmResult))`` each.
+
+    100 coupled draws from seed 2024, then 100 delayed draws from seed 2025,
+    each solved to components and coefficients ``0..ADM_K_MAX``.
+    """
+    out = []
+    for seed, draw, adm, dtm in (
+        (2024, draw_coupled, adm_solve_coupled, transform_coupled),
+        (2025, draw_delayed, adm_solve_delayed, transform_delayed),
+    ):
+        rng = random.Random(seed)
+        for _ in range(100):
+            out.append(draw_until(
+                draw, rng, lambda q: (adm(q, ADM_K_MAX + 1, ADM_K_MAX + 1), dtm(q, ADM_K_MAX)),
+            ))
+    return out

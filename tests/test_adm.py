@@ -12,9 +12,10 @@ from ensoseries import (
     adm_solve_coupled,
     adm_solve_delayed,
     adomian_cubic,
+    reduced_delayed_coeffs,
     transform_coupled,
 )
-from conftest import draw_coupled
+from conftest import adm_dtm_draws, draw_coupled
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
@@ -133,6 +134,58 @@ def test_integration_raises_minimum_degree_by_one():
         assert nonzero == [k]
 
 
+def _dense_recursion_gap(p, state, n_terms):
+    """Largest relative gap between components 1..n_terms-1 and their rebuilds.
+
+    Component k+1 is rebuilt by integrating the model's right-hand side over
+    the dense components 0..k, with ``A_k`` from :func:`adomian_cubic`: an
+    oracle that shares no code with the solver's scalar cube accumulator.
+    """
+    u_all, v_all = state.u_components, state.v_components
+    worst = 0.0
+    for k in range(n_terms - 1):
+        # component k+1 has degree k+1, so cap k+1 suffices
+        u = [SeriesPoly(c.coeffs[: k + 2]) for c in u_all[: k + 2]]
+        a_k = adomian_cubic(u[: k + 1], k)
+        if v_all is None:
+            a, b = reduced_delayed_coeffs(p)
+            pairs = [(u[k + 1], (u[k].scale(a) - a_k.scale(b)).antiderivative())]
+        else:
+            v = [SeriesPoly(c.coeffs[: k + 2]) for c in v_all[: k + 2]]
+            pairs = [
+                (u[k + 1], (u[k].scale(p.c) + v[k].scale(p.eta) - a_k.scale(p.eps)).antiderivative()),
+                (v[k + 1], (u[k].scale(-p.theta) + v[k].scale(-p.gamma)).antiderivative()),
+            ]
+        for got, want in pairs:
+            for g, w in zip(got.coeffs, want.coeffs):
+                worst = max(worst, abs(g - w) / max(1.0, abs(w)))
+    return worst
+
+
+def _scalar_recursion_gap(p, state):
+    """Largest relative gap between every component weight and its rebuild.
+
+    Weight k+1 is rebuilt from the solver's weights 0..k, with the weight of
+    ``A_k`` a plain triple sum over ``i+j+l = k``: cheap enough for every
+    component, and it shares no code with the solver's cube accumulator.
+    """
+    u, v = state.u_weights, state.v_weights
+    worst = 0.0
+    for k in range(state.n_terms - 1):
+        a_k = sum(u[i] * u[j] * u[k - i - j] for i in range(k + 1) for j in range(k - i + 1))
+        if v is None:
+            a, b = reduced_delayed_coeffs(p)
+            pairs = [(u[k + 1], (a * u[k] - b * a_k) / (k + 1))]
+        else:
+            pairs = [
+                (u[k + 1], (p.c * u[k] + p.eta * v[k] - p.eps * a_k) / (k + 1)),
+                (v[k + 1], (-p.theta * u[k] - p.gamma * v[k]) / (k + 1)),
+            ]
+        for got, want in pairs:
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    return worst
+
+
 def test_solver_recursion_reproducible_with_standalone_polynomials():
     # recompute every component from the previous ones via adomian_cubic
     p = CoupledParams(0.8, -0.4, 0.3, 1.2, 0.25)
@@ -145,6 +198,11 @@ def test_solver_recursion_reproducible_with_standalone_polynomials():
         expect_v = (u[k].scale(-p.theta) + v[k].scale(-p.gamma)).antiderivative()
         assert u[k + 1].coeffs == pytest.approx(expect_u.coeffs, rel=1e-13, abs=1e-13)
         assert v[k + 1].coeffs == pytest.approx(expect_v.coeffs, rel=1e-13, abs=1e-13)
+    # criterion 4's draws: the dense oracle costs O(k**2) series products per
+    # component, so it stops at component 11; the scalar one covers all 0..ADM_K_MAX
+    for q, (state, _) in adm_dtm_draws():
+        assert _dense_recursion_gap(q, state, 12) <= 1e-13
+        assert _scalar_recursion_gap(q, state) <= 1e-13
 
 
 def test_solve_preconditions():

@@ -4,7 +4,15 @@ import math
 
 import pytest
 
-from ensoseries import UsageError, load_table
+from ensoseries import (
+    UsageError,
+    adm_solve_coupled,
+    adm_solve_delayed,
+    load_table,
+    solve_coupled,
+    solve_delayed,
+    vim_solve,
+)
 from ensoseries.cli import main
 
 
@@ -100,6 +108,22 @@ def test_table_overflow_marks_cells_and_exits_3(tmp_path, capsys):
     assert "ERROR" in text
 
 
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+def test_table_exact_beyond_the_exp_range(tmp_path):
+    code, text = run_cli(
+        ["table", "--model", "delayed", "--alpha", "-400", "--methods", "exact"], tmp_path
+    )
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    code, text = run_cli(
+        ["table", "--model", "delayed", "--alpha", "-400", "--eps", "-500", "--methods", "exact"],
+        tmp_path,
+    )
+    assert code == 3
+    assert "ERROR" in text
+
+
 # -- errors command ------------------------------------------------------
 
 
@@ -170,6 +194,51 @@ def test_sweep_adm_and_dtm_find_equivalent_optimum(tmp_path):
     assert best_adm == best_dtm + 1
 
 
+def sweep_from_scratch(table_number, method, eps, lo, hi):
+    """Sweep CSV built the direct way: a fresh library solve for every n."""
+    table = load_table(table_number)
+    target = table.column(method, eps)
+    p = table.params(eps)
+    coupled = table.model == "coupled"
+    rows = []
+    for n in range(lo, hi + 1):
+        if method == "dtm":
+            sol = (solve_coupled if coupled else solve_delayed)(p, n)
+        elif method == "adm":
+            sol = (adm_solve_coupled if coupled else adm_solve_delayed)(p, n, n).solution()
+        else:
+            sol = vim_solve(p, n)
+        H = sol.H if coupled else sol
+        rows.append((n, max(abs(H.eval(t) - w) for t, w in zip(table.grid, target))))
+    best_n = min(rows, key=lambda r: r[1])[0]
+    lines = [f"{method}_n,max_abs_dev,best"]
+    lines += [f"{n},{dev:.9e},{1 if n == best_n else 0}" for n, dev in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("method, lo, hi", [("dtm", 0, 16), ("adm", 2, 16), ("vim", 2, 6)])
+def test_sweep_equals_per_n_solves(tmp_path, method, lo, hi):
+    for number in (1, 2, 3, 4):
+        for eps in load_table(number).eps_values:
+            code, text = run_cli(
+                ["sweep", "--table", str(number), "--method", method, "--eps", str(eps),
+                 "--min", str(lo), "--max", str(hi)],
+                tmp_path,
+            )
+            assert code == 0
+            assert text == sweep_from_scratch(number, method, eps, lo, hi)
+
+
+@pytest.mark.parametrize("method", ["dtm", "adm"])
+def test_sweep_overflowing_max_exits_3_without_csv(capsys, method):
+    # table 2's eps=0.2 coefficients pass the 1e15 guard at index 172
+    code = main(["sweep", "--table", "2", "--method", method, "--eps", "0.2", "--max", "180"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert "coefficient 172" in out.err
+
+
 # -- trajectory command --------------------------------------------------
 
 
@@ -222,6 +291,15 @@ def test_trajectory_coupled_series_vs_rk4(tmp_path):
 def test_bad_grid_is_a_usage_error(tmp_path):
     code = main(["table", "--model", "coupled", "--t-step", "0.3",
                  "--t-max", "1.0", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+
+
+@pytest.mark.parametrize("method, flag, value", [
+    ("dtm", "--order", "-1"), ("adm", "--terms", "0"), ("vim", "--iters", "-1"),
+])
+def test_bad_solver_count_is_a_usage_error(tmp_path, method, flag, value):
+    code = main(["table", "--model", "coupled", "--methods", method, flag, value,
+                 "--out", str(tmp_path / "x.csv")])
     assert code == 2
 
 

@@ -1,5 +1,6 @@
 """Coefficient recurrences: examples, structure, and cross-checks."""
 
+import math
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from ensoseries import (
     SeriesPoly,
     SolutionPair,
     UsageError,
+    adm_solve_coupled,
+    adm_solve_delayed,
     assemble,
     load_table,
     reduced_delayed_coeffs,
@@ -19,6 +22,8 @@ from ensoseries import (
     transform_coupled,
     transform_delayed,
 )
+from ensoseries import dtm
+from ensoseries.errors import check_coeffs
 from conftest import draw_coupled, draw_delayed
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
@@ -76,6 +81,42 @@ def test_overflow_aborts_with_index():
     with pytest.raises(SeriesOverflowError) as err:
         transform_coupled(CoupledParams(1e9, 0, 0, 0, 0.5), 5)
     assert err.value.index >= 1
+
+
+@pytest.mark.parametrize("solve, coupled", [
+    (transform_coupled, True),
+    (transform_delayed, False),
+    (lambda p, n: adm_solve_coupled(p, n + 1, n + 1), True),
+    (lambda p, n: adm_solve_delayed(p, n + 1, n + 1), False),
+])
+def test_overflow_stops_at_the_first_bad_coefficient(solve, coupled, monkeypatch):
+    # a large requested order must not be computed past the first bad value
+    pushes = []
+    push = dtm._CubeAccumulator.push
+    monkeypatch.setattr(dtm._CubeAccumulator, "push", lambda acc, w: pushes.append(w) or push(acc, w))
+    with pytest.warns(UserWarning):
+        p = CoupledParams(1, 1, 1, 1, 5.0) if coupled else DelayedParams(0.5, 0.3, 0.25, 5.0)
+    with pytest.raises(SeriesOverflowError) as err:
+        solve(p, 2000)
+    assert err.value.index < 30
+    assert len(pushes) == err.value.index
+
+
+@pytest.mark.parametrize("solve", [transform_coupled, lambda p, n: adm_solve_coupled(p, n + 1, n + 1)])
+def test_overflow_in_h_reports_its_lower_index(solve):
+    # h leaves the range at index 1, H only at index 2
+    with pytest.raises(SeriesOverflowError) as err:
+        solve(CoupledParams(1, 1, 1, 1e16, 0.1), 10)
+    assert err.value.index == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e15, -2e15])
+def test_overflow_guard_names_the_first_bad_coefficient(bad):
+    with pytest.raises(SeriesOverflowError) as err:
+        check_coeffs((1.0, -3.0, bad, 4.0, bad))
+    assert err.value.index == 2
+    # magnitudes summing past the limit, each within it, still pass
+    assert check_coeffs((1e15, -1e15, 0.5)) == (1e15, -1e15, 0.5)
 
 
 def test_assemble_shapes():

@@ -67,6 +67,31 @@ def test_exact_blowup_region_raises():
         exact_delayed(p, 2.0)
 
 
+def test_exact_keeps_the_sign_of_a_negative_start():
+    p = DelayedParams(0.5, 0.3, 0.25, 0.05, H0=-1.0)
+    assert exact_delayed(p, 0.4) == pytest.approx(solve_delayed(p, 40).eval(0.4), abs=1e-9)
+    assert exact_delayed(p, 0.4) == -exact_delayed(TABLE3, 0.4)
+
+
+def test_exact_zero_start_is_the_equilibrium():
+    p = DelayedParams(0.5, 0.3, 0.25, 0.05, H0=0.0)
+    for t in (0.0, 0.4, 2.0, 1e4):
+        assert exact_delayed(p, t) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+def test_exact_beyond_the_exp_range():
+    # a = -432.8, so exp(-2*a*t) leaves the float range from t = 0.82 on
+    p = DelayedParams(-400.0, 0.3, 0.25, 0.05)
+    # flow property: restarting from H(0.8) reaches H(1.2) without overflow
+    restarted = DelayedParams(-400.0, 0.3, 0.25, 0.05, H0=exact_delayed(p, 0.8))
+    assert exact_delayed(p, 1.2) == pytest.approx(exact_delayed(restarted, 0.4), rel=1e-12)
+    assert exact_delayed(p, 2.0) == 0.0
+    # 1 - H0**2 * b/a < 0: the solution blew up long before
+    with pytest.raises(DomainError):
+        exact_delayed(DelayedParams(-400.0, 0.3, 0.25, -500.0), 2.0)
+
+
 def test_exact_satisfies_the_ode_by_central_differences():
     rng = random.Random(41)
     checked = 0

@@ -1,0 +1,98 @@
+"""Prefix stability: the identities that let ``sweep`` solve once at ``--max``.
+
+Raising a solver's order or count must leave everything it computed at lower
+orders bit-for-bit unchanged, so each lower n is a prefix of one solve.
+"""
+
+import warnings
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ensoseries import (
+    CoupledParams,
+    DelayedParams,
+    ParameterRangeWarning,
+    SeriesOverflowError,
+    adm_solve_coupled,
+    adm_solve_delayed,
+    initial_state,
+    transform_coupled,
+    transform_delayed,
+    vim_solve,
+    vim_step_coupled,
+    vim_step_delayed,
+)
+
+unit = st.floats(-2.0, 2.0)
+eps = st.floats(0.01, 0.99)
+coupled = st.builds(CoupledParams, unit, unit, unit, unit, eps)
+
+
+@st.composite
+def delayed(draw):
+    alpha, beta, sigma = draw(unit), draw(unit), draw(unit)
+    assume(abs(1.0 - beta * sigma) >= 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterRangeWarning)
+        return DelayedParams(alpha, beta, sigma, draw(eps))
+
+
+params = st.one_of(coupled, delayed())
+orders = st.integers(0, 30)
+examples = settings(max_examples=60, deadline=None)
+
+
+def transform(p, order):
+    return (transform_coupled if isinstance(p, CoupledParams) else transform_delayed)(p, order)
+
+
+def adm_solve(p, n_terms):
+    return (adm_solve_coupled if isinstance(p, CoupledParams) else adm_solve_delayed)(p, n_terms, n_terms)
+
+
+def no_overflow(fn, *args):
+    try:
+        return fn(*args)
+    except SeriesOverflowError:
+        assume(False)
+
+
+@examples
+@given(params, orders, orders)
+def test_transform_prefix_is_stable(p, n, m):
+    n, m = sorted((n, m))
+    long = no_overflow(transform, p, m)
+    short = transform(p, n)
+    assert long.W[: n + 1] == short.W
+    if long.V is not None:
+        assert long.V[: n + 1] == short.V
+
+
+@examples
+@given(params, orders, orders)
+def test_adm_weights_are_the_transform_and_prefixes_are_the_short_solve(p, n, m):
+    n, m = sorted((n + 1, m + 1))
+    long = no_overflow(adm_solve, p, m)
+    short = adm_solve(p, n)
+    r = transform(p, n - 1)
+    assert short.u_weights == r.W
+    assert short.v_weights == r.V
+    assert long.solution(n) == short.solution()
+
+
+@examples
+@given(params, st.integers(0, 5), st.integers(0, 24))
+def test_vim_steps_are_the_solve(p, k, cap):
+    step = vim_step_coupled if isinstance(p, CoupledParams) else vim_step_delayed
+    state = initial_state(p, cap)
+    try:
+        for _ in range(k):
+            state = step(state, p)
+    except SeriesOverflowError:
+        assume(False)
+    solved = vim_solve(p, k, cap)
+    if isinstance(p, CoupledParams):
+        assert (state.H_iter, state.h_iter) == (solved.H, solved.h)
+    else:
+        assert state.H_iter == solved
