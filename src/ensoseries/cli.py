@@ -38,6 +38,8 @@ def _fmt(value: float) -> str:
 
 
 def _grid(t_max: float, t_step: float) -> list[float]:
+    if not (math.isfinite(t_max) and math.isfinite(t_step)):
+        raise UsageError("t-max and t-step must be finite")
     if t_step <= 0.0 or t_max < t_step:
         raise UsageError("need 0 < t-step <= t-max")
     n = round(t_max / t_step)
@@ -141,12 +143,21 @@ def cmd_errors(args) -> int:
     model, params_list, grid, solve = _column_setup(args)
     oracle = args.oracle or ("exact" if model == "delayed" else "rk4")
     methods = (args.methods or "dtm,adm,vim").split(",")
-    truth = {p: [v[0] for v in solve(oracle, p)] for p in params_list}
+    truth = {}
+    for p in params_list:
+        try:
+            truth[p] = [v[0] for v in solve(oracle, p)]
+        except NumericError as exc:
+            print(f"{oracle} eps={p.eps:g}: {exc}", file=sys.stderr)
+            truth[p] = None
+
+    def errors(m, p):
+        if truth[p] is None:  # no reference: every error of this eps is an ERROR cell
+            return [[math.nan] * len(grid)]
+        return [[abs(v[0] - w) for v, w in zip(solve(m, p), truth[p])]]
+
     specs = [(m, p, [f"err_{m}_eps{p.eps:g}"]) for p in params_list for m in methods]
-    return _emit(
-        args.out, grid, specs,
-        lambda m, p: [[abs(v[0] - w) for v, w in zip(solve(m, p), truth[p])]],
-    )
+    return _emit(args.out, grid, specs, errors)
 
 
 def _solutions(method, params, lo, hi):

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from math import isfinite
 
 from .errors import DomainError, UsageError
 from .models import (
     CoupledParams,
     DelayedParams,
     SolutionPair,
-    coupled_rhs,
-    delayed_rhs,
     reduced_delayed_coeffs,
 )
 from .series import SeriesPoly
@@ -91,30 +91,71 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
     return p.H0 * q ** -0.5
 
 
-def _rhs_for(params: CoupledParams | DelayedParams):
-    if isinstance(params, CoupledParams):
-        return lambda state: coupled_rhs(params, state[0], state[1]), (params.H0, params.h0)
-    return lambda state: (delayed_rhs(params, state[0]),), (params.H0,)
+def _rk4_coupled(p: CoupledParams, state: tuple[float, float], t: float, h: float, n: int):
+    """Advance ``n`` classical RK4 steps of size ``h`` of the coupled model.
 
-
-def _rk4_steps(f, state: tuple[float, ...], t: float, h: float, n: int):
-    """Advance ``n`` classical RK4 steps of size ``h``; yields each new state."""
+    Yields each new state ``(H, h)``.  The right-hand side is inlined in the
+    operation order of :func:`models.coupled_rhs`, so every state is
+    bit-for-bit the one a stepper calling it would produce.  Float ``*`` and
+    ``+`` saturate to inf rather than raise, so a blow-up shows as a
+    non-finite state.
+    """
+    c, eta, eps, neg_theta, gamma = p.c, p.eta, p.eps, -p.theta, p.gamma
+    half = 0.5 * h
+    u, v = state  # H and h
     for _ in range(n):
-        try:
-            k1 = f(state)
-            k2 = f(tuple(y + 0.5 * h * d for y, d in zip(state, k1)))
-            k3 = f(tuple(y + 0.5 * h * d for y, d in zip(state, k2)))
-            k4 = f(tuple(y + h * d for y, d in zip(state, k3)))
-        except OverflowError:
-            raise DomainError(f"integration blew up near t={t + h}") from None
-        state = tuple(
-            y + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
-            for y, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
+        du1 = c * u + eta * v - eps * (u * u * u)
+        dv1 = neg_theta * u - gamma * v
+        x, y = u + half * du1, v + half * dv1
+        du2 = c * x + eta * y - eps * (x * x * x)
+        dv2 = neg_theta * x - gamma * y
+        x, y = u + half * du2, v + half * dv2
+        du3 = c * x + eta * y - eps * (x * x * x)
+        dv3 = neg_theta * x - gamma * y
+        x, y = u + h * du3, v + h * dv3
+        du4 = c * x + eta * y - eps * (x * x * x)
+        dv4 = neg_theta * x - gamma * y
+        u = u + h * (du1 + 2.0 * du2 + 2.0 * du3 + du4) / 6.0
+        v = v + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
         t += h
-        if not all(math.isfinite(x) for x in state):
+        if not (isfinite(u) and isfinite(v)):
             raise DomainError(f"integration blew up near t={t}")
-        yield state
+        yield u, v
+
+
+def _rk4_delayed(a: float, b: float, state: tuple[float], t: float, h: float, n: int):
+    """Advance ``n`` RK4 steps of ``dH/dt = a*H - b*H**3``; yields each ``(H,)``.
+
+    Inlined like :func:`_rk4_coupled`, in the operation order of
+    :func:`models.delayed_rhs`.
+    """
+    half = 0.5 * h
+    (u,) = state
+    for _ in range(n):
+        k1 = a * u - b * (u * u * u)
+        x = u + half * k1
+        k2 = a * x - b * (x * x * x)
+        x = u + half * k2
+        k3 = a * x - b * (x * x * x)
+        x = u + h * k3
+        k4 = a * x - b * (x * x * x)
+        u = u + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        t += h
+        if not isfinite(u):
+            raise DomainError(f"integration blew up near t={t}")
+        yield (u,)
+
+
+def _stepper(params: CoupledParams | DelayedParams):
+    """The model's RK4 stepper as ``steps(state, t, h, n)``, and its initial state."""
+    if isinstance(params, CoupledParams):
+        return partial(_rk4_coupled, params), (params.H0, params.h0)
+    return partial(_rk4_delayed, *reduced_delayed_coeffs(params)), (params.H0,)
+
+
+def _check_step(step: float) -> None:
+    if not step > 0.0:
+        raise UsageError(f"step must be positive, got {step!r}")
 
 
 def rk4(params: CoupledParams | DelayedParams, t_end: float, step: float) -> Trajectory:
@@ -122,18 +163,19 @@ def rk4(params: CoupledParams | DelayedParams, t_end: float, step: float) -> Tra
 
     The step is adjusted minimally so the grid lands exactly on ``t_end``.
     """
-    if step <= 0.0:
-        raise UsageError("step must be positive")
+    _check_step(step)
+    if not isfinite(t_end):
+        raise UsageError(f"t_end must be finite, got {t_end!r}")
     if t_end < 0.0:
         raise UsageError("t_end must be >= 0")
-    f, state = _rhs_for(params)
+    steps, state = _stepper(params)
     if t_end == 0.0:
         return Trajectory((0.0,), (state,), step)
     n = max(1, round(t_end / step))
     h = t_end / n
     ts = [0.0]
     states = [state]
-    for i, s in enumerate(_rk4_steps(f, state, 0.0, h, n)):
+    for i, s in enumerate(steps(state, 0.0, h, n)):
         ts.append((i + 1) * h)
         states.append(s)
     return Trajectory(tuple(ts), tuple(states), h)
@@ -149,20 +191,21 @@ def rk4_values(
     Sub-steps never exceed ``step``, and each requested time is hit exactly,
     so the values carry full RK4 accuracy at the nodes.
     """
-    if step <= 0.0:
-        raise UsageError("step must be positive")
+    _check_step(step)
+    if not all(map(isfinite, ts)):
+        raise UsageError("times must be finite")
     if any(t < 0.0 for t in ts):
         raise UsageError("times must be >= 0")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("times must be strictly increasing")
-    f, state = _rhs_for(params)
+    steps, state = _stepper(params)
     out = []
     t_prev = 0.0
     for t in ts:
         span = t - t_prev
         if span > 0.0:
             n = max(1, math.ceil(span / step))
-            for state in _rk4_steps(f, state, t_prev, span / n, n):
+            for state in steps(state, t_prev, span / n, n):
                 pass
         out.append(state)
         t_prev = t

@@ -164,6 +164,39 @@ def test_errors_rejects_exact_oracle_for_coupled(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+@pytest.mark.parametrize("oracle", ["exact", "rk4"])
+def test_errors_oracle_failure_marks_only_its_eps(tmp_path, capsys, oracle):
+    # eps = -500 blows up before t = 0.4; eps = 0.1 must keep its columns
+    code, text = run_cli(
+        ["errors", "--model", "delayed", "--eps", "-500", "--eps", "0.1",
+         "--methods", "dtm,adm", "--oracle", oracle],
+        tmp_path,
+    )
+    assert code == 3
+    header, rows = parse_csv(text)
+    assert header == ["t", "err_dtm_eps-500", "err_adm_eps-500", "err_dtm_eps0.1", "err_adm_eps0.1"]
+    assert all(row[1:3] == ["ERROR", "ERROR"] for row in rows)
+    assert all(float(cell) <= 1e-8 for row in rows for cell in row[3:])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{oracle} eps=-500: ")
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+def test_errors_oracle_and_method_failures_each_name_themselves(tmp_path, capsys):
+    code, text = run_cli(
+        ["errors", "--model", "delayed", "--alpha", "-400", "--eps", "-500", "--eps", "0.1",
+         "--methods", "dtm"],
+        tmp_path,
+    )
+    assert code == 3
+    header, rows = parse_csv(text)
+    assert header == ["t", "err_dtm_eps-500", "err_dtm_eps0.1"]
+    assert all(row[1:] == ["ERROR", "ERROR"] for row in rows)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [line.split(":")[0] for line in err] == ["exact eps=-500", "dtm eps=0.1"]
+
+
 # -- sweep command -------------------------------------------------------
 
 
@@ -291,6 +324,23 @@ def test_trajectory_coupled_series_vs_rk4(tmp_path):
 def test_bad_grid_is_a_usage_error(tmp_path):
     code = main(["table", "--model", "coupled", "--t-step", "0.3",
                  "--t-max", "1.0", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--t-max", "nan"), ("--t-max", "inf"), ("--t-step", "nan"),
+])
+def test_non_finite_grid_is_a_usage_error(tmp_path, flag, value):
+    code = main(["table", "--model", "delayed", flag, value, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["errors", "--model", "delayed", "--oracle", "rk4"],
+    ["table", "--model", "coupled", "--methods", "rk4"],
+])
+def test_nan_oracle_step_is_a_usage_error(tmp_path, args):
+    code = main(args + ["--oracle-step", "nan", "--out", str(tmp_path / "x.csv")])
     assert code == 2
 
 

@@ -1,9 +1,12 @@
 """Exact closed form, RK4 reference, and residual diagnostics."""
 
+import math
 import random
 import warnings
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ensoseries import (
     CoupledParams,
@@ -14,6 +17,7 @@ from ensoseries import (
     SolutionPair,
     Trajectory,
     UsageError,
+    coupled_rhs,
     delayed_rhs,
     exact_delayed,
     residual_check,
@@ -169,6 +173,137 @@ def test_rk4_values_validation():
         rk4_values(TABLE3, [0.5, 0.5])
     with pytest.raises(UsageError):
         rk4_values(TABLE3, [-0.1, 0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rk4_refuses_a_non_finite_end(bad):
+    for p in (TABLE1, TABLE3):
+        with pytest.raises(UsageError):
+            rk4(p, bad, 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rk4_values_refuses_non_finite_times(bad):
+    # a NaN time used to come back silently as the initial state
+    for p in (TABLE1, TABLE3):
+        for ts in ([bad], [0.0, 0.5, bad]):
+            with pytest.raises(UsageError):
+                rk4_values(p, ts)
+
+
+def test_rk4_refuses_a_nan_step():
+    with pytest.raises(UsageError):
+        rk4(TABLE3, 1.0, math.nan)
+    with pytest.raises(UsageError):
+        rk4_values(TABLE1, [0.5], math.nan)
+
+
+# -- RK4 against the generic stepper over the model right-hand sides ----
+
+
+def reference_rk4_steps(f, state, t, h, n):
+    """Classical RK4 through a state-tuple right-hand side ``f``; yields each state."""
+    for _ in range(n):
+        k1 = f(state)
+        k2 = f(tuple(y + 0.5 * h * d for y, d in zip(state, k1)))
+        k3 = f(tuple(y + 0.5 * h * d for y, d in zip(state, k2)))
+        k4 = f(tuple(y + h * d for y, d in zip(state, k3)))
+        state = tuple(
+            y + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
+            for y, a, b, c, d in zip(state, k1, k2, k3, k4)
+        )
+        t += h
+        if not all(math.isfinite(x) for x in state):
+            raise DomainError(f"integration blew up near t={t}")
+        yield state
+
+
+def reference_rhs(p):
+    if isinstance(p, CoupledParams):
+        return lambda s: coupled_rhs(p, s[0], s[1]), (p.H0, p.h0)
+    return lambda s: (delayed_rhs(p, s[0]),), (p.H0,)
+
+
+def reference_rk4(p, t_end, step):
+    f, state = reference_rhs(p)
+    if t_end == 0.0:
+        return [state]
+    n = max(1, round(t_end / step))
+    return [state, *reference_rk4_steps(f, state, 0.0, t_end / n, n)]
+
+
+def reference_rk4_values(p, ts, step):
+    f, state = reference_rhs(p)
+    out, t_prev = [], 0.0
+    for t in ts:
+        span = t - t_prev
+        if span > 0.0:
+            n = max(1, math.ceil(span / step))
+            for state in reference_rk4_steps(f, state, t_prev, span / n, n):
+                pass
+        out.append(state)
+        t_prev = t
+    return out
+
+
+def bits(run):
+    """Every state as exact hex floats, or the type and message of the error."""
+    try:
+        return [tuple(x.hex() for x in s) for s in run()]
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+# Mostly integrable draws, so long runs of steps get compared; negative eps
+# and large starts still blow up often enough to compare the errors too.
+wide = st.floats(-2.0, 2.0)
+cubic = st.floats(-0.5, 1.0)
+rk4_coupled = st.builds(CoupledParams, wide, wide, wide, wide, cubic, H0=wide, h0=wide)
+
+
+@st.composite
+def rk4_delayed(draw):
+    alpha, beta, sigma = draw(wide), draw(wide), draw(wide)
+    assume(abs(1.0 - beta * sigma) >= 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterRangeWarning)
+        return DelayedParams(alpha, beta, sigma, draw(cubic), H0=draw(wide))
+
+
+rk4_params = st.one_of(rk4_coupled, rk4_delayed())
+rk4_steps = st.floats(2e-3, 0.5)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", ParameterRangeWarning)
+    ANTI_DAMPED = CoupledParams(1, 0, 0, 0, -1.0)
+    ANTI_DAMPED_DELAYED = DelayedParams(1.0, 0.5, 0.5, -0.15, H0=2.0)
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+@settings(max_examples=150, deadline=None)
+@given(rk4_params, st.floats(0.0, 3.0), rk4_steps)
+@example(ANTI_DAMPED, 2.0, 0.01)
+@example(ANTI_DAMPED_DELAYED, 2.0, 0.01)
+def test_rk4_states_are_bit_identical_to_the_generic_stepper(p, t_end, step):
+    want = bits(lambda: reference_rk4(p, t_end, step))
+    assert bits(lambda: rk4(p, t_end, step).states) == want
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+@settings(max_examples=150, deadline=None)
+@given(rk4_params, st.lists(st.floats(0.0, 3.0), max_size=6, unique=True), rk4_steps)
+@example(ANTI_DAMPED, [0.5, 2.0], 0.01)
+@example(ANTI_DAMPED_DELAYED, [1.0, 2.0], 0.01)
+def test_rk4_values_are_bit_identical_to_the_generic_stepper(p, ts, step):
+    ts = sorted(ts)
+    want = bits(lambda: reference_rk4_values(p, ts, step))
+    assert bits(lambda: rk4_values(p, ts, step)) == want
+
+
+def test_generic_stepper_comparison_sees_blowups():
+    # the examples above must exercise the error path, message included
+    for p in (ANTI_DAMPED, ANTI_DAMPED_DELAYED):
+        got = bits(lambda: rk4(p, 2.0, 0.01).states)
+        assert got[0] == "DomainError" and "blew up near t=" in got[1]
 
 
 def test_trajectory_invariants():

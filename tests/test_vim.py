@@ -1,22 +1,29 @@
 """Correction-functional iterates: fixed points, hand steps, Picard matching."""
 
 import random
+import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ensoseries import (
     CoupledParams,
     DelayedParams,
+    ParameterRangeWarning,
     SeriesOverflowError,
     SeriesPoly,
     UsageError,
+    VimState,
     initial_state,
+    reduced_delayed_coeffs,
     transform_coupled,
     transform_delayed,
     vim_solve,
     vim_step_coupled,
     vim_step_delayed,
 )
+from ensoseries.errors import check_coeffs
 from conftest import draw_coupled, draw_delayed, draw_until
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
@@ -144,3 +151,74 @@ def test_usage_errors():
     scalar_state = initial_state(TABLE3, 8)
     with pytest.raises(UsageError):
         vim_step_coupled(scalar_state, TABLE1)
+
+
+# -- the live-degree step against a dense step at the full cap ----------
+
+
+def dense_step(state, p):
+    """One correction step with every ``SeriesPoly`` op at the full degree cap."""
+    H, h = state.H_iter, state.h_iter
+    if isinstance(p, CoupledParams):
+        res_H = H.derivative() - H.scale(p.c) - h.scale(p.eta) + H.cube().scale(p.eps)
+        res_h = h.derivative() + H.scale(p.theta) + h.scale(p.gamma)
+        H_next, h_next = H - res_H.antiderivative(), h - res_h.antiderivative()
+        check_coeffs(H_next.coeffs)
+        check_coeffs(h_next.coeffs)
+        return VimState(H_next, h_next, state.iteration + 1)
+    a, b = reduced_delayed_coeffs(p)
+    res = H.derivative() - H.scale(a) + H.cube().scale(b)
+    H_next = H - res.antiderivative()
+    check_coeffs(H_next.coeffs)
+    return VimState(H_next, None, state.iteration + 1)
+
+
+def iterate_bits(step, state, p, iterations):
+    """Exact hex coefficients of every iterate, or the overflow's message."""
+    out = []
+    try:
+        for _ in range(iterations):
+            state = step(state, p)
+            out.append(tuple(x.hex() for s in (state.H_iter, state.h_iter) if s for x in s.coeffs))
+    except SeriesOverflowError as exc:
+        out.append(str(exc))
+    return out
+
+
+unit = st.floats(-2.0, 2.0)
+vim_coupled = st.builds(CoupledParams, unit, unit, unit, unit, st.floats(-1.0, 1.0), H0=unit, h0=unit)
+
+
+@st.composite
+def vim_delayed(draw):
+    alpha, beta, sigma = draw(unit), draw(unit), draw(unit)
+    assume(abs(1.0 - beta * sigma) >= 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterRangeWarning)
+        return DelayedParams(alpha, beta, sigma, draw(st.floats(-1.0, 1.0)), H0=draw(unit))
+
+
+# signed zeros included: a -0.0 above the degree must come out as the dense step leaves it
+coeff = st.one_of(st.just(0.0), st.just(-0.0), unit)
+
+
+@st.composite
+def start(draw, p):
+    """The constant initial iterate, or a short hand-built one, at a drawn cap."""
+    cap = draw(st.sampled_from([0, 1, 2, 10, 64]) | st.integers(0, 64))
+    if draw(st.booleans()):
+        return initial_state(p, cap)
+    iterate = st.lists(coeff, min_size=1, max_size=min(cap + 1, 6))
+    H = SeriesPoly.from_coeffs(draw(iterate), cap)
+    h = SeriesPoly.from_coeffs(draw(iterate), cap) if isinstance(p, CoupledParams) else None
+    return VimState(H, h, 0)
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(vim_coupled, vim_delayed()).flatmap(lambda p: st.tuples(st.just(p), start(p))),
+       st.sampled_from([0, 1, 2, 3, 5]))
+def test_steps_are_bit_identical_to_the_dense_step(drawn, iterations):
+    p, state = drawn
+    step = vim_step_coupled if isinstance(p, CoupledParams) else vim_step_delayed
+    assert iterate_bits(step, state, p, iterations) == iterate_bits(dense_step, state, p, iterations)
