@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterRangeWarning, SingularModelError, UsageError
 from .series import SeriesPoly
@@ -89,6 +90,11 @@ class DelayedParams:
         else:
             _warn_eps_range(self.eps)
 
+    @cached_property
+    def _reduced(self) -> tuple[float, float]:
+        # the RK4 oracle evaluates delayed_rhs four times a step
+        return reduced_delayed_coeffs(self)
+
 
 @dataclass(frozen=True)
 class SolutionPair:
@@ -122,5 +128,5 @@ def coupled_rhs(p: CoupledParams, H: float, h: float) -> tuple[float, float]:
 
 def delayed_rhs(p: DelayedParams, H: float) -> float:
     """Pointwise right-hand side of the normalized delayed model."""
-    a, b = reduced_delayed_coeffs(p)
+    a, b = p._reduced
     return a * H - b * (H * H * H)

@@ -25,6 +25,8 @@ from .models import (
     CoupledParams,
     DelayedParams,
     SolutionPair,
+    coupled_rhs,
+    delayed_rhs,
     reduced_delayed_coeffs,
 )
 from .series import SeriesPoly
@@ -94,27 +96,18 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
 def _rk4_coupled(p: CoupledParams, state: tuple[float, float], t: float, h: float, n: int):
     """Advance ``n`` classical RK4 steps of size ``h`` of the coupled model.
 
-    Yields each new state ``(H, h)``.  The right-hand side is inlined in the
-    operation order of :func:`models.coupled_rhs`, so every state is
-    bit-for-bit the one a stepper calling it would produce.  Float ``*`` and
-    ``+`` saturate to inf rather than raise, so a blow-up shows as a
-    non-finite state.
+    Yields each new state ``(H, h)``.  The state lives in scalar locals and
+    each stage calls :func:`models.coupled_rhs` once.  Float ``*`` and ``+``
+    saturate to inf rather than raise, so a blow-up shows as a non-finite
+    state.
     """
-    c, eta, eps, neg_theta, gamma = p.c, p.eta, p.eps, -p.theta, p.gamma
     half = 0.5 * h
     u, v = state  # H and h
     for _ in range(n):
-        du1 = c * u + eta * v - eps * (u * u * u)
-        dv1 = neg_theta * u - gamma * v
-        x, y = u + half * du1, v + half * dv1
-        du2 = c * x + eta * y - eps * (x * x * x)
-        dv2 = neg_theta * x - gamma * y
-        x, y = u + half * du2, v + half * dv2
-        du3 = c * x + eta * y - eps * (x * x * x)
-        dv3 = neg_theta * x - gamma * y
-        x, y = u + h * du3, v + h * dv3
-        du4 = c * x + eta * y - eps * (x * x * x)
-        dv4 = neg_theta * x - gamma * y
+        du1, dv1 = coupled_rhs(p, u, v)
+        du2, dv2 = coupled_rhs(p, u + half * du1, v + half * dv1)
+        du3, dv3 = coupled_rhs(p, u + half * du2, v + half * dv2)
+        du4, dv4 = coupled_rhs(p, u + h * du3, v + h * dv3)
         u = u + h * (du1 + 2.0 * du2 + 2.0 * du3 + du4) / 6.0
         v = v + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
         t += h
@@ -123,22 +116,18 @@ def _rk4_coupled(p: CoupledParams, state: tuple[float, float], t: float, h: floa
         yield u, v
 
 
-def _rk4_delayed(a: float, b: float, state: tuple[float], t: float, h: float, n: int):
-    """Advance ``n`` RK4 steps of ``dH/dt = a*H - b*H**3``; yields each ``(H,)``.
+def _rk4_delayed(p: DelayedParams, state: tuple[float], t: float, h: float, n: int):
+    """Advance ``n`` RK4 steps of the delayed model; yields each ``(H,)``.
 
-    Inlined like :func:`_rk4_coupled`, in the operation order of
-    :func:`models.delayed_rhs`.
+    Scalar like :func:`_rk4_coupled`, calling :func:`models.delayed_rhs`.
     """
     half = 0.5 * h
     (u,) = state
     for _ in range(n):
-        k1 = a * u - b * (u * u * u)
-        x = u + half * k1
-        k2 = a * x - b * (x * x * x)
-        x = u + half * k2
-        k3 = a * x - b * (x * x * x)
-        x = u + h * k3
-        k4 = a * x - b * (x * x * x)
+        k1 = delayed_rhs(p, u)
+        k2 = delayed_rhs(p, u + half * k1)
+        k3 = delayed_rhs(p, u + half * k2)
+        k4 = delayed_rhs(p, u + h * k3)
         u = u + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         t += h
         if not isfinite(u):
@@ -150,7 +139,7 @@ def _stepper(params: CoupledParams | DelayedParams):
     """The model's RK4 stepper as ``steps(state, t, h, n)``, and its initial state."""
     if isinstance(params, CoupledParams):
         return partial(_rk4_coupled, params), (params.H0, params.h0)
-    return partial(_rk4_delayed, *reduced_delayed_coeffs(params)), (params.H0,)
+    return partial(_rk4_delayed, params), (params.H0,)
 
 
 def _check_step(step: float) -> None:

@@ -97,3 +97,15 @@ def test_pointwise_rhs():
     assert dh == pytest.approx(-2.0)
     d = DelayedParams(0.5, 0.3, 0.25, 0.05)
     assert delayed_rhs(d, 1.0) == pytest.approx(0.15 / 0.925, rel=1e-14)
+
+
+def test_delayed_rhs_uses_the_reduced_coefficients_exactly():
+    # delayed_rhs reads a, b cached on the parameters; the cache must not
+    # change its values or the parameters' equality, hash and repr
+    d = DelayedParams(0.7, 0.3, 0.25, 0.15, H0=-2.0)
+    before = (repr(d), hash(d))
+    a, b = reduced_delayed_coeffs(d)
+    for H in (0.0, -0.0, 1.0, -1.3, 3.7e-5, 1e100):
+        assert delayed_rhs(d, H).hex() == (a * H - b * (H * H * H)).hex()
+    assert (repr(d), hash(d)) == before
+    assert d == DelayedParams(0.7, 0.3, 0.25, 0.15, H0=-2.0)
