@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .dtm import _CubeAccumulator
 from .errors import COEFF_LIMIT, UsageError, check_coeffs
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
-from .series import SeriesPoly
+from .series import SeriesPoly, _trusted
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,10 @@ class AdmState:
         else:
             raise UsageError(f"need 1 <= n <= {self.n_terms}, got {n}")
         pad = (0.0,) * (cap + 1 - n)
-        H = SeriesPoly(self.u_weights[:n] + pad)
+        H = _trusted(self.u_weights[:n] + pad)
         if self.v_weights is None:
             return H
-        return SolutionPair(H, SeriesPoly(self.v_weights[:n] + pad))
+        return SolutionPair(H, _trusted(self.v_weights[:n] + pad))
 
 
 def adomian_cubic(components: tuple[SeriesPoly, ...] | list[SeriesPoly], k: int) -> SeriesPoly:
@@ -94,10 +94,10 @@ def adomian_cubic(components: tuple[SeriesPoly, ...] | list[SeriesPoly], k: int)
         raise UsageError("k must be >= 0")
     if k >= len(components):
         raise UsageError(f"A_{k} needs components 0..{k}, got {len(components)}")
-    acc = SeriesPoly.zero(components[0].cap, components[0].t0)
+    acc = SeriesPoly.zero(components[0].cap)
     for i in range(k + 1):
         # pairwise convolution over component index at i, then close with u_l
-        pair = SeriesPoly.zero(components[0].cap, components[0].t0)
+        pair = SeriesPoly.zero(components[0].cap)
         for j in range(k - i + 1):
             pair = pair + components[j].cauchy_mul(components[k - i - j])
         acc = acc + components[i].cauchy_mul(pair)

@@ -21,9 +21,9 @@ from .adm import adm_solve_coupled, adm_solve_delayed
 from .dtm import transform_coupled, transform_delayed
 from .errors import NumericError, UsageError
 from .models import CoupledParams, DelayedParams, SolutionPair
-from .oracle import exact_delayed, rk4_values
+from .oracle import _check_step, exact_delayed, rk4_values
 from .reference import load_table
-from .series import SeriesPoly
+from .series import _trusted
 from .vim import initial_state, vim_step_coupled, vim_step_delayed
 
 _COUPLED_DEFAULTS = {"c": 1.0, "eta": 1.0, "gamma": 1.0, "theta": 1.0}
@@ -172,8 +172,8 @@ def _solutions(method, params, lo, hi):
     if method == "dtm":
         res = (transform_coupled if coupled else transform_delayed)(params, hi)
         for n in range(lo, hi + 1):
-            H = SeriesPoly(res.W[: n + 1])
-            yield SolutionPair(H, SeriesPoly(res.V[: n + 1])) if coupled else H
+            H = _trusted(res.W[: n + 1])
+            yield SolutionPair(H, _trusted(res.V[: n + 1])) if coupled else H
     elif method == "adm":
         state = (adm_solve_coupled if coupled else adm_solve_delayed)(params, hi, hi)
         for n in range(lo, hi + 1):
@@ -289,6 +289,7 @@ def main(argv=None) -> int:
     if hasattr(args, "model"):
         _finish_grid_defaults(args)
     try:
+        _check_step(args.oracle_step)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

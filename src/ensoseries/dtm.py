@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import COEFF_LIMIT, UsageError, check_coeffs
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
-from .series import SeriesPoly
+from .series import SeriesPoly, _trusted
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,8 @@ class DtmResult:
     order: int
 
     def __post_init__(self):
+        if self.order < 0:
+            raise UsageError("order must be >= 0")
         if len(self.W) != self.order + 1:
             raise UsageError("W must hold order+1 coefficients")
         if self.V is not None and len(self.V) != self.order + 1:
@@ -116,12 +118,14 @@ def assemble(result: DtmResult) -> SolutionPair | SeriesPoly:
     """Turn transformed coefficients into series about t = 0.
 
     Returns a :class:`SolutionPair` for the coupled model, a single
-    :class:`SeriesPoly` for the scalar one.
+    :class:`SeriesPoly` for the scalar one.  The transforms have checked the
+    coefficients already; a hand-built result still gets the one-pass
+    finiteness check.
     """
-    H = SeriesPoly(result.W, 0.0)
+    H = _trusted(tuple(result.W))
     if result.V is None:
         return H
-    return SolutionPair(H, SeriesPoly(result.V, 0.0))
+    return SolutionPair(H, _trusted(tuple(result.V)))
 
 
 def solve_coupled(p: CoupledParams, order: int) -> SolutionPair:

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ``UsageError`` exits with 2, any
 ``NumericError`` with 3.
 """
 
+import math
+
 # Coefficients beyond this magnitude mean the evaluation left the trusted
 # region (typically a point outside the series' convergence disc).
 COEFF_LIMIT = 1e15
@@ -21,8 +23,8 @@ class SeriesOverflowError(NumericError):
     """A computed coefficient left the trusted range.
 
     Raised when a solver finds a coefficient that is non-finite or exceeds the
-    magnitude guard; using it would only propagate garbage. ``index`` names
-    the first offending coefficient.
+    magnitude guard, or when a series operation overflows; using it would
+    only propagate garbage. ``index`` names the first offending coefficient.
     """
 
     def __init__(self, index: int, value: float):
@@ -44,6 +46,21 @@ def check_coeffs(coeffs):
     for k, c in enumerate(coeffs):
         if not -COEFF_LIMIT <= c <= COEFF_LIMIT:
             raise SeriesOverflowError(k, c)
+    return coeffs
+
+
+def check_finite(coeffs):
+    """Return ``coeffs`` if all are finite, else raise :class:`SeriesOverflowError`.
+
+    The error names the first coefficient that is not finite.  A passing
+    check takes one pass in C: NaN and infinities make the sum of magnitudes
+    non-finite.  Only if that sum is not finite (a sum of finite magnitudes
+    may overflow too) are the coefficients inspected one by one.
+    """
+    if not sum(map(abs, coeffs)) < math.inf:
+        for k, c in enumerate(coeffs):
+            if not math.isfinite(c):
+                raise SeriesOverflowError(k, c)
     return coeffs
 
 

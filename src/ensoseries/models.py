@@ -104,8 +104,8 @@ class SolutionPair:
     h: SeriesPoly
 
     def __post_init__(self):
-        if self.H.cap != self.h.cap or self.H.t0 != self.h.t0:
-            raise UsageError("H and h series must share cap and expansion point")
+        if self.H.cap != self.h.cap:
+            raise UsageError("H and h series must share their cap")
 
 
 def reduced_delayed_coeffs(p: DelayedParams) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import isfinite
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, check_finite
 from .models import (
     CoupledParams,
     DelayedParams,
@@ -143,8 +143,8 @@ def _stepper(params: CoupledParams | DelayedParams):
 
 
 def _check_step(step: float) -> None:
-    if not step > 0.0:
-        raise UsageError(f"step must be positive, got {step!r}")
+    if not 0.0 < step < math.inf:
+        raise UsageError(f"step must be positive and finite, got {step!r}")
 
 
 def rk4(params: CoupledParams | DelayedParams, t_end: float, step: float) -> Trajectory:
@@ -210,26 +210,39 @@ def residual_check(
 
     The residual series is ``d(series)/dt - RHS(series)``; coefficients
     ``0..upto`` are inspected (default: everything below the cap, whose own
-    derivative coefficient is an artifact of truncation).
+    derivative coefficient is an artifact of truncation).  Each residual
+    coefficient is computed in one pass, in the order of operations of
+    ``H' - (c*H + eta*h - eps*H**3)`` over series (``H' - (a*H - b*H**3)``
+    for the delayed model): coefficient k of ``H'`` is ``(k+1)*H[k+1]``, and
+    0.0 at the cap.  A non-finite coefficient, at any degree up to the cap,
+    raises :class:`SeriesOverflowError`.
     """
     if isinstance(solution, SolutionPair):
         if not isinstance(params, CoupledParams):
             raise UsageError("a solution pair needs coupled parameters")
-        H, h = solution.H, solution.h
-        res1 = H.derivative() - (H.scale(params.c) + h.scale(params.eta) - H.cube().scale(params.eps))
-        res2 = h.derivative() - (H.scale(-params.theta) - h.scale(params.gamma))
-        residuals = (res1, res2)
+        H, h = solution.H.coeffs, solution.h.coeffs
+        C = solution.H.cube().coeffs
+        c, eta, eps, gamma = params.c, params.eta, params.eps, params.gamma
+        minus_theta = -params.theta
+        res1 = [(k + 1) * dH - ((c * x + eta * y) - eps * z)
+                for k, dH, x, y, z in zip(range(len(H)), H[1:] + (0.0,), H, h, C)]
+        res2 = [(k + 1) * dh - (minus_theta * x - gamma * y)
+                for k, dh, x, y in zip(range(len(h)), h[1:] + (0.0,), H, h)]
+        residuals = (check_finite(res1), check_finite(res2))
     else:
         if not isinstance(params, DelayedParams):
             raise UsageError("a scalar series needs delayed parameters")
         a, b = reduced_delayed_coeffs(params)
-        H = solution
-        residuals = (H.derivative() - (H.scale(a) - H.cube().scale(b)),)
-    last = residuals[0].cap - 1 if upto is None else upto
-    if last >= residuals[0].cap:
+        H = solution.coeffs
+        C = solution.cube().coeffs
+        res = [(k + 1) * dH - (a * x - b * z)
+               for k, dH, x, z in zip(range(len(H)), H[1:] + (0.0,), H, C)]
+        residuals = (check_finite(res),)
+    cap = len(H) - 1
+    last = cap - 1 if upto is None else upto
+    if last >= cap:
         raise UsageError("upto must stay below the series cap")
     worst = 0.0
     for res in residuals:
-        for c in res.coeffs[: last + 1]:
-            worst = max(worst, abs(c))
+        worst = max(worst, max(map(abs, res[: last + 1]), default=0.0))
     return worst

@@ -1,12 +1,16 @@
-"""Dense truncated power series about a fixed expansion point.
+"""Dense truncated power series about t = 0.
 
-A :class:`SeriesPoly` stores the coefficients of
-``sum_k coeffs[k] * (t - t0)**k`` for ``k = 0..cap`` as a plain tuple of
-floats, with explicit zeros for absent degrees.  Every operation is pure and
-returns a new series truncated at the same cap; degrees above the cap are
-silently discarded, mirroring how a finite Taylor section behaves.  Caps in
-this package stay small (<= 64), so the quadratic-cost convolution product is
-entirely adequate.
+A :class:`SeriesPoly` stores the coefficients of ``sum_k coeffs[k] * t**k``
+for ``k = 0..cap`` as a plain tuple of floats, with explicit zeros for absent
+degrees.  Every operation is pure and returns a new series truncated at the
+same cap; degrees above the cap are silently discarded, mirroring how a
+finite Taylor section behaves.  Caps in this package stay small (<= 64), so
+the quadratic-cost convolution product is entirely adequate.
+
+Coefficients are checked where they come in: the public constructor converts
+each one to float and refuses NaN and infinities.  An operation's result is
+computed from series that were already checked, so it is wrapped by
+:func:`_trusted`, which only confirms in one pass that nothing overflowed.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UsageError
+from .errors import SeriesOverflowError, UsageError, check_finite
 
 
 def _require_finite(value: float, name: str) -> float:
@@ -26,20 +30,19 @@ def _require_finite(value: float, name: str) -> float:
 
 @dataclass(frozen=True)
 class SeriesPoly:
-    """Immutable truncated power series; ``coeffs[k]`` multiplies ``(t - t0)**k``."""
+    """Immutable truncated power series; ``coeffs[k]`` multiplies ``t**k``."""
 
     coeffs: tuple[float, ...]
-    t0: float = 0.0
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(map(float, self.coeffs))
         if not coeffs:
             raise UsageError("a series needs at least the degree-0 coefficient")
-        for k, c in enumerate(coeffs):
-            if not math.isfinite(c):
-                raise UsageError(f"coefficient {k} is not finite: {c!r}")
+        try:
+            check_finite(coeffs)
+        except SeriesOverflowError as exc:  # the caller's value, not an overflow
+            raise UsageError(f"coefficient {exc.index} is not finite: {exc.value!r}") from None
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "t0", _require_finite(self.t0, "t0"))
 
     @property
     def cap(self) -> int:
@@ -49,17 +52,17 @@ class SeriesPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, cap: int, t0: float = 0.0) -> "SeriesPoly":
+    def zero(cls, cap: int) -> "SeriesPoly":
         if cap < 0:
             raise UsageError("cap must be >= 0")
-        return cls((0.0,) * (cap + 1), t0)
+        return cls((0.0,) * (cap + 1))
 
     @classmethod
-    def constant(cls, value: float, cap: int, t0: float = 0.0) -> "SeriesPoly":
-        return cls.monomial(value, 0, cap, t0)
+    def constant(cls, value: float, cap: int) -> "SeriesPoly":
+        return cls.monomial(value, 0, cap)
 
     @classmethod
-    def monomial(cls, value: float, degree: int, cap: int, t0: float = 0.0) -> "SeriesPoly":
+    def monomial(cls, value: float, degree: int, cap: int) -> "SeriesPoly":
         """Series with ``value`` at ``degree`` and zeros elsewhere."""
         if cap < 0:
             raise UsageError("cap must be >= 0")
@@ -67,10 +70,10 @@ class SeriesPoly:
             raise UsageError(f"monomial degree {degree} outside 0..{cap}")
         coeffs = [0.0] * (cap + 1)
         coeffs[degree] = _require_finite(value, "value")
-        return cls(tuple(coeffs), t0)
+        return cls(tuple(coeffs))
 
     @classmethod
-    def from_coeffs(cls, coeffs, cap: int | None = None, t0: float = 0.0) -> "SeriesPoly":
+    def from_coeffs(cls, coeffs, cap: int | None = None) -> "SeriesPoly":
         """Build from a coefficient sequence, zero-padding up to ``cap``."""
         coeffs = list(coeffs)
         if cap is None:
@@ -78,13 +81,11 @@ class SeriesPoly:
         if cap < len(coeffs) - 1:
             raise UsageError(f"cap {cap} smaller than highest given degree {len(coeffs) - 1}")
         coeffs.extend([0.0] * (cap + 1 - len(coeffs)))
-        return cls(tuple(coeffs), t0)
+        return cls(tuple(coeffs))
 
     # -- arithmetic ----------------------------------------------------
 
     def _check_compatible(self, other: "SeriesPoly") -> None:
-        if self.t0 != other.t0:
-            raise UsageError(f"mixed expansion points: {self.t0} vs {other.t0}")
         if self.cap != other.cap:
             raise UsageError(f"mixed caps: {self.cap} vs {other.cap}")
 
@@ -92,20 +93,20 @@ class SeriesPoly:
         if not isinstance(other, SeriesPoly):
             return NotImplemented
         self._check_compatible(other)
-        return SeriesPoly(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.t0)
+        return _trusted(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "SeriesPoly") -> "SeriesPoly":
         if not isinstance(other, SeriesPoly):
             return NotImplemented
         self._check_compatible(other)
-        return SeriesPoly(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.t0)
+        return _trusted(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "SeriesPoly":
-        return SeriesPoly(tuple(-a for a in self.coeffs), self.t0)
+        return _trusted(tuple(-a for a in self.coeffs))
 
     def scale(self, factor: float) -> "SeriesPoly":
         factor = _require_finite(factor, "factor")
-        return SeriesPoly(tuple(factor * a for a in self.coeffs), self.t0)
+        return _trusted(tuple(factor * a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, SeriesPoly):
@@ -119,18 +120,20 @@ class SeriesPoly:
     def cauchy_mul(self, other: "SeriesPoly") -> "SeriesPoly":
         """Convolution product, truncated at the shared cap.
 
-        ``result[k] = sum_{r=0..k} self[r] * other[k-r]``; degrees above the
-        cap are dropped.
+        ``result[k] = sum_{r=0..k} self[r] * other[k-r]``, summed left to
+        right from 0.0; degrees above the cap are dropped.
         """
         self._check_compatible(other)
-        a, b = self.coeffs, other.coeffs
+        a = self.coeffs
+        rb = other.coeffs[::-1]
+        top = len(a) - 1
         out = []
-        for k in range(len(a)):
+        for k in range(top + 1):
             acc = 0.0
-            for r in range(k + 1):
-                acc += a[r] * b[k - r]
+            for x, y in zip(a, rb[top - k:]):  # other[k], other[k-1], ..., other[0]
+                acc += x * y
             out.append(acc)
-        return SeriesPoly(tuple(out), self.t0)
+        return _trusted(tuple(out))
 
     def cube(self) -> "SeriesPoly":
         """Triple convolution ``self * self * self`` (truncated)."""
@@ -141,7 +144,7 @@ class SeriesPoly:
         a = self.coeffs
         out = [float(k + 1) * a[k + 1] for k in range(len(a) - 1)]
         out.append(0.0)
-        return SeriesPoly(tuple(out), self.t0)
+        return _trusted(tuple(out))
 
     def antiderivative(self) -> "SeriesPoly":
         """Term-wise antiderivative with zero constant term.
@@ -153,15 +156,28 @@ class SeriesPoly:
         out = [0.0]
         for k in range(1, len(a)):
             out.append(a[k - 1] / k)
-        return SeriesPoly(tuple(out), self.t0)
+        return _trusted(tuple(out))
 
     def eval(self, t: float) -> float:
         """Horner evaluation of the truncated series at ``t``."""
         t = _require_finite(t, "t")
-        x = t - self.t0
         acc = 0.0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
+            acc = acc * t + c
         return acc
 
     __call__ = eval
+
+
+def _trusted(coeffs: tuple[float, ...]) -> SeriesPoly:
+    """Wrap a non-empty tuple of floats computed from already checked series.
+
+    Skips the public constructor and its per-coefficient conversion and
+    check; :func:`errors.check_finite` confirms in one pass that nothing
+    overflowed, or raises :class:`SeriesOverflowError` naming the first
+    non-finite coefficient.
+    """
+    check_finite(coeffs)
+    series = object.__new__(SeriesPoly)
+    object.__setattr__(series, "coeffs", coeffs)
+    return series

@@ -18,12 +18,12 @@ iterates stay below degree 14, so their products are not dense to degree 64.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from struct import pack
 
 from .errors import UsageError, check_coeffs
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
-from .series import SeriesPoly
+from .series import SeriesPoly, _trusted
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -39,10 +39,8 @@ class VimState:
     def __post_init__(self):
         if self.iteration < 0:
             raise UsageError("iteration count cannot be negative")
-        if self.h_iter is not None and (
-            self.h_iter.cap != self.H_iter.cap or self.h_iter.t0 != self.H_iter.t0
-        ):
-            raise UsageError("H and h iterates must share cap and expansion point")
+        if self.h_iter is not None and self.h_iter.cap != self.H_iter.cap:
+            raise UsageError("H and h iterates must share their cap")
 
     @property
     def degree_cap(self) -> int:
@@ -59,25 +57,22 @@ def initial_state(params: CoupledParams | DelayedParams, degree_cap: int = DEFAU
     return VimState(H, None, 0)
 
 
-def _live_degree(s: SeriesPoly) -> int:
+def _live_degree(coeffs: tuple[float, ...]) -> int:
     """Highest index whose coefficient is not +0.0 (0 if there is none).
 
-    A -0.0 counts as live, so that the working cap keeps it where the dense
-    step would have carried it.
+    Only +0.0 packs to eight zero bytes, so stripping trailing zero bytes
+    drops exactly the trailing +0.0 coefficients.  A -0.0 keeps its sign bit
+    and counts as live, so that the working cap keeps it where the dense step
+    would have carried it.
     """
-    c = s.coeffs
-    d = len(c) - 1
-    while d > 0 and c[d] == 0.0 and math.copysign(1.0, c[d]) > 0.0:
-        d -= 1
-    return d
+    return max(0, (len(pack(f"<{len(coeffs)}d", *coeffs).rstrip(b"\0")) + 7) // 8 - 1)
 
 
-def _truncated(s: SeriesPoly, m: int) -> SeriesPoly:
-    return s if m == s.cap else SeriesPoly(s.coeffs[: m + 1], s.t0)
-
-
-def _padded(s: SeriesPoly, cap: int) -> SeriesPoly:
-    return s if cap == s.cap else SeriesPoly.from_coeffs(s.coeffs, cap, s.t0)
+def _padded(coeffs: list[float], cap: int) -> SeriesPoly:
+    """The checked next iterate, zero-padded from the working cap to ``cap``."""
+    check_coeffs(coeffs)
+    coeffs += [0.0] * (cap + 1 - len(coeffs))
+    return _trusted(tuple(coeffs))
 
 
 def vim_step_coupled(state: VimState, p: CoupledParams) -> VimState:
@@ -87,33 +82,45 @@ def vim_step_coupled(state: VimState, p: CoupledParams) -> VimState:
     the degree cap) and is zero-padded back: no coefficient of the next
     iterate above m can be anything but +0.0, and coefficient k of every
     series op depends only on degrees up to k + 1, so this is bit-for-bit
-    the step at the full cap.
+    the step at the full cap.  Coefficient k >= 1 of the next H is
+
+        H[k] - (((k*H[k] - c*H[k-1]) - eta*h[k-1]) + eps*C[k-1]) / k
+
+    with C the cube of H: the expression, in its order of operations, that
+    ``H - (H' - c*H - eta*h + eps*H**3).antiderivative()`` evaluates with
+    series operations.  Coefficient 0 is H[0] (H[0] - 0.0).  Likewise for h.
     """
     if state.h_iter is None:
         raise UsageError("coupled step needs an h iterate")
     cap = state.degree_cap
-    m = min(cap, max(3 * _live_degree(state.H_iter), _live_degree(state.h_iter)) + 1)
-    H, h = _truncated(state.H_iter, m), _truncated(state.h_iter, m)
-    res_H = H.derivative() - H.scale(p.c) - h.scale(p.eta) + H.cube().scale(p.eps)
-    res_h = h.derivative() + H.scale(p.theta) + h.scale(p.gamma)
-    H_next = H - res_H.antiderivative()
-    h_next = h - res_h.antiderivative()
-    check_coeffs(H_next.coeffs)
-    check_coeffs(h_next.coeffs)
+    H, h = state.H_iter.coeffs, state.h_iter.coeffs
+    m = min(cap, max(3 * _live_degree(H), _live_degree(h)) + 1)
+    H, h = H[: m + 1], h[: m + 1]
+    C = _trusted(H).cube().coeffs
+    c, eta, eps, theta, gamma = p.c, p.eta, p.eps, p.theta, p.gamma
+    H_next, h_next = [H[0]], [h[0]]
+    for k, Hk, Hj, hk, hj, Cj in zip(range(1, m + 1), H[1:], H, h[1:], h, C):
+        H_next.append(Hk - (((k * Hk - c * Hj) - eta * hj) + eps * Cj) / k)
+        h_next.append(hk - ((k * hk + theta * Hj) + gamma * hj) / k)
     return VimState(_padded(H_next, cap), _padded(h_next, cap), state.iteration + 1)
 
 
 def vim_step_delayed(state: VimState, p: DelayedParams) -> VimState:
     """One correction step of the delayed model in normalized form.
 
-    Runs at working cap ``m = 3*deg(H) + 1``, exactly as the coupled step.
+    Runs at working cap ``m = 3*deg(H) + 1``, exactly as the coupled step;
+    coefficient k >= 1 of the next iterate is
+    ``H[k] - ((k*H[k] - a*H[k-1]) + b*C[k-1]) / k``.
     """
     a, b = reduced_delayed_coeffs(p)
     cap = state.degree_cap
-    H = _truncated(state.H_iter, min(cap, 3 * _live_degree(state.H_iter) + 1))
-    res = H.derivative() - H.scale(a) + H.cube().scale(b)
-    H_next = H - res.antiderivative()
-    check_coeffs(H_next.coeffs)
+    H = state.H_iter.coeffs
+    m = min(cap, 3 * _live_degree(H) + 1)
+    H = H[: m + 1]
+    C = _trusted(H).cube().coeffs
+    H_next = [H[0]]
+    for k, Hk, Hj, Cj in zip(range(1, m + 1), H[1:], H, C):
+        H_next.append(Hk - ((k * Hk - a * Hj) + b * Cj) / k)
     return VimState(_padded(H_next, cap), None, state.iteration + 1)
 
 

@@ -344,6 +344,30 @@ def test_nan_oracle_step_is_a_usage_error(tmp_path, args):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["errors", "--model", "delayed", "--oracle", "rk4"],
+    ["table", "--model", "coupled", "--methods", "rk4"],
+    ["table", "--model", "delayed"],
+    ["trajectory", "--model", "coupled"],
+    ["sweep", "--table", "1", "--method", "dtm", "--eps", "0.1"],
+])
+@pytest.mark.parametrize("step", ["inf", "-inf", "0", "-1e308"])
+def test_bad_oracle_step_is_a_usage_error_on_every_subcommand(tmp_path, capsys, args, step):
+    # an infinite step used to give one RK4 step per gap, reported as the methods' error
+    code = main(args + [f"--oracle-step={step}", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "step must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_oracle_step_wider_than_the_grid_gap_is_taken(tmp_path):
+    # a finite step bounds the sub-steps only: 1e308 means one RK4 step per gap
+    base = ["errors", "--model", "delayed", "--oracle", "rk4", "--methods", "dtm"]
+    code, wide = run_cli(base + ["--oracle-step", "1e308"], tmp_path, "wide.csv")
+    assert code == 0
+    assert run_cli(base + ["--oracle-step", "1"], tmp_path, "gap.csv") == (0, wide)
+
+
 @pytest.mark.parametrize("method, flag, value", [
     ("dtm", "--order", "-1"), ("adm", "--terms", "0"), ("vim", "--iters", "-1"),
 ])

@@ -122,7 +122,8 @@ def test_overflow_guard_names_the_first_bad_coefficient(bad):
 def test_assemble_shapes():
     pair = assemble(transform_coupled(TABLE1, 3))
     assert isinstance(pair, SolutionPair)
-    assert pair.H.cap == 3 and pair.H.t0 == 0.0
+    assert pair.H.cap == 3 and pair.h.cap == 3
+    assert pair.H.coeffs[0] == TABLE1.H0 and pair.h.coeffs[0] == TABLE1.h0
     scalar = assemble(transform_delayed(TABLE3, 3))
     assert isinstance(scalar, SeriesPoly)
 

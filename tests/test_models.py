@@ -83,11 +83,11 @@ def test_tabulated_ranges_stay_silent():
 
 
 def test_solution_pair_requires_matching_series():
-    H = SeriesPoly((1.0, 2.0), 0.0)
+    H = SeriesPoly((1.0, 2.0))
     with pytest.raises(UsageError):
-        SolutionPair(H, SeriesPoly((1.0, 2.0, 3.0), 0.0))
+        SolutionPair(H, SeriesPoly((1.0, 2.0, 3.0)))
     with pytest.raises(UsageError):
-        SolutionPair(H, SeriesPoly((1.0, 2.0), 1.0))
+        SolutionPair(SeriesPoly((1.0, 2.0, 3.0)), H)
 
 
 def test_pointwise_rhs():

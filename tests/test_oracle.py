@@ -13,6 +13,7 @@ from ensoseries import (
     DelayedParams,
     DomainError,
     ParameterRangeWarning,
+    SeriesOverflowError,
     SeriesPoly,
     SolutionPair,
     Trajectory,
@@ -20,6 +21,7 @@ from ensoseries import (
     coupled_rhs,
     delayed_rhs,
     exact_delayed,
+    reduced_delayed_coeffs,
     residual_check,
     rk4,
     rk4_values,
@@ -198,6 +200,24 @@ def test_rk4_refuses_a_nan_step():
         rk4_values(TABLE1, [0.5], math.nan)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, 0.0, -1e308])
+def test_rk4_refuses_a_step_that_is_not_positive_and_finite(bad):
+    # an infinite step used to be taken as one RK4 step per requested time
+    for p in (TABLE1, TABLE3):
+        with pytest.raises(UsageError):
+            rk4(p, 1.0, bad)
+        with pytest.raises(UsageError):
+            rk4_values(p, [0.5, 1.0], bad)
+
+
+def test_rk4_takes_a_finite_step_wider_than_the_span():
+    # the step only bounds the sub-steps: 1e308 gives one step per gap
+    one_step = rk4(TABLE3, 1.0, 1.0).states[-1]
+    assert rk4(TABLE3, 1.0, 1e308).states[-1] == one_step
+    assert rk4_values(TABLE3, [1.0], 1e308) == [one_step]
+    assert rk4_values(TABLE1, [0.5, 1.0], 1e308) == rk4_values(TABLE1, [0.5, 1.0], 0.5)
+
+
 # -- RK4 against the generic stepper over the model right-hand sides ----
 
 
@@ -341,6 +361,23 @@ def test_residual_detects_a_perturbed_coefficient():
     assert residual_check(SeriesPoly(tuple(coeffs)), TABLE3) >= 1e-4
 
 
+def test_residual_overflow_is_a_numeric_error():
+    # the cube of 1e120 leaves the float range at degree 0
+    with pytest.raises(SeriesOverflowError) as err:
+        residual_check(SeriesPoly((1e120,) * 6), TABLE3)
+    assert err.value.index == 0
+    big = SeriesPoly((1e120,) * 6)
+    with pytest.raises(SeriesOverflowError):
+        residual_check(SolutionPair(big, big), TABLE1)
+
+
+def test_residual_overflow_at_the_cap_is_seen():
+    # only a*H[1] overflows, at the cap, beyond the inspected coefficient 0
+    with pytest.raises(SeriesOverflowError) as err:
+        residual_check(SeriesPoly((0.0, 1e308)), DelayedParams(4.0, 0.3, 0.25, 0.05))
+    assert err.value.index == 1
+
+
 def test_residual_upto_validation_and_mismatches():
     series = solve_delayed(TABLE3, 8)
     with pytest.raises(UsageError):
@@ -349,3 +386,100 @@ def test_residual_upto_validation_and_mismatches():
         residual_check(series, TABLE1)
     with pytest.raises(UsageError):
         residual_check(solve_coupled(TABLE1, 8), TABLE3)
+
+
+# -- the one-pass residual against the series-operation residual ---------
+
+
+def reference_residual_check(solution, params, upto=None):
+    """``residual_check`` as series operations: the pushed-through series, then a running max."""
+    if isinstance(solution, SolutionPair):
+        if not isinstance(params, CoupledParams):
+            raise UsageError("a solution pair needs coupled parameters")
+        H, h = solution.H, solution.h
+        res1 = H.derivative() - (H.scale(params.c) + h.scale(params.eta) - H.cube().scale(params.eps))
+        res2 = h.derivative() - (H.scale(-params.theta) - h.scale(params.gamma))
+        residuals = (res1, res2)
+    else:
+        if not isinstance(params, DelayedParams):
+            raise UsageError("a scalar series needs delayed parameters")
+        a, b = reduced_delayed_coeffs(params)
+        H = solution
+        residuals = (H.derivative() - (H.scale(a) - H.cube().scale(b)),)
+    last = residuals[0].cap - 1 if upto is None else upto
+    if last >= residuals[0].cap:
+        raise UsageError("upto must stay below the series cap")
+    worst = 0.0
+    for res in residuals:
+        for c in res.coeffs[: last + 1]:
+            worst = max(worst, abs(c))
+    return worst
+
+
+def residual_bits(check, solution, params, upto):
+    """The residual as an exact hex float, or the class of the typed error."""
+    try:
+        return check(solution, params, upto).hex()
+    except (UsageError, SeriesOverflowError) as exc:
+        return type(exc).__name__
+
+
+# Unit-sized coefficients with signed zeros; in some series one coefficient is
+# huge, so that the cube, a scaled term or the derivative overflows.
+unit_coeff = st.one_of(st.floats(-3.0, 3.0), st.just(0.0), st.just(-0.0))
+huge_coeff = st.sampled_from([1e120, -1e150, 1e200, 1.7e308]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def residual_series(draw, cap):
+    coeffs = draw(st.lists(unit_coeff, min_size=cap + 1, max_size=cap + 1))
+    if draw(st.integers(0, 3)) == 0:
+        coeffs[draw(st.integers(0, cap))] = draw(huge_coeff)
+    return SeriesPoly(tuple(coeffs))
+
+
+@st.composite
+def residual_case(draw):
+    """(solution, params, upto) for either model, at a cap 1..40."""
+    cap = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        solution = SolutionPair(draw(residual_series(cap)), draw(residual_series(cap)))
+        params = draw(rk4_coupled)
+    else:
+        solution, params = draw(residual_series(cap)), draw(rk4_delayed())
+    upto = draw(st.none() | st.integers(-2, cap + 1))
+    return solution, params, upto
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+@settings(max_examples=300, deadline=None)
+@given(residual_case())
+@example((SeriesPoly((1e120,) * 6), TABLE3, None))
+@example((SeriesPoly((0.0, 1e308)), DelayedParams(4.0, 0.3, 0.25, 0.05), None))
+def test_residual_is_bit_identical_to_the_series_operations(case):
+    solution, params, upto = case
+    want = residual_bits(reference_residual_check, solution, params, upto)
+    assert residual_bits(residual_check, solution, params, upto) == want
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+def test_residual_is_bit_identical_on_random_draws():
+    rng = random.Random(404)
+    for _ in range(300):
+        cap = rng.randint(1, 40)
+        series = [SeriesPoly(tuple(rng.uniform(-3.0, 3.0) for _ in range(cap + 1))) for _ in range(2)]
+        if rng.random() < 0.5:
+            p = CoupledParams(*(rng.uniform(-2.0, 2.0) for _ in range(4)), rng.uniform(-0.5, 1.0))
+            solution = SolutionPair(*series)
+        else:
+            p, solution = draw_delayed(rng), series[0]
+        upto = rng.choice([None, rng.randint(0, cap - 1)])
+        want = residual_bits(reference_residual_check, solution, p, upto)
+        assert residual_bits(residual_check, solution, p, upto) == want
+
+
+def test_residual_comparison_sees_overflows():
+    # the examples above must reach the overflow path on both sides
+    for series, p in [(SeriesPoly((1e120,) * 6), TABLE3),
+                      (SeriesPoly((0.0, 1e308)), DelayedParams(4.0, 0.3, 0.25, 0.05))]:
+        assert residual_bits(reference_residual_check, series, p, None) == "SeriesOverflowError"

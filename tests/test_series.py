@@ -4,12 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ensoseries import SeriesPoly, UsageError
+from ensoseries import SeriesOverflowError, SeriesPoly, UsageError
 
 
-def poly(*coeffs, t0=0.0):
-    return SeriesPoly(tuple(float(c) for c in coeffs), t0)
+def poly(*coeffs):
+    return SeriesPoly(tuple(float(c) for c in coeffs))
 
 
 def naive_convolution(a, b):
@@ -31,7 +33,40 @@ def test_rejects_non_finite_coefficients():
     with pytest.raises(UsageError):
         poly(math.inf)
     with pytest.raises(UsageError):
-        SeriesPoly((), 0.0)
+        SeriesPoly(())
+
+
+def test_overflow_in_an_operation_is_a_numeric_error():
+    with pytest.raises(SeriesOverflowError) as err:
+        SeriesPoly((1e200,)) * SeriesPoly((1e200,))
+    assert err.value.index == 0
+    # caller-supplied non-finite values stay usage errors
+    with pytest.raises(UsageError):
+        SeriesPoly((math.inf,))
+    with pytest.raises(UsageError):
+        poly(1, 2).scale(math.inf)
+
+
+@pytest.mark.parametrize("op, index", [
+    (lambda s: s + s, 2),
+    (lambda s: s - s.scale(-1.0), 2),
+    (lambda s: s.scale(4.0), 2),
+    (lambda s: s.derivative(), 1),
+    (lambda s: s.cauchy_mul(poly(0, 4, 0, 0)), 3),
+    (lambda s: s.cube(), 2),
+], ids=["add", "sub", "scale", "derivative", "cauchy_mul", "cube"])
+def test_an_overflowing_result_names_its_coefficient(op, index):
+    # one coefficient near the float maximum: only the result's index `index` overflows
+    s = poly(1, 0, 1e308, 0)
+    with pytest.raises(SeriesOverflowError) as err:
+        op(s)
+    assert err.value.index == index
+    assert math.isinf(err.value.value)
+
+
+def test_a_finite_result_whose_magnitudes_overflow_in_sum_passes():
+    # the one-pass check sums magnitudes; a sum past the float range alone is no error
+    assert poly(1e308, -1e308).scale(1.5).coeffs == (1.5e308, -1.5e308)
 
 
 def test_is_immutable():
@@ -64,7 +99,9 @@ def test_add_rejects_mismatched_operands():
     with pytest.raises(UsageError):
         poly(1, 2) + poly(1, 2, 3)
     with pytest.raises(UsageError):
-        poly(1, 2) + poly(1, 2, t0=1.0)
+        poly(1, 2, 3) - poly(1, 2)
+    with pytest.raises(UsageError):
+        poly(1, 2) * poly(1, 2, 3)
 
 
 def test_scale():
@@ -114,6 +151,29 @@ def test_mul_commutes_and_associates():
         left, right = (a * b) * c, a * (b * c)
         for x, y in zip(left.coeffs, right.coeffs):
             assert x == pytest.approx(y, rel=1e-13, abs=1e-13)
+
+
+def plain_convolution(a, b):
+    """``result[k] = a[0]*b[k] + a[1]*b[k-1] + ...``, summed left to right from 0.0."""
+    out = []
+    for k in range(len(a)):
+        acc = 0.0
+        for r in range(k + 1):
+            acc += a[r] * b[k - r]
+        out.append(acc)
+    return out
+
+
+signed = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 64).flatmap(lambda cap: st.tuples(
+    st.lists(signed, min_size=cap + 1, max_size=cap + 1), st.lists(signed, min_size=cap + 1, max_size=cap + 1))))
+def test_mul_is_bit_identical_to_the_plain_double_loop(ab):
+    a, b = ab
+    got = SeriesPoly(tuple(a)).cauchy_mul(SeriesPoly(tuple(b))).coeffs
+    assert [x.hex() for x in got] == [x.hex() for x in plain_convolution(a, b)]
 
 
 def test_mul_exact_on_small_integers():
@@ -209,7 +269,8 @@ def test_monomial_rejects_degree_above_cap():
 
 def test_eval_at_expansion_point():
     assert poly(1, 1, 0.5).eval(0.0) == 1.0
-    assert poly(1, 1, 0.5, t0=2.0).eval(2.0) == 1.0
+    assert poly(-0.0, 1, 0.5).eval(0.0) == 0.0
+    assert math.copysign(1.0, poly(-0.0, 1, 0.5).eval(-0.0)) == -1.0
 
 
 def test_eval_simple_line():
@@ -220,10 +281,9 @@ def test_eval_matches_naive_power_sum():
     rng = random.Random(19)
     for _ in range(40):
         coeffs = [rng.uniform(-3, 3) for _ in range(10)]
-        t0 = rng.uniform(-1, 1)
         t = rng.uniform(-2, 2)
-        naive = sum(c * (t - t0) ** k for k, c in enumerate(coeffs))
-        horner = SeriesPoly(tuple(coeffs), t0).eval(t)
+        naive = sum(c * t ** k for k, c in enumerate(coeffs))
+        horner = SeriesPoly(tuple(coeffs)).eval(t)
         assert horner == pytest.approx(naive, rel=1e-13, abs=1e-13)
 
 

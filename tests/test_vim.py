@@ -1,5 +1,6 @@
 """Correction-functional iterates: fixed points, hand steps, Picard matching."""
 
+import math
 import random
 import warnings
 
@@ -24,6 +25,7 @@ from ensoseries import (
     vim_step_delayed,
 )
 from ensoseries.errors import check_coeffs
+from ensoseries.vim import _live_degree
 from conftest import draw_coupled, draw_delayed, draw_until
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
@@ -143,6 +145,17 @@ def test_overflow_policy_applies():
         vim_solve(CoupledParams(40.0, 0, 0, 0, 0.5), 12, degree_cap=64)
 
 
+@pytest.mark.parametrize("p", [
+    CoupledParams(1, 1, 1, 1, 0.1, H0=1e120),
+    DelayedParams(0.5, 0.3, 0.25, 0.05, H0=1e120),
+])
+def test_an_overflowing_cube_is_a_numeric_error(p):
+    # the cube of 1e120 leaves the float range in the first step
+    with pytest.raises(SeriesOverflowError) as err:
+        vim_solve(p, 3)
+    assert err.value.index == 0
+
+
 def test_usage_errors():
     with pytest.raises(UsageError):
         vim_solve(TABLE1, -1)
@@ -222,3 +235,32 @@ def test_steps_are_bit_identical_to_the_dense_step(drawn, iterations):
     p, state = drawn
     step = vim_step_coupled if isinstance(p, CoupledParams) else vim_step_delayed
     assert iterate_bits(step, state, p, iterations) == iterate_bits(dense_step, state, p, iterations)
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+def test_steps_are_bit_identical_to_the_dense_step_on_random_draws():
+    # full-precision draws, where a reordered sum changes the last bits
+    rng = random.Random(505)
+    for i in range(200):
+        if i % 2:
+            p = draw_delayed(rng)
+        else:
+            p = CoupledParams(*(rng.uniform(-2.0, 2.0) for _ in range(4)), rng.uniform(-1.0, 1.0),
+                              H0=rng.uniform(-2.0, 2.0), h0=rng.uniform(-2.0, 2.0))
+        state = initial_state(p, rng.choice([1, 2, 5, 10, 64]))
+        step = vim_step_coupled if isinstance(p, CoupledParams) else vim_step_delayed
+        assert iterate_bits(step, state, p, 4) == iterate_bits(dense_step, state, p, 4)
+
+
+def scanned_degree(coeffs):
+    """Highest index whose coefficient is not +0.0, scanning down from the top."""
+    d = len(coeffs) - 1
+    while d > 0 and coeffs[d] == 0.0 and math.copysign(1.0, coeffs[d]) > 0.0:
+        d -= 1
+    return d
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1066, 1.0, -3.5, 1e300]), min_size=1, max_size=70))
+def test_live_degree_is_the_scan_from_the_top(coeffs):
+    # subnormals end in zero bytes too, and a -0.0 is live
+    assert _live_degree(tuple(coeffs)) == scanned_degree(coeffs)
