@@ -14,22 +14,22 @@ collapses to a convolution over component indices,
 
 Because ``u_0`` is constant and each turn integrates once, component k is a
 single monomial ``u_k * t**k``.  ``A_k`` is then a monomial of degree k too,
-its weight the scalar convolution above over the component weights, and
-integrating divides by k+1.  So the solver carries one float weight per
-component and takes the weight of ``A_k`` from the cube accumulator it shares
-with the differential transform.  :func:`adomian_cubic` keeps the dense form
-over :class:`SeriesPoly` components; the tests rebuild the components from
-it, as an oracle independent of that accumulator.  The partial sums coincide
-with the differential-transform series.
+its weight the scalar convolution above over the component weights, which is
+the degree-k coefficient of ``H**3``; integrating divides by k+1.  That is
+the differential-transform recurrence term for term, so the component
+weights are the Taylor coefficients :mod:`dtm` computes, and the solver takes
+them from there.  :func:`adomian_cubic` keeps the dense form over
+:class:`SeriesPoly` components; the tests rebuild the components from it, and
+from a plain scalar triple sum, as oracles independent of that recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dtm import _CubeAccumulator
-from .errors import COEFF_LIMIT, UsageError, check_coeffs
-from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
+from .dtm import transform_coupled, transform_delayed
+from .errors import UsageError
+from .models import CoupledParams, DelayedParams, SolutionPair
 from .series import SeriesPoly, _trusted
 
 
@@ -109,36 +109,21 @@ def adm_solve_coupled(p: CoupledParams, n_terms: int, cap: int) -> AdmState:
 
     Recursion: ``u_{k+1} = integral(c*u_k + eta*v_k - eps*A_k)`` and
     ``v_{k+1} = integral(-theta*u_k - gamma*v_k)``, starting from the constant
-    initial values.
+    initial values.  The weights are the Taylor coefficients of
+    :func:`dtm.transform_coupled` at order ``n_terms - 1``.
     """
     _check_solve_args(n_terms, cap)
-    u = [p.H0]
-    v = [p.h0]
-    adomian = _CubeAccumulator(max(n_terms - 2, 0))
-    for k in range(n_terms - 1):
-        adomian.push(u[k])
-        uk = (p.c * u[k] + p.eta * v[k] - p.eps * adomian.nk(k)) / (k + 1)
-        vk = (-p.theta * u[k] - p.gamma * v[k]) / (k + 1)
-        u.append(uk)
-        v.append(vk)
-        if not (-COEFF_LIMIT <= uk <= COEFF_LIMIT and -COEFF_LIMIT <= vk <= COEFF_LIMIT):
-            break  # check_coeffs below names component k+1
-    return AdmState(check_coeffs(tuple(u)), check_coeffs(tuple(v)), cap)
+    r = transform_coupled(p, n_terms - 1)
+    return AdmState(r.W, r.V, cap)
 
 
 def adm_solve_delayed(p: DelayedParams, n_terms: int, cap: int) -> AdmState:
-    """Compute ``n_terms`` components for the scalar delayed model."""
+    """Compute ``n_terms`` components for the scalar delayed model.
+
+    The weights are the Taylor coefficients of :func:`dtm.transform_delayed`.
+    """
     _check_solve_args(n_terms, cap)
-    a, b = reduced_delayed_coeffs(p)
-    u = [p.H0]
-    adomian = _CubeAccumulator(max(n_terms - 2, 0))
-    for k in range(n_terms - 1):
-        adomian.push(u[k])
-        uk = (a * u[k] - b * adomian.nk(k)) / (k + 1)
-        u.append(uk)
-        if not -COEFF_LIMIT <= uk <= COEFF_LIMIT:
-            break  # check_coeffs below names component k+1
-    return AdmState(check_coeffs(tuple(u)), None, cap)
+    return AdmState(transform_delayed(p, n_terms - 1).W, None, cap)
 
 
 def _check_solve_args(n_terms: int, cap: int) -> None:

@@ -18,12 +18,11 @@ import math
 import sys
 
 from .adm import adm_solve_coupled, adm_solve_delayed
-from .dtm import transform_coupled, transform_delayed
+from .dtm import assemble, transform_coupled, transform_delayed
 from .errors import NumericError, UsageError
 from .models import CoupledParams, DelayedParams, SolutionPair
-from .oracle import _check_step, exact_delayed, rk4_values
+from .oracle import _check_step, _step_ratio, exact_delayed, rk4_values
 from .reference import load_table
-from .series import _trusted
 from .vim import initial_state, vim_step_coupled, vim_step_delayed
 
 _COUPLED_DEFAULTS = {"c": 1.0, "eta": 1.0, "gamma": 1.0, "theta": 1.0}
@@ -42,7 +41,7 @@ def _grid(t_max: float, t_step: float) -> list[float]:
         raise UsageError("t-max and t-step must be finite")
     if t_step <= 0.0 or t_max < t_step:
         raise UsageError("need 0 < t-step <= t-max")
-    n = round(t_max / t_step)
+    n = round(_step_ratio(t_max, t_step))
     if abs(n * t_step - t_max) > 1e-9:
         raise UsageError("t-max must be a whole number of t-steps")
     return [i * t_step for i in range(n + 1)]
@@ -172,8 +171,7 @@ def _solutions(method, params, lo, hi):
     if method == "dtm":
         res = (transform_coupled if coupled else transform_delayed)(params, hi)
         for n in range(lo, hi + 1):
-            H = _trusted(res.W[: n + 1])
-            yield SolutionPair(H, _trusted(res.V[: n + 1])) if coupled else H
+            yield assemble(res, n)
     elif method == "adm":
         state = (adm_solve_coupled if coupled else adm_solve_delayed)(params, hi, hi)
         for n in range(lo, hi + 1):

@@ -12,6 +12,11 @@ where ``N(k)`` is the degree-k coefficient of ``H**3``.  ``N(k)`` only ever
 involves ``W(0..k)``, so it is accumulated incrementally from a running cache
 of the square's coefficients: two nested convolutions, O(K^2) work overall
 instead of re-cubing the series at every step.
+
+``N(k)`` is also the weight of the k-th Adomian polynomial of the cube, so
+this recurrence yields the Adomian decomposition's component weights as well:
+:mod:`adm` takes them from here.  The independent checks of both are in the
+tests (the dense :func:`adm.adomian_cubic` and a scalar triple sum).
 """
 
 from __future__ import annotations
@@ -114,18 +119,24 @@ def transform_delayed(p: DelayedParams, order: int) -> DtmResult:
     return DtmResult(check_coeffs(tuple(W)), None, order)
 
 
-def assemble(result: DtmResult) -> SolutionPair | SeriesPoly:
-    """Turn transformed coefficients into series about t = 0.
+def assemble(result: DtmResult, n: int | None = None) -> SolutionPair | SeriesPoly:
+    """Turn the transformed coefficients of orders ``0..n`` into series about t = 0.
 
-    Returns a :class:`SolutionPair` for the coupled model, a single
-    :class:`SeriesPoly` for the scalar one.  The transforms have checked the
-    coefficients already; a hand-built result still gets the one-pass
-    finiteness check.
+    ``n`` defaults to the result's order.  Raising the order leaves lower
+    coefficients bit-for-bit unchanged, so each lower ``n`` is the solve at
+    that order.  Returns a :class:`SolutionPair` for the coupled model, a
+    single :class:`SeriesPoly` for the scalar one.  The transforms have
+    checked the coefficients already; a hand-built result still gets the
+    one-pass finiteness check.
     """
-    H = _trusted(tuple(result.W))
+    if n is None:
+        n = result.order
+    elif not 0 <= n <= result.order:
+        raise UsageError(f"need 0 <= n <= {result.order}, got {n}")
+    H = _trusted(tuple(result.W[: n + 1]))
     if result.V is None:
         return H
-    return SolutionPair(H, _trusted(tuple(result.V)))
+    return SolutionPair(H, _trusted(tuple(result.V[: n + 1])))
 
 
 def solve_coupled(p: CoupledParams, order: int) -> SolutionPair:

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, and the overflow guard.
+"""Exception and warning types shared across the package, and the value guards.
 
 The CLI maps these onto exit codes: ``UsageError`` exits with 2, any
 ``NumericError`` with 3.
@@ -31,6 +31,14 @@ class SeriesOverflowError(NumericError):
         self.index = index
         self.value = value
         super().__init__(f"coefficient {index} overflowed (|{value!r}| beyond trusted range)")
+
+
+def require_finite(value, name: str) -> float:
+    """``value`` as a float, or :class:`UsageError` naming ``name`` if it is not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise UsageError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def check_coeffs(coeffs):

@@ -17,20 +17,12 @@ kept as fields so the solvers stay general.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ParameterRangeWarning, SingularModelError, UsageError
+from .errors import ParameterRangeWarning, SingularModelError, UsageError, require_finite
 from .series import SeriesPoly
-
-
-def _finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise UsageError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def _warn_eps_range(eps: float) -> None:
@@ -56,7 +48,7 @@ class CoupledParams:
 
     def __post_init__(self):
         for name in ("c", "eta", "gamma", "theta", "eps", "H0", "h0"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
+            object.__setattr__(self, name, require_finite(getattr(self, name), name))
         _warn_eps_range(self.eps)
 
 
@@ -78,7 +70,7 @@ class DelayedParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "sigma", "eps", "H0"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
+            object.__setattr__(self, name, require_finite(getattr(self, name), name))
         if self.beta * self.sigma == 1.0:
             raise SingularModelError("beta*sigma == 1 makes the model singular")
         if min(self.alpha, self.beta, self.sigma, self.eps) <= 0.0:

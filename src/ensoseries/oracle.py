@@ -64,7 +64,11 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
     """Closed-form solution of the delayed model at time ``t``.
 
     Computed as ``H = H0 * q**-0.5`` with ``q = H0**2 * w``, so H keeps the
-    sign of H0, and H0 = 0 gives the equilibrium H = 0.  Where ``exp(-2*a*t)``
+    sign of H0, and H0 = 0 gives the equilibrium H = 0; an H0 whose square
+    overflows is refused with :class:`DomainError`.  With ``x = -2*a*t``,
+    ``q = exp(x) + 2*b*H0**2*t * expm1(x)/x``: no term cancels as a -> 0
+    (``H0**2 * b/a`` would, and would overflow for a tiny a), and x = 0
+    gives the a == 0 form ``1 + 2*b*H0**2*t``.  Where ``exp(-2*a*t)``
     leaves the float range, q grows like ``(1 - H0**2 * b/a) * exp(-2*a*t)``:
     H is then taken in log space if that factor is positive, and the solution
     has blown up before t if it is negative.
@@ -75,19 +79,18 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
         return 0.0
     a, b = reduced_delayed_coeffs(p)
     s = p.H0 * p.H0
-    if a == 0.0:
-        q = 1.0 + 2.0 * b * s * t
-    else:
+    if s == math.inf:
+        raise DomainError(f"H0**2 overflows (H0 = {p.H0!r})")
+    x = -2.0 * a * t
+    try:
+        q = math.exp(x) + 2.0 * b * s * t * (math.expm1(x) / x if x else 1.0)
+    except OverflowError:
         r = s * b / a
-        x = -2.0 * a * t
-        try:
-            q = r + (1.0 - r) * math.exp(x)
-        except OverflowError:
-            if r == 1.0:
-                return p.H0
-            if r > 1.0:
-                raise DomainError(f"solution blows up before t={t}") from None
-            return p.H0 * math.exp(-0.5 * (x + math.log1p(-r)))
+        if r == 1.0:
+            return p.H0
+        if r > 1.0:
+            raise DomainError(f"solution blows up before t={t}") from None
+        return p.H0 * math.exp(-0.5 * (x + math.log1p(-r)))
     if not q > 0.0:
         raise DomainError(f"solution blows up before t={t} (H0**2 * w = {q})")
     return p.H0 * q ** -0.5
@@ -147,6 +150,14 @@ def _check_step(step: float) -> None:
         raise UsageError(f"step must be positive and finite, got {step!r}")
 
 
+def _step_ratio(span: float, step: float) -> float:
+    """``span / step``, refused if it overflows (a step too small for the span)."""
+    ratio = span / step
+    if ratio == math.inf:
+        raise UsageError(f"step {step!r} is too small for a span of {span!r}")
+    return ratio
+
+
 def rk4(params: CoupledParams | DelayedParams, t_end: float, step: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta from t = 0 on a uniform grid.
 
@@ -160,7 +171,7 @@ def rk4(params: CoupledParams | DelayedParams, t_end: float, step: float) -> Tra
     steps, state = _stepper(params)
     if t_end == 0.0:
         return Trajectory((0.0,), (state,), step)
-    n = max(1, round(t_end / step))
+    n = max(1, round(_step_ratio(t_end, step)))
     h = t_end / n
     ts = [0.0]
     states = [state]
@@ -193,7 +204,7 @@ def rk4_values(
     for t in ts:
         span = t - t_prev
         if span > 0.0:
-            n = max(1, math.ceil(span / step))
+            n = max(1, math.ceil(_step_ratio(span, step)))
             for state in steps(state, t_prev, span / n, n):
                 pass
         out.append(state)

@@ -15,17 +15,9 @@ computed from series that were already checked, so it is wrapped by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import SeriesOverflowError, UsageError, check_finite
-
-
-def _require_finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise UsageError(f"{name} must be finite, got {value!r}")
-    return value
+from .errors import SeriesOverflowError, UsageError, check_finite, require_finite
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,7 @@ class SeriesPoly:
         if not 0 <= degree <= cap:
             raise UsageError(f"monomial degree {degree} outside 0..{cap}")
         coeffs = [0.0] * (cap + 1)
-        coeffs[degree] = _require_finite(value, "value")
+        coeffs[degree] = require_finite(value, "value")
         return cls(tuple(coeffs))
 
     @classmethod
@@ -105,7 +97,7 @@ class SeriesPoly:
         return _trusted(tuple(-a for a in self.coeffs))
 
     def scale(self, factor: float) -> "SeriesPoly":
-        factor = _require_finite(factor, "factor")
+        factor = require_finite(factor, "factor")
         return _trusted(tuple(factor * a for a in self.coeffs))
 
     def __mul__(self, other):
@@ -160,7 +152,7 @@ class SeriesPoly:
 
     def eval(self, t: float) -> float:
         """Horner evaluation of the truncated series at ``t``."""
-        t = _require_finite(t, "t")
+        t = require_finite(t, "t")
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * t + c

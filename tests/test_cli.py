@@ -1,8 +1,12 @@
 """CLI subcommands: output shape, determinism, exit codes, bundled tables."""
 
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensoseries import (
     UsageError,
@@ -387,3 +391,83 @@ def test_foreign_model_flags_rejected(tmp_path):
     code = main(["table", "--model", "coupled", "--alpha", "0.5",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["errors", "--model", "delayed", "--oracle", "rk4", "--oracle-step", "5e-324"],
+    ["trajectory", "--model", "coupled", "--methods", "rk4", "--oracle-step", "5e-324"],
+    ["table", "--model", "delayed", "--t-step", "5e-324", "--methods", "exact"],
+])
+def test_a_step_too_small_for_its_span_is_a_usage_error(tmp_path, capsys, args):
+    # span / step overflowed to inf, and rounding it raised a bare OverflowError
+    code = main(args + ["--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+# -- exit-code contract ---------------------------------------------------
+
+# Zero, negative, subnormal and normal values are usable parameters; NaN and
+# infinities are not.  Every normal grid has at most ten steps, and a normal
+# span over a 5e-324 step overflows and is refused, so no draw builds a huge
+# finite grid or RK4 run.
+USABLE = ["0", "-0.5", "5e-324", "0.2", "0.5", "1.0", "2.0"]
+NON_FINITE = ["nan", "inf", "-inf"]
+EPS = ["0.1", "0.05", "0.5", "-0.5", "0", "5e-324", "50", "1e300", "-1e300"]  # the last three overflow
+GRIDS = [("1.0", "0.2"), ("2.0", "0.4"), ("0.4", "0.2"), ("5e-324", "5e-324")]
+COUNTS = st.integers(-1, 80).map(str)
+MODEL_FLAGS = {"coupled": ("c", "eta", "gamma", "theta"), "delayed": ("alpha", "beta", "sigma")}
+
+
+def pick(usable, bad):
+    """One of ``usable`` three times as often as one of ``bad``."""
+    return st.sampled_from(usable * 3 + bad)
+
+
+def flag(name, values):
+    """Zero or one ``--name=value`` argument, the ``=`` keeping ``-inf`` a value."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with flag values drawn from fixed sets, usable ones most often."""
+    args = draw(flag("oracle-step", pick(["0.05", "0.2", "1.0", "2.0"], ["0", "-0.5", "5e-324"] + NON_FINITE)))
+    command = draw(st.sampled_from(["table", "errors", "trajectory", "sweep"]))
+    if command == "sweep":
+        args += [f"--table={draw(st.integers(1, 4))}", f"--method={draw(st.sampled_from(['dtm', 'adm', 'vim']))}",
+                 f"--eps={draw(pick(['0.1', '0.2', '0.05'], EPS + NON_FINITE))}"]
+        args += draw(flag("min", COUNTS)) + draw(flag("max", COUNTS))
+        return [command] + args
+    model = draw(st.sampled_from(sorted(MODEL_FLAGS)))
+    names = MODEL_FLAGS[model]
+    if draw(st.integers(0, 9)) == 0:  # now and then a flag of the other model
+        names += draw(st.sampled_from([v for k, v in MODEL_FLAGS.items() if k != model]))[:1]
+    args.append(f"--model={model}")
+    for name in names:
+        args += draw(flag(name, pick(USABLE, NON_FINITE)))
+    grid = draw(st.one_of(st.sampled_from(GRIDS), st.tuples(pick(USABLE, NON_FINITE), pick(USABLE, NON_FINITE))))
+    args += [f"--t-max={grid[0]}", f"--t-step={grid[1]}"] if draw(st.booleans()) else []
+    for name in ("order", "terms", "iters"):
+        args += draw(flag(name, COUNTS))
+    args += [f"--eps={e}" for e in draw(st.lists(pick(EPS, NON_FINITE), max_size=2))]
+    methods = draw(st.lists(pick(["dtm", "adm", "vim", "rk4", "exact"], ["bogus"]), max_size=3, unique=True))
+    if methods:
+        args.append("--methods=" + ",".join(methods))
+    if command == "errors":
+        args += draw(flag("oracle", st.sampled_from(["exact", "rk4"])))
+    return [command] + args
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_every_flag_set_exits_0_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert err.getvalue().splitlines()[-1].startswith("error: ")

@@ -128,6 +128,18 @@ def test_assemble_shapes():
     assert isinstance(scalar, SeriesPoly)
 
 
+def test_assemble_takes_each_prefix_of_one_transform():
+    res_c, res_d = transform_coupled(TABLE1, 12), transform_delayed(TABLE3, 12)
+    assert assemble(res_c) == assemble(res_c, 12)
+    assert assemble(res_d) == assemble(res_d, 12)
+    for n in range(13):
+        assert assemble(res_c, n) == solve_coupled(TABLE1, n)
+        assert assemble(res_d, n) == solve_delayed(TABLE3, n)
+    for bad in (-1, 13):
+        with pytest.raises(UsageError, match="0 <= n <= 12"):
+            assemble(res_c, bad)
+
+
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_assemble_constant_result():
     pair = assemble(transform_coupled(CoupledParams(0, 0, 0, 0, 0.0), 1))

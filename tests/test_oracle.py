@@ -98,6 +98,37 @@ def test_exact_beyond_the_exp_range():
         exact_delayed(DelayedParams(-400.0, 0.3, 0.25, -500.0), 2.0)
 
 
+@pytest.mark.parametrize("alpha", [
+    math.nextafter(0.3, 1.0),
+    math.nextafter(math.nextafter(0.3, 1.0), 1.0),
+    0.3 + 1e-13,
+])
+def test_exact_keeps_its_accuracy_when_a_is_tiny(alpha):
+    # b/a + (1 - b/a)*exp(-2at) cancelled: 2.1e-2 off at t = 0.4 for alpha = beta + 1 ulp
+    p = DelayedParams(alpha, 0.3, 0.25, 0.05)
+    ts = [0.4, 0.8, 1.2, 1.6, 2.0]
+    for t, (want,) in zip(ts, rk4_values(p, ts, 1e-4)):
+        assert abs(exact_delayed(p, t) - want) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+@pytest.mark.parametrize("alpha", [5e-324, 1e-310, -1e-310])
+def test_exact_takes_a_subnormal_a(alpha):
+    # b/a overflows to inf here, and -2*a*t is a subnormal or zero
+    p = DelayedParams(alpha, 0.0, 0.25, 0.05)
+    ts = [0.1, 0.4, 2.0]
+    for t, (want,) in zip(ts, rk4_values(p, ts, 1e-3)):
+        assert abs(exact_delayed(p, t) - want) <= 1e-12
+
+
+def test_exact_refuses_a_start_whose_square_overflows():
+    # H0**2 = inf made q infinite, and H = H0 * q**-0.5 a silent 0.0
+    p = DelayedParams(0.5, 0.3, 0.25, 0.05, H0=-1e200)
+    for t in (0.0, 0.4, 2.0):
+        with pytest.raises(DomainError, match="overflows"):
+            exact_delayed(p, t)
+
+
 def test_exact_satisfies_the_ode_by_central_differences():
     rng = random.Random(41)
     checked = 0
@@ -208,6 +239,17 @@ def test_rk4_refuses_a_step_that_is_not_positive_and_finite(bad):
             rk4(p, 1.0, bad)
         with pytest.raises(UsageError):
             rk4_values(p, [0.5, 1.0], bad)
+
+
+def test_rk4_refuses_a_step_too_small_for_its_span():
+    # span / step overflowed to inf, and rounding it raised a bare OverflowError
+    for p in (TABLE1, TABLE3):
+        with pytest.raises(UsageError, match="too small"):
+            rk4(p, 1.0, 5e-324)
+        with pytest.raises(UsageError, match="too small"):
+            rk4_values(p, [1.0], 5e-324)
+        # a span as small as the step is one step
+        assert len(rk4(p, 5e-324, 5e-324).ts) == 2
 
 
 def test_rk4_takes_a_finite_step_wider_than_the_span():
