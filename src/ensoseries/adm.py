@@ -25,25 +25,21 @@ from a plain scalar triple sum, as oracles independent of that recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .dtm import transform_coupled, transform_delayed
 from .errors import UsageError
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .series import SeriesPoly, _trusted
 
 
-@dataclass(frozen=True)
-class AdmState:
+class AdmState(Frozen):
     """Component weights: component k of H is ``u_weights[k] * t**k``, likewise for h.
 
     ``v_weights`` is None for the scalar model.  Components and partial sums
     are dense series up to degree ``cap``.
     """
 
-    u_weights: tuple[float, ...]
-    v_weights: tuple[float, ...] | None
-    cap: int
+    __slots__ = ("u_weights", "v_weights", "cap")
 
     def __post_init__(self):
         if self.cap < self.n_terms:

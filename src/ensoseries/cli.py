@@ -21,7 +21,7 @@ from .adm import adm_solve_coupled, adm_solve_delayed
 from .dtm import assemble, transform_coupled, transform_delayed
 from .errors import NumericError, UsageError
 from .models import CoupledParams, DelayedParams, SolutionPair
-from .oracle import _check_step, _step_ratio, exact_delayed, rk4_values
+from .oracle import _check_count, _check_step, _step_ratio, exact_delayed, rk4_values
 from .reference import load_table
 from .vim import initial_state, vim_step_coupled, vim_step_delayed
 
@@ -42,6 +42,7 @@ def _grid(t_max: float, t_step: float) -> list[float]:
     if t_step <= 0.0 or t_max < t_step:
         raise UsageError("need 0 < t-step <= t-max")
     n = round(_step_ratio(t_max, t_step))
+    _check_count(n + 1, "grid rows")
     if abs(n * t_step - t_max) > 1e-9:
         raise UsageError("t-max must be a whole number of t-steps")
     return [i * t_step for i in range(n + 1)]

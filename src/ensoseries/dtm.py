@@ -21,20 +21,16 @@ tests (the dense :func:`adm.adomian_cubic` and a scalar triple sum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .errors import COEFF_LIMIT, UsageError, check_coeffs
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
 from .series import SeriesPoly, _trusted
 
 
-@dataclass(frozen=True)
-class DtmResult:
-    """Transformed coefficients: W for H, V for h (None for the scalar model)."""
+class DtmResult(Frozen):
+    """Transformed coefficients of orders 0..order: W for H, V for h (None for the scalar model)."""
 
-    W: tuple[float, ...]
-    V: tuple[float, ...] | None
-    order: int
+    __slots__ = ("W", "V", "order")
 
     def __post_init__(self):
         if self.order < 0:

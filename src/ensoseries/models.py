@@ -18,9 +18,8 @@ kept as fields so the solvers stay general.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
 
+from ._frozen import Frozen
 from .errors import ParameterRangeWarning, SingularModelError, UsageError, require_finite
 from .series import SeriesPoly
 
@@ -34,17 +33,11 @@ def _warn_eps_range(eps: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CoupledParams:
+class CoupledParams(Frozen):
     """Constants of the coupled oscillator; eps is the cubic perturbation."""
 
-    c: float
-    eta: float
-    gamma: float
-    theta: float
-    eps: float
-    H0: float = 1.0
-    h0: float = 1.0
+    __slots__ = ("c", "eta", "gamma", "theta", "eps", "H0", "h0")
+    _defaults = {"H0": 1.0, "h0": 1.0}
 
     def __post_init__(self):
         for name in ("c", "eta", "gamma", "theta", "eps", "H0", "h0"):
@@ -52,21 +45,19 @@ class CoupledParams:
         _warn_eps_range(self.eps)
 
 
-@dataclass(frozen=True)
-class DelayedParams:
+class DelayedParams(Frozen):
     """Constants of the delayed oscillator.
 
     All four constants are physically positive; values outside that range are
     accepted with a warning so parameter sweeps can probe boundaries.
     ``beta*sigma == 1`` is rejected outright: the factor ``1 - beta*sigma``
-    divides every coefficient of the model.
+    divides every coefficient of the model.  The reduced ``a, b`` of
+    :func:`reduced_delayed_coeffs` are kept in the private ``_reduced``.
     """
 
-    alpha: float
-    beta: float
-    sigma: float
-    eps: float
-    H0: float = 1.0
+    # the RK4 oracle evaluates delayed_rhs four times a step, so a and b are computed once
+    __slots__ = ("alpha", "beta", "sigma", "eps", "H0", "_reduced")
+    _defaults = {"H0": 1.0}
 
     def __post_init__(self):
         for name in ("alpha", "beta", "sigma", "eps", "H0"):
@@ -81,19 +72,13 @@ class DelayedParams:
             )
         else:
             _warn_eps_range(self.eps)
-
-    @cached_property
-    def _reduced(self) -> tuple[float, float]:
-        # the RK4 oracle evaluates delayed_rhs four times a step
-        return reduced_delayed_coeffs(self)
+        object.__setattr__(self, "_reduced", reduced_delayed_coeffs(self))
 
 
-@dataclass(frozen=True)
-class SolutionPair:
+class SolutionPair(Frozen):
     """Series solutions of the coupled model: H and h about the same point."""
 
-    H: SeriesPoly
-    h: SeriesPoly
+    __slots__ = ("H", "h")
 
     def __post_init__(self):
         if self.H.cap != self.h.cap:

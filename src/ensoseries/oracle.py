@@ -16,10 +16,10 @@ has no elementary closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from math import isfinite
 
+from ._frozen import Frozen
 from .errors import DomainError, UsageError, check_finite
 from .models import (
     CoupledParams,
@@ -31,14 +31,15 @@ from .models import (
 )
 from .series import SeriesPoly
 
+# The most RK4 steps one call takes, and grid rows the CLI builds; the README
+# jobs need about 2e4.  A larger count is refused before any step is taken.
+MAX_STEPS = 10**8
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Integrator output: states (H,) or (H, h) on a strictly increasing grid."""
 
-    ts: tuple[float, ...]
-    states: tuple[tuple[float, ...], ...]
-    step: float
+class Trajectory(Frozen):
+    """Integrator output: states (H,) or (H, h) on a strictly increasing grid, and the step."""
+
+    __slots__ = ("ts", "states", "step")
 
     def __post_init__(self):
         if len(self.ts) != len(self.states):
@@ -158,10 +159,18 @@ def _step_ratio(span: float, step: float) -> float:
     return ratio
 
 
+def _check_count(count: int, what: str) -> int:
+    """``count``, refused with :class:`UsageError` if it exceeds ``MAX_STEPS``."""
+    if count > MAX_STEPS:
+        raise UsageError(f"{count:.3g} {what} exceed the limit of {MAX_STEPS:g}")
+    return count
+
+
 def rk4(params: CoupledParams | DelayedParams, t_end: float, step: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta from t = 0 on a uniform grid.
 
     The step is adjusted minimally so the grid lands exactly on ``t_end``.
+    More than ``MAX_STEPS`` steps are refused with :class:`UsageError`.
     """
     _check_step(step)
     if not isfinite(t_end):
@@ -171,7 +180,7 @@ def rk4(params: CoupledParams | DelayedParams, t_end: float, step: float) -> Tra
     steps, state = _stepper(params)
     if t_end == 0.0:
         return Trajectory((0.0,), (state,), step)
-    n = max(1, round(_step_ratio(t_end, step)))
+    n = _check_count(max(1, round(_step_ratio(t_end, step))), "RK4 steps")
     h = t_end / n
     ts = [0.0]
     states = [state]
@@ -189,7 +198,9 @@ def rk4_values(
     """States at the requested times, integrating piecewise from t = 0.
 
     Sub-steps never exceed ``step``, and each requested time is hit exactly,
-    so the values carry full RK4 accuracy at the nodes.
+    so the values carry full RK4 accuracy at the nodes.  More than
+    ``MAX_STEPS`` steps in all are refused with :class:`UsageError` before
+    the first one is taken.
     """
     _check_step(step)
     if not all(map(isfinite, ts)):
@@ -198,17 +209,16 @@ def rk4_values(
         raise UsageError("times must be >= 0")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("times must be strictly increasing")
+    gaps = [(t_prev, t - t_prev) for t_prev, t in zip([0.0, *ts], ts)]
+    counts = [max(1, math.ceil(_step_ratio(span, step))) if span > 0.0 else 0 for _, span in gaps]
+    _check_count(sum(counts), "RK4 steps")
     steps, state = _stepper(params)
     out = []
-    t_prev = 0.0
-    for t in ts:
-        span = t - t_prev
-        if span > 0.0:
-            n = max(1, math.ceil(_step_ratio(span, step)))
+    for (t_prev, span), n in zip(gaps, counts):
+        if n:
             for state in steps(state, t_prev, span / n, n):
                 pass
         out.append(state)
-        t_prev = t
     return out
 
 

@@ -14,12 +14,14 @@ t = 1.0 entries of table 2 sit far outside the series' convergence region
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from importlib import resources
+import os
 
+from ._frozen import Frozen
 from .errors import UsageError
 from .models import CoupledParams, DelayedParams
+
+# The tables ship as package data next to this module; they hold no quoted fields.
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 # Stated parameter sets (eps excluded; it varies per column).
 TABLE_INFO: dict[int, tuple[str, dict[str, float]]] = {
@@ -30,15 +32,13 @@ TABLE_INFO: dict[int, tuple[str, dict[str, float]]] = {
 }
 
 
-@dataclass(frozen=True)
-class ReferenceTable:
-    """One bundled table: grid, per-(method, eps) columns, stated constants."""
+class ReferenceTable(Frozen):
+    """One bundled table: grid, per-(method, eps) columns, stated constants.
 
-    number: int
-    model: str
-    constants: dict[str, float]
-    grid: tuple[float, ...]
-    columns: dict[tuple[str, float], tuple[float, ...]]
+    ``constants`` and ``columns`` are dicts, so a table is not hashable.
+    """
+
+    __slots__ = ("number", "model", "constants", "grid", "columns")
 
     def column(self, method: str, eps: float) -> tuple[float, ...]:
         key = (method, eps)
@@ -67,8 +67,8 @@ def load_table(number: int) -> ReferenceTable:
     if number not in TABLE_INFO:
         raise UsageError(f"no bundled table {number}; choose from {sorted(TABLE_INFO)}")
     model, constants = TABLE_INFO[number]
-    text = resources.files("ensoseries.data").joinpath(f"table{number}.csv").read_text()
-    rows = list(csv.reader(text.strip().splitlines()))
+    with open(os.path.join(_DATA_DIR, f"table{number}.csv"), encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().strip().splitlines()]
     header = rows[0]
     if header[0] != "t":
         raise UsageError(f"table{number}.csv: first column must be t")

@@ -15,16 +15,14 @@ computed from series that were already checked, so it is wrapped by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .errors import SeriesOverflowError, UsageError, check_finite, require_finite
 
 
-@dataclass(frozen=True)
-class SeriesPoly:
+class SeriesPoly(Frozen):
     """Immutable truncated power series; ``coeffs[k]`` multiplies ``t**k``."""
 
-    coeffs: tuple[float, ...]
+    __slots__ = ("coeffs",)
 
     def __post_init__(self):
         coeffs = tuple(map(float, self.coeffs))

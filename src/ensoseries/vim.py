@@ -18,9 +18,9 @@ iterates stay below degree 14, so their products are not dense to degree 64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from struct import pack
 
+from ._frozen import Frozen
 from .errors import UsageError, check_coeffs
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
 from .series import SeriesPoly, _trusted
@@ -28,13 +28,10 @@ from .series import SeriesPoly, _trusted
 DEFAULT_DEGREE_CAP = 64
 
 
-@dataclass(frozen=True)
-class VimState:
-    """Current iterate: H (and h for the coupled model) plus the step count."""
+class VimState(Frozen):
+    """Current iterate: H (and h for the coupled model, else None) plus the step count."""
 
-    H_iter: SeriesPoly
-    h_iter: SeriesPoly | None
-    iteration: int
+    __slots__ = ("H_iter", "h_iter", "iteration")
 
     def __post_init__(self):
         if self.iteration < 0:

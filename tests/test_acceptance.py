@@ -159,7 +159,7 @@ def test_criterion_3_dtm_coupled_reproduction(tmp_path):
         assert devs[best_n] <= 1e-6, f"table 1 eps={eps}: best sweep dev {devs[best_n]}"
 
     # RK4 cross-validation of the engine at converged order, inside the
-    # series' convergence region (radius ~1.44 for eps=0.1, ~1.13 for 0.2)
+    # series' convergence region (radius ~1.38 for eps=0.1, ~1.08 for 0.2)
     for eps, t_ok in ((0.1, 1.0), (0.2, 0.8)):
         p = table1.params(eps)
         pair = solve_coupled(p, 60)
@@ -191,8 +191,8 @@ def test_criterion_3_dtm_coupled_reproduction(tmp_path):
     print(
         f"[acceptance]   table 2 t=1.0 eps=0.2: bundled {published:.9f}, RK4 truth "
         f"{truth:.9f} (gap {abs(published - truth):.2f}); the order-13 partial sum "
-        f"with gamma=2 gives {snapshot:.9f} — a truncation artifact far outside the "
-        f"series' convergence radius (~0.88)"
+        f"with gamma=2 gives {snapshot:.9f} — a truncation artifact outside the "
+        f"series' convergence radius (~0.84)"
     )
     assert abs(published - truth) > 1.0
     assert snapshot == pytest.approx(published, abs=1e-6)

@@ -3,11 +3,15 @@
 import contextlib
 import io
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ensoseries
 from ensoseries import (
     UsageError,
     adm_solve_coupled,
@@ -17,6 +21,7 @@ from ensoseries import (
     solve_delayed,
     vim_solve,
 )
+from ensoseries import oracle
 from ensoseries.cli import main
 
 
@@ -407,16 +412,39 @@ def test_a_step_too_small_for_its_span_is_a_usage_error(tmp_path, capsys, args):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["table", "--model", "delayed", "--t-step", "1e-300", "--methods", "exact"],
+    ["table", "--model", "delayed", "--t-max", "1e308", "--t-step", "1", "--methods", "exact"],
+    ["errors", "--model", "delayed", "--oracle", "rk4", "--oracle-step", "1e-300"],
+    ["trajectory", "--model", "coupled", "--methods", "rk4", "--oracle-step", "1e-300"],
+])
+def test_a_huge_finite_count_is_a_usage_error(tmp_path, capsys, args):
+    # about 1e300 grid rows or RK4 steps: refused before any is built
+    code = main(args + ["--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "exceed the limit" in err[0]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_grid_rows_are_counted_against_the_limit(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "MAX_STEPS", 6)
+    assert main(["table", "--model", "delayed", "--methods", "exact"]) == 0  # 6 rows
+    assert len(capsys.readouterr().out.splitlines()) == 7
+    assert main(["table", "--model", "delayed", "--methods", "exact", "--t-max", "2.4"]) == 2
+
+
 # -- exit-code contract ---------------------------------------------------
 
-# Zero, negative, subnormal and normal values are usable parameters; NaN and
-# infinities are not.  Every normal grid has at most ten steps, and a normal
-# span over a 5e-324 step overflows and is refused, so no draw builds a huge
-# finite grid or RK4 run.
-USABLE = ["0", "-0.5", "5e-324", "0.2", "0.5", "1.0", "2.0"]
+# Zero, negative, tiny, subnormal and normal values are usable parameters;
+# NaN and infinities are not.  Normal grids have at most ten steps.  A grid
+# or RK4 run of more than 1e8 rows or steps is refused before it is built
+# (a normal span over a 1e-300 step, or 1e308 over 1), and a span over a
+# 5e-324 step overflows and is refused, so every draw runs quickly.
+USABLE = ["0", "-0.5", "5e-324", "1e-300", "0.2", "0.5", "1.0", "2.0"]
 NON_FINITE = ["nan", "inf", "-inf"]
 EPS = ["0.1", "0.05", "0.5", "-0.5", "0", "5e-324", "50", "1e300", "-1e300"]  # the last three overflow
-GRIDS = [("1.0", "0.2"), ("2.0", "0.4"), ("0.4", "0.2"), ("5e-324", "5e-324")]
+GRIDS = [("1.0", "0.2"), ("2.0", "0.4"), ("0.4", "0.2"), ("5e-324", "5e-324"), ("1e308", "1")]
 COUNTS = st.integers(-1, 80).map(str)
 MODEL_FLAGS = {"coupled": ("c", "eta", "gamma", "theta"), "delayed": ("alpha", "beta", "sigma")}
 
@@ -434,7 +462,7 @@ def flag(name, values):
 @st.composite
 def cli_argv(draw):
     """A subcommand with flag values drawn from fixed sets, usable ones most often."""
-    args = draw(flag("oracle-step", pick(["0.05", "0.2", "1.0", "2.0"], ["0", "-0.5", "5e-324"] + NON_FINITE)))
+    args = draw(flag("oracle-step", pick(["0.05", "0.2", "1.0", "2.0"], ["0", "-0.5", "5e-324", "1e-300"] + NON_FINITE)))
     command = draw(st.sampled_from(["table", "errors", "trajectory", "sweep"]))
     if command == "sweep":
         args += [f"--table={draw(st.integers(1, 4))}", f"--method={draw(st.sampled_from(['dtm', 'adm', 'vim']))}",
@@ -471,3 +499,17 @@ def test_every_flag_set_exits_0_2_or_3(argv):
     assert code in (0, 2, 3)
     if code == 2:
         assert err.getvalue().splitlines()[-1].startswith("error: ")
+
+
+# -- start-up --------------------------------------------------------------
+
+
+def test_import_loads_no_heavy_stdlib_module():
+    # each of these added milliseconds to every CLI start; without site
+    # hooks nothing else loads them
+    src = str(Path(ensoseries.__file__).resolve().parent.parent)
+    heavy = ("dataclasses", "inspect", "csv", "importlib.resources")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ensoseries, ensoseries.cli; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""

@@ -28,6 +28,7 @@ from ensoseries import (
     solve_coupled,
     solve_delayed,
 )
+from ensoseries import oracle
 from conftest import draw_delayed
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
@@ -250,6 +251,32 @@ def test_rk4_refuses_a_step_too_small_for_its_span():
             rk4_values(p, [1.0], 5e-324)
         # a span as small as the step is one step
         assert len(rk4(p, 5e-324, 5e-324).ts) == 2
+
+
+def test_rk4_refuses_a_huge_finite_step_count():
+    # about 1e300 steps, each count finite: refused, not run
+    for p in (TABLE1, TABLE3):
+        with pytest.raises(UsageError, match="exceed the limit"):
+            rk4(p, 1.0, 1e-300)
+        with pytest.raises(UsageError, match="exceed the limit"):
+            rk4_values(p, [0.5, 1.0], 1e-300)
+        with pytest.raises(UsageError, match="exceed the limit"):
+            rk4(p, 1e308, 1.0)
+
+
+def test_rk4_step_limit_counts_every_gap_before_the_first_step(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "delayed_rhs", lambda p, H: calls.append(H) or delayed_rhs(p, H))
+    monkeypatch.setattr(oracle, "MAX_STEPS", 4)
+    assert len(rk4(TABLE3, 1.0, 0.25).ts) == 5  # 4 steps: at the limit
+    assert len(rk4_values(TABLE3, [0.0, 0.5, 1.0], 0.25)) == 3  # 2 + 2
+    taken = len(calls)
+    assert taken == 4 * 8
+    with pytest.raises(UsageError, match="^5 RK4 steps exceed the limit of 4$"):
+        rk4(TABLE3, 1.25, 0.25)
+    with pytest.raises(UsageError, match="^5 RK4 steps"):
+        rk4_values(TABLE3, [0.5, 1.25], 0.25)  # 2 + 3: each gap alone is within it
+    assert len(calls) == taken
 
 
 def test_rk4_takes_a_finite_step_wider_than_the_span():
