@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from ._frozen import Frozen
 from .dtm import transform_coupled, transform_delayed
-from .errors import UsageError
+from .errors import MAX_ORDER, UsageError, check_count
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .series import SeriesPoly, _trusted
 
@@ -123,7 +123,6 @@ def adm_solve_delayed(p: DelayedParams, n_terms: int, cap: int) -> AdmState:
 
 
 def _check_solve_args(n_terms: int, cap: int) -> None:
-    if n_terms < 1:
-        raise UsageError("need at least one component")
-    if cap < n_terms:
-        raise UsageError(f"cap {cap} too small for {n_terms} components")
+    """Components of orders 0..n_terms - 1, so at most ``MAX_ORDER + 1`` of them, and the cap alike."""
+    check_count(n_terms, "n_terms", 1, MAX_ORDER + 1)
+    check_count(cap, "cap", n_terms, MAX_ORDER + 1)

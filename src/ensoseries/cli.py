@@ -19,7 +19,7 @@ import sys
 
 from .adm import adm_solve_coupled, adm_solve_delayed
 from .dtm import assemble, transform_coupled, transform_delayed
-from .errors import NumericError, UsageError
+from .errors import MAX_ITERATIONS, NumericError, UsageError, check_count
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .oracle import _check_count, _check_step, _step_ratio, exact_delayed, rk4_values
 from .reference import load_table
@@ -178,8 +178,7 @@ def _solutions(method, params, lo, hi):
         for n in range(lo, hi + 1):
             yield state.solution(n)
     else:
-        if hi < 0:
-            raise UsageError("iterations must be >= 0")
+        check_count(hi, "iterations", 0, MAX_ITERATIONS)  # before the first step
         step = vim_step_coupled if coupled else vim_step_delayed
         state = initial_state(params)
         for n in range(hi + 1):

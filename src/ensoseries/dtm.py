@@ -22,7 +22,7 @@ tests (the dense :func:`adm.adomian_cubic` and a scalar triple sum).
 from __future__ import annotations
 
 from ._frozen import Frozen
-from .errors import COEFF_LIMIT, UsageError, check_coeffs
+from .errors import COEFF_LIMIT, MAX_ORDER, UsageError, check_coeffs, check_count
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
 from .series import SeriesPoly, _trusted
 
@@ -78,9 +78,8 @@ class _CubeAccumulator:
 
 
 def transform_coupled(p: CoupledParams, order: int) -> DtmResult:
-    """Run the coupled recurrence up to the given truncation order."""
-    if order < 0:
-        raise UsageError("order must be >= 0")
+    """Run the coupled recurrence up to the given truncation order (at most ``MAX_ORDER``)."""
+    check_count(order, "order", 0, MAX_ORDER)
     W = [p.H0]
     V = [p.h0]
     cube = _CubeAccumulator(max(order - 1, 0))
@@ -98,9 +97,8 @@ def transform_coupled(p: CoupledParams, order: int) -> DtmResult:
 
 
 def transform_delayed(p: DelayedParams, order: int) -> DtmResult:
-    """Run the scalar delayed-model recurrence up to the given order."""
-    if order < 0:
-        raise UsageError("order must be >= 0")
+    """Run the scalar delayed-model recurrence up to the given order (at most ``MAX_ORDER``)."""
+    check_count(order, "order", 0, MAX_ORDER)
     a, b = reduced_delayed_coeffs(p)
     W = [p.H0]
     cube = _CubeAccumulator(max(order - 1, 0))

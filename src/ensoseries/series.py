@@ -4,8 +4,11 @@ A :class:`SeriesPoly` stores the coefficients of ``sum_k coeffs[k] * t**k``
 for ``k = 0..cap`` as a plain tuple of floats, with explicit zeros for absent
 degrees.  Every operation is pure and returns a new series truncated at the
 same cap; degrees above the cap are silently discarded, mirroring how a
-finite Taylor section behaves.  Caps in this package stay small (<= 64), so
-the quadratic-cost convolution product is entirely adequate.
+finite Taylor section behaves.  The solvers' caps stay small (64 for VIM by
+default, ``errors.MAX_ORDER + 1`` at most), so the quadratic-cost convolution
+product is entirely adequate.  A product skips the zero tails of its
+operands: its sums run only over the terms below both operands' live degrees
+(see :meth:`SeriesPoly.cauchy_mul`), and give the same bits as the full sums.
 
 Coefficients are checked where they come in: the public constructor converts
 each one to float and refuses NaN and infinities.  An operation's result is
@@ -14,6 +17,8 @@ computed from series that were already checked, so it is wrapped by
 """
 
 from __future__ import annotations
+
+from math import copysign
 
 from ._frozen import Frozen
 from .errors import SeriesOverflowError, UsageError, check_finite, require_finite
@@ -110,19 +115,36 @@ class SeriesPoly(Frozen):
     def cauchy_mul(self, other: "SeriesPoly") -> "SeriesPoly":
         """Convolution product, truncated at the shared cap.
 
-        ``result[k] = sum_{r=0..k} self[r] * other[k-r]``, summed left to
-        right from 0.0; degrees above the cap are dropped.
+        ``result[k] = sum_r self[r] * other[k-r]``, summed left to right from
+        0.0; degrees above the cap are dropped.  Each sum runs only over
+        ``max(0, k - db) <= r <= min(k, da)``, with ``da`` and ``db`` the live
+        degrees of ``self`` and ``other`` (see :func:`_live_degree`), and
+        coefficients above ``da + db`` are +0.0.  That is bit for bit the
+        full sum: a skipped term is a trailing +0.0 times a finite
+        coefficient, so it is +0.0 or -0.0, and a round-to-nearest sum that
+        starts at +0.0 is never -0.0, so adding such a term changes no
+        partial sum.
         """
-        self._check_compatible(other)
-        a = self.coeffs
-        rb = other.coeffs[::-1]
-        top = len(a) - 1
+        a, b = self.coeffs, other.coeffs
+        if len(a) != len(b):
+            self._check_compatible(other)
+        last = len(a) - 1
+        da = _live_degree(a)
+        db = da if other is self else _live_degree(b)
+        top = min(last, da + db)
+        a, rb = a[: da + 1], b[db::-1]  # rb: other[db], other[db-1], ..., other[0]
         out = []
-        for k in range(top + 1):
+        for k in range(min(top, db) + 1):
             acc = 0.0
-            for x, y in zip(a, rb[top - k:]):  # other[k], other[k-1], ..., other[0]
+            for x, y in zip(a, rb[db - k:]):  # self[0] * other[k], ...
                 acc += x * y
             out.append(acc)
+        for k in range(db + 1, top + 1):
+            acc = 0.0
+            for x, y in zip(a[k - db:], rb):  # self[k-db] * other[db], ...
+                acc += x * y
+            out.append(acc)
+        out += [0.0] * (last - top)
         return _trusted(tuple(out))
 
     def cube(self) -> "SeriesPoly":
@@ -157,6 +179,19 @@ class SeriesPoly(Frozen):
         return acc
 
     __call__ = eval
+
+
+def _live_degree(coeffs: tuple[float, ...]) -> int:
+    """Highest index whose coefficient is not +0.0 (0 if there is none).
+
+    Scans down from the top past the +0.0 coefficients.  A -0.0 has its sign
+    bit set and counts as live, so that a VIM step's working cap keeps it
+    where the dense step would have carried it.
+    """
+    d = len(coeffs) - 1
+    while d and not coeffs[d] and copysign(1.0, coeffs[d]) > 0.0:
+        d -= 1
+    return d
 
 
 def _trusted(coeffs: tuple[float, ...]) -> SeriesPoly:

@@ -9,6 +9,7 @@ parameter sets.
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 
@@ -19,6 +20,7 @@ from ensoseries import (
     DelayedParams,
     ParameterRangeWarning,
     SeriesOverflowError,
+    SeriesPoly,
     adm_solve_coupled,
     adm_solve_delayed,
     transform_coupled,
@@ -78,3 +80,38 @@ def adm_dtm_draws():
                 draw, rng, lambda q: (adm(q, ADM_K_MAX + 1, ADM_K_MAX + 1), dtm(q, ADM_K_MAX)),
             ))
     return out
+
+
+# -- plain-loop references for the series products -------------------------
+
+
+def plain_convolution(a, b):
+    """``result[k] = a[0]*b[k] + a[1]*b[k-1] + ...``, summed left to right from 0.0."""
+    out = []
+    for k in range(len(a)):
+        acc = 0.0
+        for r in range(k + 1):
+            acc += a[r] * b[k - r]
+        out.append(acc)
+    return out
+
+
+def plain_product(*factors):
+    """The truncated product of coefficient sequences, left to right, from plain loops.
+
+    Written without ``SeriesPoly`` products, in their order of operations.
+    Like them, it raises :class:`SeriesOverflowError` naming the first
+    non-finite coefficient of the first partial product that has one.
+    """
+    out = factors[0]
+    for f in factors[1:]:
+        out = plain_convolution(out, f)
+        bad = next((k for k, c in enumerate(out) if not math.isfinite(c)), None)
+        if bad is not None:
+            raise SeriesOverflowError(bad, out[bad])
+    return out
+
+
+def plain_cube(H: SeriesPoly) -> SeriesPoly:
+    """``H**3`` at H's cap: the square, then the square times H, from plain loops."""
+    return SeriesPoly(tuple(plain_product(H.coeffs, H.coeffs, H.coeffs)))

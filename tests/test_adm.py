@@ -15,6 +15,7 @@ from ensoseries import (
     reduced_delayed_coeffs,
     transform_coupled,
 )
+from ensoseries.errors import MAX_ORDER
 from conftest import adm_dtm_draws, draw_coupled
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
@@ -212,3 +213,12 @@ def test_solve_preconditions():
         adm_solve_coupled(TABLE1, 5, 4)
     with pytest.raises(UsageError):
         adm_solve_delayed(TABLE3, 3, 2)
+
+
+def test_a_cap_above_the_limit_is_refused():
+    # components of orders 0..MAX_ORDER need a cap of MAX_ORDER + 1, and no more is taken
+    assert adm_solve_delayed(TABLE3, 3, MAX_ORDER + 1).cap == MAX_ORDER + 1
+    with pytest.raises(UsageError, match=f"cap must be in 3..{MAX_ORDER + 1}$"):
+        adm_solve_delayed(TABLE3, 3, MAX_ORDER + 2)
+    with pytest.raises(UsageError, match=f"cap must be in 3..{MAX_ORDER + 1}$"):
+        adm_solve_coupled(TABLE1, 3, 10**12)

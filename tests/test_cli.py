@@ -427,6 +427,24 @@ def test_a_huge_finite_count_is_a_usage_error(tmp_path, capsys, args):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["table", "--model", "delayed", "--order", "20000", "--methods", "dtm"],
+    ["table", "--model", "coupled", "--order", "2000", "--methods", "adm,dtm", "--terms", "1000000000"],
+    ["table", "--model", "delayed", "--iters", "1001", "--methods", "vim"],
+    ["errors", "--model", "delayed", "--order", "2001", "--methods", "adm"],
+    ["trajectory", "--model", "coupled", "--order", "1" + "0" * 400],
+    ["sweep", "--table", "1", "--method", "vim", "--eps", "0.1", "--max", "1000000000"],
+    ["sweep", "--table", "4", "--method", "adm", "--eps", "0.05", "--max", "2002"],
+])
+def test_a_huge_solve_count_is_a_usage_error(tmp_path, capsys, args):
+    # refused before the solver allocates or steps: --order 20000 ran past 10 s before
+    code = main(args + ["--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and " must be in " in err[0]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_grid_rows_are_counted_against_the_limit(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "MAX_STEPS", 6)
     assert main(["table", "--model", "delayed", "--methods", "exact"]) == 0  # 6 rows
@@ -439,13 +457,15 @@ def test_grid_rows_are_counted_against_the_limit(monkeypatch, capsys):
 # Zero, negative, tiny, subnormal and normal values are usable parameters;
 # NaN and infinities are not.  Normal grids have at most ten steps.  A grid
 # or RK4 run of more than 1e8 rows or steps is refused before it is built
-# (a normal span over a 1e-300 step, or 1e308 over 1), and a span over a
-# 5e-324 step overflows and is refused, so every draw runs quickly.
+# (a normal span over a 1e-300 step, or 1e308 over 1), a span over a 5e-324
+# step overflows and is refused, and so is a count past the solve limits, so
+# every draw runs quickly.
 USABLE = ["0", "-0.5", "5e-324", "1e-300", "0.2", "0.5", "1.0", "2.0"]
 NON_FINITE = ["nan", "inf", "-inf"]
 EPS = ["0.1", "0.05", "0.5", "-0.5", "0", "5e-324", "50", "1e300", "-1e300"]  # the last three overflow
 GRIDS = [("1.0", "0.2"), ("2.0", "0.4"), ("0.4", "0.2"), ("5e-324", "5e-324"), ("1e308", "1")]
-COUNTS = st.integers(-1, 80).map(str)
+# Counts past the solve limits are refused before any work.
+COUNTS = (st.integers(-1, 80) | st.sampled_from([1001, 2002, 10**9, 10**30])).map(str)
 MODEL_FLAGS = {"coupled": ("c", "eta", "gamma", "theta"), "delayed": ("alpha", "beta", "sigma")}
 
 

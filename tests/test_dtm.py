@@ -23,7 +23,7 @@ from ensoseries import (
     transform_delayed,
 )
 from ensoseries import dtm
-from ensoseries.errors import check_coeffs
+from ensoseries.errors import MAX_ORDER, check_coeffs
 from conftest import draw_coupled, draw_delayed
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
@@ -100,6 +100,20 @@ def test_overflow_stops_at_the_first_bad_coefficient(solve, coupled, monkeypatch
         solve(p, 2000)
     assert err.value.index < 30
     assert len(pushes) == err.value.index
+
+
+@pytest.mark.parametrize("solve, p", [
+    (transform_coupled, TABLE1),
+    (transform_delayed, TABLE3),
+    (lambda p, n: adm_solve_coupled(p, n + 1, n + 1), TABLE1),
+    (lambda p, n: adm_solve_delayed(p, n + 1, n + 1), TABLE3),
+])
+def test_an_order_above_the_limit_is_refused_before_any_work(solve, p, monkeypatch):
+    # the cube accumulator allocates order coefficients up front
+    monkeypatch.setattr(dtm, "_CubeAccumulator", None)
+    for order in (MAX_ORDER + 1, 20000, 10**9, 10**400):
+        with pytest.raises(UsageError, match=f"must be in 0..{MAX_ORDER}$|must be in 1..{MAX_ORDER + 1}$"):
+            solve(p, order)
 
 
 @pytest.mark.parametrize("solve", [transform_coupled, lambda p, n: adm_solve_coupled(p, n + 1, n + 1)])

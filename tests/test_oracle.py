@@ -29,7 +29,7 @@ from ensoseries import (
     solve_delayed,
 )
 from ensoseries import oracle
-from conftest import draw_delayed
+from conftest import draw_delayed, plain_cube
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
@@ -461,12 +461,16 @@ def test_residual_upto_validation_and_mismatches():
 
 
 def reference_residual_check(solution, params, upto=None):
-    """``residual_check`` as series operations: the pushed-through series, then a running max."""
+    """``residual_check`` as series operations: the pushed-through series, then a running max.
+
+    The cube comes from the plain loops of :func:`conftest.plain_cube`, not
+    from the series products ``residual_check`` uses.
+    """
     if isinstance(solution, SolutionPair):
         if not isinstance(params, CoupledParams):
             raise UsageError("a solution pair needs coupled parameters")
         H, h = solution.H, solution.h
-        res1 = H.derivative() - (H.scale(params.c) + h.scale(params.eta) - H.cube().scale(params.eps))
+        res1 = H.derivative() - (H.scale(params.c) + h.scale(params.eta) - plain_cube(H).scale(params.eps))
         res2 = h.derivative() - (H.scale(-params.theta) - h.scale(params.gamma))
         residuals = (res1, res2)
     else:
@@ -474,7 +478,7 @@ def reference_residual_check(solution, params, upto=None):
             raise UsageError("a scalar series needs delayed parameters")
         a, b = reduced_delayed_coeffs(params)
         H = solution
-        residuals = (H.derivative() - (H.scale(a) - H.cube().scale(b)),)
+        residuals = (H.derivative() - (H.scale(a) - plain_cube(H).scale(b)),)
     last = residuals[0].cap - 1 if upto is None else upto
     if last >= residuals[0].cap:
         raise UsageError("upto must stay below the series cap")

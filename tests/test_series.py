@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensoseries import SeriesOverflowError, SeriesPoly, UsageError
+from conftest import plain_convolution, plain_product
 
 
 def poly(*coeffs):
@@ -153,17 +154,6 @@ def test_mul_commutes_and_associates():
             assert x == pytest.approx(y, rel=1e-13, abs=1e-13)
 
 
-def plain_convolution(a, b):
-    """``result[k] = a[0]*b[k] + a[1]*b[k-1] + ...``, summed left to right from 0.0."""
-    out = []
-    for k in range(len(a)):
-        acc = 0.0
-        for r in range(k + 1):
-            acc += a[r] * b[k - r]
-        out.append(acc)
-    return out
-
-
 signed = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3))
 
 
@@ -174,6 +164,45 @@ def test_mul_is_bit_identical_to_the_plain_double_loop(ab):
     a, b = ab
     got = SeriesPoly(tuple(a)).cauchy_mul(SeriesPoly(tuple(b))).coeffs
     assert [x.hex() for x in got] == [x.hex() for x in plain_convolution(a, b)]
+
+
+def product_bits(op):
+    """Exact hex coefficients of a product, or the index of its overflow."""
+    try:
+        return [x.hex() for x in op()]
+    except SeriesOverflowError as exc:
+        return exc.index
+
+
+# The top of a live prefix: a signed zero, a subnormal or a plain value.
+top_coeff = st.sampled_from([-0.0, 5e-324, -5e-324, 2.0**-1070, -(2.0**-1050)]) | st.floats(-1e3, 1e3)
+body_coeff = signed | st.sampled_from([5e-324, -5e-324])
+huge_coeff = st.sampled_from([1e160, -1e200, 1.7e308])
+
+
+@st.composite
+def zero_tailed(draw, cap):
+    """``cap + 1`` coefficients: a live prefix, its top drawn apart, then a +0.0 tail.
+
+    In one prefix of four, one coefficient is huge, so that a product overflows.
+    """
+    live = draw(st.integers(0, cap))
+    prefix = draw(st.lists(body_coeff, min_size=live, max_size=live)) + [draw(top_coeff)]
+    if draw(st.integers(0, 3)) == 0:
+        prefix[draw(st.integers(0, live))] = draw(huge_coeff)
+    return tuple(prefix + [0.0] * (cap - live))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 64).flatmap(lambda cap: st.tuples(zero_tailed(cap), zero_tailed(cap))))
+def test_zero_tails_are_skipped_bit_for_bit(ab):
+    # the products sum only below the live degrees; the plain loops sum every term
+    a, b = ab
+    A, B = SeriesPoly(a), SeriesPoly(b)
+    assert product_bits(lambda: A.cauchy_mul(B).coeffs) == product_bits(lambda: plain_product(a, b))
+    assert product_bits(lambda: B.cauchy_mul(A).coeffs) == product_bits(lambda: plain_product(b, a))
+    assert product_bits(lambda: A.cauchy_mul(A).coeffs) == product_bits(lambda: plain_product(a, a))
+    assert product_bits(lambda: A.cube().coeffs) == product_bits(lambda: plain_product(a, a, a))
 
 
 def test_mul_exact_on_small_integers():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 import warnings
 
 import pytest
@@ -14,6 +15,7 @@ from ensoseries import (
     ParameterRangeWarning,
     SeriesOverflowError,
     SeriesPoly,
+    SolutionPair,
     UsageError,
     VimState,
     initial_state,
@@ -24,9 +26,9 @@ from ensoseries import (
     vim_step_coupled,
     vim_step_delayed,
 )
-from ensoseries.errors import check_coeffs
+from ensoseries.errors import MAX_ITERATIONS, MAX_ORDER, check_coeffs
 from ensoseries.vim import _live_degree
-from conftest import draw_coupled, draw_delayed, draw_until
+from conftest import draw_coupled, draw_delayed, draw_until, plain_cube
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
@@ -166,21 +168,44 @@ def test_usage_errors():
         vim_step_coupled(scalar_state, TABLE1)
 
 
+def test_counts_above_the_limits_are_refused_before_any_work():
+    assert vim_solve(TABLE3, 1, MAX_ORDER).cap == MAX_ORDER
+    for call in (lambda: vim_solve(TABLE1, MAX_ITERATIONS + 1),
+                 lambda: vim_solve(TABLE3, 10**9),
+                 lambda: vim_solve(TABLE3, 1, MAX_ORDER + 1),
+                 lambda: vim_solve(TABLE1, 1, 10**12),
+                 lambda: initial_state(TABLE1, MAX_ORDER + 1)):
+        with pytest.raises(UsageError, match="must be in 0.."):
+            call()
+    # the steps refuse an iterate past the iteration limit, or above the cap limit
+    state = initial_state(TABLE1, 2)
+    last = VimState(state.H_iter, state.h_iter, MAX_ITERATIONS - 1)
+    assert vim_step_coupled(last, TABLE1).iteration == MAX_ITERATIONS
+    with pytest.raises(UsageError, match=f"iterations must be in 0..{MAX_ITERATIONS}$"):
+        vim_step_coupled(VimState(state.H_iter, state.h_iter, MAX_ITERATIONS), TABLE1)
+    with pytest.raises(UsageError, match=f"degree_cap must be in 0..{MAX_ORDER}$"):
+        vim_step_delayed(VimState(SeriesPoly.zero(MAX_ORDER + 1), None, 0), TABLE3)
+
+
 # -- the live-degree step against a dense step at the full cap ----------
 
 
 def dense_step(state, p):
-    """One correction step with every ``SeriesPoly`` op at the full degree cap."""
+    """One correction step with every ``SeriesPoly`` op at the full degree cap.
+
+    The cube comes from the plain loops of :func:`conftest.plain_cube`, not
+    from the series products the step under test uses.
+    """
     H, h = state.H_iter, state.h_iter
     if isinstance(p, CoupledParams):
-        res_H = H.derivative() - H.scale(p.c) - h.scale(p.eta) + H.cube().scale(p.eps)
+        res_H = H.derivative() - H.scale(p.c) - h.scale(p.eta) + plain_cube(H).scale(p.eps)
         res_h = h.derivative() + H.scale(p.theta) + h.scale(p.gamma)
         H_next, h_next = H - res_H.antiderivative(), h - res_h.antiderivative()
         check_coeffs(H_next.coeffs)
         check_coeffs(h_next.coeffs)
         return VimState(H_next, h_next, state.iteration + 1)
     a, b = reduced_delayed_coeffs(p)
-    res = H.derivative() - H.scale(a) + H.cube().scale(b)
+    res = H.derivative() - H.scale(a) + plain_cube(H).scale(b)
     H_next = H - res.antiderivative()
     check_coeffs(H_next.coeffs)
     return VimState(H_next, None, state.iteration + 1)
@@ -237,9 +262,8 @@ def test_steps_are_bit_identical_to_the_dense_step(drawn, iterations):
     assert iterate_bits(step, state, p, iterations) == iterate_bits(dense_step, state, p, iterations)
 
 
-@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
-def test_steps_are_bit_identical_to_the_dense_step_on_random_draws():
-    # full-precision draws, where a reordered sum changes the last bits
+def random_draws():
+    """200 seeded full-precision parameter draws, with their degree caps."""
     rng = random.Random(505)
     for i in range(200):
         if i % 2:
@@ -247,9 +271,61 @@ def test_steps_are_bit_identical_to_the_dense_step_on_random_draws():
         else:
             p = CoupledParams(*(rng.uniform(-2.0, 2.0) for _ in range(4)), rng.uniform(-1.0, 1.0),
                               H0=rng.uniform(-2.0, 2.0), h0=rng.uniform(-2.0, 2.0))
-        state = initial_state(p, rng.choice([1, 2, 5, 10, 64]))
+        yield p, rng.choice([1, 2, 5, 10, 64])
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+def test_steps_are_bit_identical_to_the_dense_step_on_random_draws():
+    # full-precision draws, where a reordered sum changes the last bits
+    for p, cap in random_draws():
+        state = initial_state(p, cap)
         step = vim_step_coupled if isinstance(p, CoupledParams) else vim_step_delayed
         assert iterate_bits(step, state, p, 4) == iterate_bits(dense_step, state, p, 4)
+
+
+def overflow_bits(exc):
+    return exc.index, exc.value.hex()
+
+
+def solve_bits(p, iterations, cap):
+    """Exact hex coefficients of ``vim_solve``, or its overflow's index and value."""
+    try:
+        sol = vim_solve(p, iterations, cap)
+    except SeriesOverflowError as exc:
+        return overflow_bits(exc)
+    return [x.hex() for s in ((sol.H, sol.h) if isinstance(sol, SolutionPair) else (sol,)) for x in s.coeffs]
+
+
+def stepped_bits(p, iterations, cap):
+    """``solve_bits`` of 0..iterations public steps from the initial state."""
+    step = vim_step_coupled if isinstance(p, CoupledParams) else vim_step_delayed
+    state, out = initial_state(p, cap), []
+    for n in range(iterations + 1):
+        if n:
+            try:
+                state = step(state, p)
+            except SeriesOverflowError as exc:
+                return out + [overflow_bits(exc)] * (iterations + 1 - n)
+        out.append([x.hex() for s in (state.H_iter, state.h_iter) if s for x in s.coeffs])
+    return out
+
+
+OVERFLOWING = [CoupledParams(40.0, 0, 0, 0, 0.5), CoupledParams(1, 1, 1, 1, 0.1, H0=1e120),
+               DelayedParams(0.5, 0.3, 0.25, 0.05, H0=1e120), CoupledParams(1, 1, 1, 1e16, 0.1)]
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+@pytest.mark.parametrize("cap", [0, 1, 2, 5, 10, 64])
+def test_solve_is_bit_identical_to_the_public_steps(cap):
+    # vim_solve carries live-length tuples and pads once; the steps pad every iterate
+    overflows = 0
+    for p in [p for p, _ in random_draws()] + OVERFLOWING:
+        n = 12 if p in OVERFLOWING else 5
+        want = stepped_bits(p, n, cap)
+        got = [solve_bits(p, k, cap) for k in range(n + 1)]
+        assert got == want
+        overflows += isinstance(want[-1], tuple)
+    assert overflows >= 2  # the comparison reached the overflow path
 
 
 def scanned_degree(coeffs):
@@ -264,3 +340,6 @@ def scanned_degree(coeffs):
 def test_live_degree_is_the_scan_from_the_top(coeffs):
     # subnormals end in zero bytes too, and a -0.0 is live
     assert _live_degree(tuple(coeffs)) == scanned_degree(coeffs)
+    # only +0.0 packs to eight zero bytes
+    packed = len(struct.pack(f"<{len(coeffs)}d", *coeffs).rstrip(b"\0"))
+    assert _live_degree(tuple(coeffs)) == max(0, (packed + 7) // 8 - 1)
