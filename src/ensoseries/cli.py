@@ -242,6 +242,29 @@ def _add_common(sub, model_required=True):
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+def _add_errors_options(sub) -> None:
+    _add_common(sub)
+    sub.add_argument("--oracle", choices=["exact", "rk4"], default=None)
+
+
+def _add_sweep_options(sub) -> None:
+    sub.add_argument("--table", type=int, choices=[1, 2, 3, 4], required=True)
+    sub.add_argument("--method", choices=["dtm", "adm", "vim"], required=True)
+    sub.add_argument("--eps", type=float, required=True)
+    sub.add_argument("--min", type=int, default=1)
+    sub.add_argument("--max", type=int, default=30)
+    _add_common(sub, model_required=False)
+
+
+# Each subcommand once: its help line, the function that adds its options, its handler.
+_COMMANDS = {
+    "table": ("solution values per method on a grid", _add_common, cmd_table),
+    "errors": ("absolute error of each method vs an oracle", _add_errors_options, cmd_errors),
+    "sweep": ("deviation from a bundled table across orders", _add_sweep_options, cmd_sweep),
+    "trajectory": ("H (and h) curves per method", _add_common, cmd_trajectory),
+}
+
+
 def _finish_grid_defaults(args) -> None:
     if getattr(args, "t_max", None) is None:
         args.t_max = 1.0 if args.model == "coupled" else 2.0
@@ -249,41 +272,29 @@ def _finish_grid_defaults(args) -> None:
         args.t_step = 0.2 if args.model == "coupled" else 0.4
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """All four subcommands, with the options of ``command`` only, or of all if it is None.
+
+    Adding options is most of the cost of a parser, and a call parses one subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="ensoseries",
         description="Series-method solvers for two nonlinear ENSO oscillator models.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_table = subs.add_parser("table", help="solution values per method on a grid")
-    _add_common(p_table)
-    p_table.set_defaults(func=cmd_table)
-
-    p_errors = subs.add_parser("errors", help="absolute error of each method vs an oracle")
-    _add_common(p_errors)
-    p_errors.add_argument("--oracle", choices=["exact", "rk4"], default=None)
-    p_errors.set_defaults(func=cmd_errors)
-
-    p_sweep = subs.add_parser("sweep", help="deviation from a bundled table across orders")
-    p_sweep.add_argument("--table", type=int, choices=[1, 2, 3, 4], required=True)
-    p_sweep.add_argument("--method", choices=["dtm", "adm", "vim"], required=True)
-    p_sweep.add_argument("--eps", type=float, required=True)
-    p_sweep.add_argument("--min", type=int, default=1)
-    p_sweep.add_argument("--max", type=int, default=30)
-    _add_common(p_sweep, model_required=False)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_traj = subs.add_parser("trajectory", help="H (and h) curves per method")
-    _add_common(p_traj)
-    p_traj.set_defaults(func=cmd_trajectory)
-
+    for name, (help_text, add_options, handler) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_options(sub)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None  # else --help, an unknown or no command
+    args = build_parser(command).parse_args(argv)
     if hasattr(args, "model"):
         _finish_grid_defaults(args)
     try:

@@ -14,9 +14,14 @@ COEFF_LIMIT = 1e15
 # DTM order, the order n_terms - 1 of an ADM solve (so n_terms and its cap
 # reach MAX_ORDER + 1) and a VIM degree cap.  MAX_ITERATIONS bounds the VIM
 # steps.  On a 2-core Xeon, transform_delayed takes 0.34 s at order 2000, and
-# 1000 coupled VIM iterations at cap 64 take 0.47 s.
+# 1000 coupled VIM iterations at cap 64 take 0.17 s.
 MAX_ORDER = 2000
 MAX_ITERATIONS = 1000
+
+# The most multiply-adds one vim_solve may ask for (vim._solve_work); the CLI
+# asks at most 4,274,808.  Nine dense steps to cap 2000, 9,360,498 of them,
+# take 0.25 s on the same Xeon.
+MAX_VIM_WORK = 10**7
 
 
 class UsageError(ValueError):

@@ -9,6 +9,9 @@ default, ``errors.MAX_ORDER + 1`` at most), so the quadratic-cost convolution
 product is entirely adequate.  A product skips the zero tails of its
 operands: its sums run only over the terms below both operands' live degrees
 (see :meth:`SeriesPoly.cauchy_mul`), and give the same bits as the full sums.
+Where four sums start at the same term, one loop feeds all four, each in
+its own order, so the bits are those of one sum at a time.  No sum uses
+``sum``, ``math.fsum`` or ``math.sumprod``, which round otherwise from 3.12.
 
 Coefficients are checked where they come in: the public constructor converts
 each one to float and refuses NaN and infinities.  An operation's result is
@@ -124,6 +127,14 @@ class SeriesPoly(Frozen):
         coefficient, so it is +0.0 or -0.0, and a round-to-nearest sum that
         starts at +0.0 is never -0.0, so adding such a term changes no
         partial sum.
+
+        While ``k + 3 <= min(top, da, db)`` (``top = min(cap, da + db)``),
+        the sums of coefficients k..k+3 all start at r = 0: one sweep over
+        ``self[0..k]`` feeds all four, then the terms with r > k follow in
+        ascending r (``self[k+1]*other[0]`` to k+1, ``[k+1]*[1]`` and
+        ``[k+2]*[0]`` to k+2, ``[k+1]*[2]``, ``[k+2]*[1]`` and ``[k+3]*[0]``
+        to k+3).  Each sum keeps its terms, their order and its +0.0 start,
+        so the bits are those of one coefficient per sweep.
         """
         a, b = self.coeffs, other.coeffs
         if len(a) != len(b):
@@ -134,7 +145,19 @@ class SeriesPoly(Frozen):
         top = min(last, da + db)
         a, rb = a[: da + 1], b[db::-1]  # rb: other[db], other[db-1], ..., other[0]
         out = []
-        for k in range(min(top, db) + 1):
+        blocked = min(top, da, db) - 2  # out[k..k+3] share r = 0..k while k + 3 <= min(top, da, db)
+        if blocked > 0:
+            b0, b1, b2 = b[0], b[1], b[2]
+        for k in range(0, blocked, 4):
+            s0 = s1 = s2 = s3 = 0.0
+            for x, y0, y1, y2, y3 in zip(a, rb[db - k:], rb[db - k - 1:], rb[db - k - 2:], rb[db - k - 3:]):
+                s0 += x * y0
+                s1 += x * y1
+                s2 += x * y2
+                s3 += x * y3
+            a1, a2 = a[k + 1], a[k + 2]
+            out += (s0, s1 + a1 * b0, s2 + a1 * b1 + a2 * b0, s3 + a1 * b2 + a2 * b1 + a[k + 3] * b0)
+        for k in range(len(out), min(top, db) + 1):
             acc = 0.0
             for x, y in zip(a, rb[db - k:]):  # self[0] * other[k], ...
                 acc += x * y

@@ -22,7 +22,7 @@ steps pad every iterate they return.
 from __future__ import annotations
 
 from ._frozen import Frozen
-from .errors import MAX_ITERATIONS, MAX_ORDER, UsageError, check_coeffs, check_count
+from .errors import MAX_ITERATIONS, MAX_ORDER, MAX_VIM_WORK, UsageError, check_coeffs, check_count
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
 from .series import SeriesPoly, _live_degree, _trusted
 
@@ -123,6 +123,20 @@ def vim_step_delayed(state: VimState, p: DelayedParams) -> VimState:
     return VimState(_trusted(_at(H, cap)), None, state.iteration + 1)
 
 
+def _solve_work(iterations: int, degree_cap: int) -> int:
+    """Most multiply-adds the cubes of ``iterations`` steps from a constant take.
+
+    Step n works at cap at most ``m(n)``: ``m(1) = min(degree_cap, 1)``,
+    ``m(n+1) = min(degree_cap, 3*m(n) + 1)`` (see :func:`_next_coupled`).
+    Its cube is two products of at most ``(m+1)*(m+2)/2`` multiply-adds.
+    """
+    work = m = 0
+    for _ in range(iterations):
+        m = min(degree_cap, 3 * m + 1)
+        work += (m + 1) * (m + 2)
+    return work
+
+
 def vim_solve(
     params: CoupledParams | DelayedParams,
     iterations: int,
@@ -134,10 +148,15 @@ def vim_solve(
     from :func:`initial_state`, bit for bit, but the iterates stay tuples at
     their working caps and are padded to ``degree_cap`` once, at the end.
     ``iterations`` may be at most ``MAX_ITERATIONS`` and ``degree_cap`` at
-    most ``MAX_ORDER``.
+    most ``MAX_ORDER``, and together they may ask for at most
+    ``MAX_VIM_WORK`` multiply-adds (see :func:`_solve_work`).
     """
     check_count(iterations, "iterations", 0, MAX_ITERATIONS)
     check_count(degree_cap, "degree_cap", 0, MAX_ORDER)
+    work = _solve_work(iterations, degree_cap)
+    if work > MAX_VIM_WORK:
+        raise UsageError(f"{iterations} iterations at degree cap {degree_cap} need up to {work} "
+                         f"multiply-adds, more than the {MAX_VIM_WORK} allowed")
     if isinstance(params, CoupledParams):
         H, h = (params.H0,), (params.h0,)
         for _ in range(iterations):

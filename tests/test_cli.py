@@ -22,7 +22,7 @@ from ensoseries import (
     vim_solve,
 )
 from ensoseries import oracle
-from ensoseries.cli import main
+from ensoseries.cli import build_parser, main
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -390,6 +390,26 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["table", "--model", "coupled", "--bogus", "1"])
     assert err.value.code == 2
+
+
+def exit_and_output(parse, argv, capsys):
+    """Exit code, stdout and stderr of an argument parse that exits."""
+    with pytest.raises(SystemExit) as err:
+        parse(argv)
+    return (err.value.code,) + tuple(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--help"], ["errors", "--help"], ["sweep", "--help"], ["trajectory", "--help"],
+    ["--help"], [], ["bogus"], ["table", "--bogus", "1"], ["errors", "--model", "coupled", "--oracle", "x"],
+    ["sweep", "--table", "9", "--method", "dtm", "--eps", "0.1"], ["trajectory", "--order", "x"],
+])
+def test_main_parses_and_helps_as_the_full_parser(argv, capsys, monkeypatch):
+    # main adds only the invoked subcommand's options; help and usage errors keep every byte
+    monkeypatch.setenv("COLUMNS", "80")
+    full = exit_and_output(build_parser().parse_args, argv, capsys)
+    assert exit_and_output(main, argv, capsys) == full
+    assert full[0] == (0 if "--help" in argv else 2)
 
 
 def test_foreign_model_flags_rejected(tmp_path):

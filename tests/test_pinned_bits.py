@@ -1,0 +1,105 @@
+"""One SHA-256 over thousands of seeded product and solver results.
+
+The constant was recorded before the series product was register-blocked,
+and it must hold on every supported Python: a reordered float operation, or
+an interpreter whose sums round differently, changes some result's bits.
+Each value enters the hash as ``float.hex``; a :class:`SeriesOverflowError`
+enters as its type and index.
+"""
+
+import hashlib
+import random
+import warnings
+
+from ensoseries import (
+    CoupledParams,
+    DelayedParams,
+    ParameterRangeWarning,
+    SeriesOverflowError,
+    SeriesPoly,
+    SolutionPair,
+    residual_check,
+    vim_solve,
+)
+
+PINNED_SHA256 = "9758786f44cf7a31e14a8a4a9024a27b7531847fd1b4aec3b8b0ce5a3d1bf46d"
+
+# A coefficient: mostly plain values, sometimes a signed zero, a subnormal or a huge value.
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1070, 1e160, -1e200)
+
+
+def coefficient(rng):
+    if rng.random() < 0.1:
+        return rng.choice(SPECIAL)
+    return rng.uniform(-4.0, 4.0)
+
+
+def series(rng, cap):
+    """``cap + 1`` coefficients: a live prefix of drawn length, then a +0.0 tail."""
+    live = rng.randint(0, cap)
+    return SeriesPoly(tuple(coefficient(rng) for _ in range(live + 1)) + (0.0,) * (cap - live))
+
+
+def params(rng):
+    H0 = rng.uniform(-3.0, 3.0)
+    if rng.random() < 0.5:
+        return CoupledParams(*(rng.uniform(-2.0, 2.0) for _ in range(4)), rng.uniform(-1.0, 1.0),
+                             H0=H0, h0=rng.uniform(-3.0, 3.0))
+    while True:
+        alpha, beta, sigma = (rng.uniform(-2.0, 2.0) for _ in range(3))
+        if abs(1.0 - beta * sigma) >= 0.25:
+            return DelayedParams(alpha, beta, sigma, rng.uniform(-1.0, 1.0), H0=H0)
+
+
+def bits(op):
+    """The hex of every coefficient or value ``op`` returns, or its overflow's type and index."""
+    try:
+        value = op()
+    except SeriesOverflowError as exc:
+        return f"{type(exc).__name__}:{exc.index}"
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, SolutionPair):
+        value = value.H.coeffs + value.h.coeffs
+    elif isinstance(value, SeriesPoly):
+        value = value.coeffs
+    return ",".join(x.hex() for x in value)
+
+
+def results():
+    """4,200 seeded results: 1,600 products, 1,000 cubes, 800 VIM solves and their residuals."""
+    rng = random.Random(20081)
+    for _ in range(1600):
+        cap = rng.randint(0, 70)
+        a, b = series(rng, cap), series(rng, cap)
+        yield bits(lambda: a.cauchy_mul(b))
+    for _ in range(1000):
+        a = series(rng, rng.randint(0, 70))
+        yield bits(a.cube)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterRangeWarning)
+        for _ in range(800):
+            p, iterations, cap = params(rng), rng.randint(0, 9), rng.randint(1, 64)
+            try:
+                sol = vim_solve(p, iterations, cap)
+            except SeriesOverflowError as exc:
+                yield f"{type(exc).__name__}:{exc.index}"
+                yield "no residual"
+                continue
+            yield bits(lambda: sol)
+            yield bits(lambda: residual_check(sol, p))
+
+
+def digest():
+    h = hashlib.sha256()
+    for line in results():
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_seeded_results_keep_their_pinned_bits():
+    assert digest() == PINNED_SHA256
+
+
+if __name__ == "__main__":
+    print(digest())

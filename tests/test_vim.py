@@ -26,8 +26,8 @@ from ensoseries import (
     vim_step_coupled,
     vim_step_delayed,
 )
-from ensoseries.errors import MAX_ITERATIONS, MAX_ORDER, check_coeffs
-from ensoseries.vim import _live_degree
+from ensoseries.errors import MAX_ITERATIONS, MAX_ORDER, MAX_VIM_WORK, check_coeffs
+from ensoseries.vim import DEFAULT_DEGREE_CAP, _live_degree, _solve_work
 from conftest import draw_coupled, draw_delayed, draw_until, plain_cube
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
@@ -185,6 +185,34 @@ def test_counts_above_the_limits_are_refused_before_any_work():
         vim_step_coupled(VimState(state.H_iter, state.h_iter, MAX_ITERATIONS), TABLE1)
     with pytest.raises(UsageError, match=f"degree_cap must be in 0..{MAX_ORDER}$"):
         vim_step_delayed(VimState(SeriesPoly.zero(MAX_ORDER + 1), None, 0), TABLE3)
+
+
+def test_solve_work_is_refused_above_the_budget_before_any_step():
+    # the CLI's largest VIM solve stays accepted; both count limits together are refused
+    assert _solve_work(MAX_ITERATIONS, DEFAULT_DEGREE_CAP) == 4_274_808 <= MAX_VIM_WORK
+    assert _solve_work(9, MAX_ORDER) <= MAX_VIM_WORK < _solve_work(10, MAX_ORDER)
+    assert vim_solve(TABLE3, 9, MAX_ORDER).cap == MAX_ORDER
+    for iterations, cap in ((MAX_ITERATIONS, MAX_ORDER), (10, MAX_ORDER), (MAX_ITERATIONS, 100)):
+        with pytest.raises(UsageError, match=f"more than the {MAX_VIM_WORK} allowed$"):
+            vim_solve(TABLE1, iterations, cap)
+
+
+def test_solve_work_bounds_the_multiply_adds_of_the_cubes(monkeypatch):
+    # each product at working cap m counts (m+1)(m+2)/2 multiply-adds; dense iterates reach the bound
+    macs = []
+    product = SeriesPoly.cauchy_mul
+
+    def counted(a, b):
+        macs.append(len(a.coeffs) * (len(a.coeffs) + 1) // 2)
+        return product(a, b)
+
+    monkeypatch.setattr(SeriesPoly, "cauchy_mul", counted)
+    for p in (TABLE1, TABLE3, CoupledParams(1, 0, 1, 0, 0.1, h0=0.0)):
+        for iterations in range(8):
+            for cap in (0, 1, 2, 5, 13, 64, 200):
+                macs.clear()
+                vim_solve(p, iterations, cap)
+                assert sum(macs) == _solve_work(iterations, cap)
 
 
 # -- the live-degree step against a dense step at the full cap ----------
