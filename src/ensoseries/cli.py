@@ -273,19 +273,20 @@ def _finish_grid_defaults(args) -> None:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """All four subcommands, with the options of ``command`` only, or of all if it is None.
+    """The parser of ``command`` alone, or of all four subcommands if it is None.
 
-    Adding options is most of the cost of a parser, and a call parses one subcommand.
+    Adding subparsers and options is most of the cost of a parser, and a call parses one subcommand.
     """
     parser = argparse.ArgumentParser(
         prog="ensoseries",
         description="Series-method solvers for two nonlinear ENSO oscillator models.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options, handler) in _COMMANDS.items():
+    names = "{" + ",".join(_COMMANDS) + "}"  # a lone subparser's usage lines name all four, as the full parser's do
+    subs = parser.add_subparsers(dest="command", required=True, metavar=names if command else None)
+    for name in (command,) if command else _COMMANDS:
+        help_text, add_options, handler = _COMMANDS[name]
         sub = subs.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_options(sub)
+        add_options(sub)
         sub.set_defaults(func=handler)
     return parser
 

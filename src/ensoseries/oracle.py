@@ -16,7 +16,6 @@ has no elementary closed form.
 from __future__ import annotations
 
 import math
-from functools import partial
 from math import isfinite
 
 from ._frozen import Frozen
@@ -97,53 +96,60 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
     return p.H0 * q ** -0.5
 
 
-def _rk4_coupled(p: CoupledParams, state: tuple[float, float], t: float, h: float, n: int):
-    """Advance ``n`` classical RK4 steps of size ``h`` of the coupled model.
+def _blew_up(t: float, h: float, steps: int) -> DomainError:
+    """The blow-up error ``steps`` steps of ``h`` after ``t``, the clock summed step by step."""
+    for _ in range(steps):
+        t += h
+    return DomainError(f"integration blew up near t={t}")
 
-    Yields each new state ``(H, h)``.  The state lives in scalar locals and
-    each stage calls :func:`models.coupled_rhs` once.  Float ``*`` and ``+``
-    saturate to inf rather than raise, so a blow-up shows as a non-finite
-    state.
+
+def _rk4_coupled(p: CoupledParams, state: tuple[float, float], t: float, h: float, n: int, out=None):
+    """Advance ``n`` classical RK4 steps of size ``h`` of the coupled model from time ``t``.
+
+    Returns the final state ``(H, h)`` and appends each new state to the list
+    ``out`` if one is given.  The state lives in scalar locals and each stage
+    calls :func:`models.coupled_rhs` once.  Float ``*`` and ``+`` saturate to
+    inf rather than raise, so a blow-up shows as a non-finite state; only its
+    message needs the time, which :func:`_blew_up` sums as a running clock would.
     """
     half = 0.5 * h
     u, v = state  # H and h
-    for _ in range(n):
+    for i in range(n):
         du1, dv1 = coupled_rhs(p, u, v)
         du2, dv2 = coupled_rhs(p, u + half * du1, v + half * dv1)
         du3, dv3 = coupled_rhs(p, u + half * du2, v + half * dv2)
         du4, dv4 = coupled_rhs(p, u + h * du3, v + h * dv3)
         u = u + h * (du1 + 2.0 * du2 + 2.0 * du3 + du4) / 6.0
         v = v + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
-        t += h
         if not (isfinite(u) and isfinite(v)):
-            raise DomainError(f"integration blew up near t={t}")
-        yield u, v
+            raise _blew_up(t, h, i + 1)
+        if out is not None:
+            out.append((u, v))
+    return u, v
 
 
-def _rk4_delayed(p: DelayedParams, state: tuple[float], t: float, h: float, n: int):
-    """Advance ``n`` RK4 steps of the delayed model; yields each ``(H,)``.
-
-    Scalar like :func:`_rk4_coupled`, calling :func:`models.delayed_rhs`.
-    """
+def _rk4_delayed(p: DelayedParams, state: tuple[float], t: float, h: float, n: int, out=None):
+    """Advance ``n`` RK4 steps of the delayed model like :func:`_rk4_coupled`, through ``delayed_rhs``."""
     half = 0.5 * h
     (u,) = state
-    for _ in range(n):
+    for i in range(n):
         k1 = delayed_rhs(p, u)
         k2 = delayed_rhs(p, u + half * k1)
         k3 = delayed_rhs(p, u + half * k2)
         k4 = delayed_rhs(p, u + h * k3)
         u = u + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        t += h
         if not isfinite(u):
-            raise DomainError(f"integration blew up near t={t}")
-        yield (u,)
+            raise _blew_up(t, h, i + 1)
+        if out is not None:
+            out.append((u,))
+    return (u,)
 
 
 def _stepper(params: CoupledParams | DelayedParams):
-    """The model's RK4 stepper as ``steps(state, t, h, n)``, and its initial state."""
+    """The model's RK4 stepper ``steps(params, state, t, h, n, out=None)``, and its initial state."""
     if isinstance(params, CoupledParams):
-        return partial(_rk4_coupled, params), (params.H0, params.h0)
-    return partial(_rk4_delayed, params), (params.H0,)
+        return _rk4_coupled, (params.H0, params.h0)
+    return _rk4_delayed, (params.H0,)
 
 
 def _check_step(step: float) -> None:
@@ -169,7 +175,7 @@ def _check_count(count: int, what: str) -> int:
 def rk4(params: CoupledParams | DelayedParams, t_end: float, step: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta from t = 0 on a uniform grid.
 
-    The step is adjusted minimally so the grid lands exactly on ``t_end``.
+    The step is adjusted minimally so the grid's last time is ``t_end`` itself.
     More than ``MAX_STEPS`` steps are refused with :class:`UsageError`.
     """
     _check_step(step)
@@ -182,12 +188,9 @@ def rk4(params: CoupledParams | DelayedParams, t_end: float, step: float) -> Tra
         return Trajectory((0.0,), (state,), step)
     n = _check_count(max(1, round(_step_ratio(t_end, step))), "RK4 steps")
     h = t_end / n
-    ts = [0.0]
     states = [state]
-    for i, s in enumerate(steps(state, 0.0, h, n)):
-        ts.append((i + 1) * h)
-        states.append(s)
-    return Trajectory(tuple(ts), tuple(states), h)
+    steps(params, state, 0.0, h, n, states)
+    return Trajectory((*[i * h for i in range(n)], t_end), tuple(states), h)
 
 
 def rk4_values(
@@ -216,8 +219,7 @@ def rk4_values(
     out = []
     for (t_prev, span), n in zip(gaps, counts):
         if n:
-            for state in steps(state, t_prev, span / n, n):
-                pass
+            state = steps(params, state, t_prev, span / n, n)
         out.append(state)
     return out
 
@@ -263,7 +265,4 @@ def residual_check(
     last = cap - 1 if upto is None else upto
     if last >= cap:
         raise UsageError("upto must stay below the series cap")
-    worst = 0.0
-    for res in residuals:
-        worst = max(worst, max(map(abs, res[: last + 1]), default=0.0))
-    return worst
+    return max(max(map(abs, res[: last + 1]), default=0.0) for res in residuals)

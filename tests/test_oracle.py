@@ -395,6 +395,54 @@ def test_generic_stepper_comparison_sees_blowups():
         assert got[0] == "DomainError" and "blew up near t=" in got[1]
 
 
+@pytest.mark.parametrize("p", [ANTI_DAMPED, ANTI_DAMPED_DELAYED])
+@pytest.mark.parametrize("ts", [[0.1, 0.25, 3.0], [0.05, 0.2, 2.0]])
+def test_a_blow_up_in_a_later_gap_names_the_summed_clock(p, ts):
+    # the steppers keep no clock: the message adds h to the gap's start once per
+    # step taken, as the reference does, which is not the gap's start plus k*h here
+    got = bits(lambda: rk4_values(p, ts, 0.01))
+    assert got == bits(lambda: reference_rk4_values(p, ts, 0.01))
+    assert got[0] == "DomainError"
+    t = float(got[1].rpartition("t=")[2])
+    span = ts[2] - ts[1]
+    h = span / math.ceil(span / 0.01)
+    assert ts[1] < t < ts[2] and t != ts[1] + round((t - ts[1]) / h) * h
+
+
+@pytest.mark.parametrize("p", [TABLE1, TABLE3])
+def test_every_rk4_step_calls_the_right_hand_side_four_times(p, monkeypatch):
+    # the benchmark counts right-hand-side calls through the oracle module's
+    # globals and expects four per step
+    calls = []
+    name = "coupled_rhs" if isinstance(p, CoupledParams) else "delayed_rhs"
+    rhs = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda *args: calls.append(args) or rhs(*args))
+    assert len(rk4(p, 1.0, 0.1).ts) == 11
+    assert len(calls) == 4 * 10
+    calls.clear()
+    # gaps 0, 0.25, 0.5 and 0.75 at step 0.2: 0 + 2 + 3 + 4 steps
+    assert len(rk4_values(p, [0.0, 0.25, 0.75, 1.5], 0.2)) == 4
+    assert len(calls) == 4 * 9
+    calls.clear()
+    rk4_values(p, [0.5], 1.0)
+    assert len(calls) == 4
+
+
+def test_rk4_grid_ends_exactly_at_t_end():
+    # n * (t_end / n) can miss t_end by an ulp; the states are unchanged
+    rng = random.Random(11)
+    pairs = [(0.834, 0.05)] + [(rng.uniform(0.01, 3.0), rng.choice([0.05, 0.1, 0.13, 0.3])) for _ in range(300)]
+    missed = 0
+    for t_end, step in pairs:
+        traj = rk4(TABLE3, t_end, step)
+        n = len(traj.ts) - 1
+        assert traj.ts[-1] == t_end
+        assert traj.ts[:-1] == tuple(i * traj.step for i in range(n))
+        missed += n * traj.step != t_end
+    assert missed > 0  # the pairs include ends the old grid missed
+    assert rk4(TABLE3, 0.834, 0.05).states == tuple(reference_rk4(TABLE3, 0.834, 0.05))
+
+
 def test_trajectory_invariants():
     with pytest.raises(UsageError):
         Trajectory((0.0, 0.0), ((1.0,), (1.0,)), 0.1)
