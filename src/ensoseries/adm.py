@@ -18,9 +18,9 @@ its weight the scalar convolution above over the component weights, which is
 the degree-k coefficient of ``H**3``; integrating divides by k+1.  That is
 the differential-transform recurrence term for term, so the component
 weights are the Taylor coefficients :mod:`dtm` computes, and the solver takes
-them from there.  :func:`adomian_cubic` keeps the dense form over
-:class:`SeriesPoly` components; the tests rebuild the components from it, and
-from a plain scalar triple sum, as oracles independent of that recurrence.
+them from there.  The tests keep the dense form over :class:`SeriesPoly`
+components, and a plain scalar triple sum, as oracles independent of that
+recurrence.
 """
 
 from __future__ import annotations
@@ -79,25 +79,6 @@ class AdmState(Frozen):
         if self.v_weights is None:
             return H
         return SolutionPair(H, _trusted(self.v_weights[:n] + pad))
-
-
-def adomian_cubic(components: tuple[SeriesPoly, ...] | list[SeriesPoly], k: int) -> SeriesPoly:
-    """k-th Adomian polynomial of the cube nonlinearity, over dense components.
-
-    ``A_k = sum_{i+j+l=k} u_i * u_j * u_l`` over the given components.
-    """
-    if k < 0:
-        raise UsageError("k must be >= 0")
-    if k >= len(components):
-        raise UsageError(f"A_{k} needs components 0..{k}, got {len(components)}")
-    acc = SeriesPoly.zero(components[0].cap)
-    for i in range(k + 1):
-        # pairwise convolution over component index at i, then close with u_l
-        pair = SeriesPoly.zero(components[0].cap)
-        for j in range(k - i + 1):
-            pair = pair + components[j].cauchy_mul(components[k - i - j])
-        acc = acc + components[i].cauchy_mul(pair)
-    return acc
 
 
 def adm_solve_coupled(p: CoupledParams, n_terms: int, cap: int) -> AdmState:

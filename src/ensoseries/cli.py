@@ -19,9 +19,9 @@ import sys
 
 from .adm import adm_solve_coupled, adm_solve_delayed
 from .dtm import assemble, transform_coupled, transform_delayed
-from .errors import MAX_ITERATIONS, NumericError, UsageError, check_count
+from .errors import MAX_ITERATIONS, NumericError, UsageError, check_count, check_step, check_steps, step_ratio
 from .models import CoupledParams, DelayedParams, SolutionPair
-from .oracle import _check_count, _check_step, _step_ratio, exact_delayed, rk4_values
+from .oracle import exact_delayed, rk4_values
 from .reference import load_table
 from .vim import initial_state, vim_step_coupled, vim_step_delayed
 
@@ -41,8 +41,8 @@ def _grid(t_max: float, t_step: float) -> list[float]:
         raise UsageError("t-max and t-step must be finite")
     if t_step <= 0.0 or t_max < t_step:
         raise UsageError("need 0 < t-step <= t-max")
-    n = round(_step_ratio(t_max, t_step))
-    _check_count(n + 1, "grid rows")
+    n = round(step_ratio(t_max, t_step))
+    check_steps(n + 1, "grid rows")
     if abs(n * t_step - t_max) > 1e-9:
         raise UsageError("t-max must be a whole number of t-steps")
     return [i * t_step for i in range(n + 1)]
@@ -90,9 +90,12 @@ def _write(out_path, lines) -> None:
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _column_setup(args):
@@ -299,7 +302,7 @@ def main(argv=None) -> int:
     if hasattr(args, "model"):
         _finish_grid_defaults(args)
     try:
-        _check_step(args.oracle_step)
+        check_step(args.oracle_step)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ instead of re-cubing the series at every step.
 ``N(k)`` is also the weight of the k-th Adomian polynomial of the cube, so
 this recurrence yields the Adomian decomposition's component weights as well:
 :mod:`adm` takes them from here.  The independent checks of both are in the
-tests (the dense :func:`adm.adomian_cubic` and a scalar triple sum).
+tests (dense Adomian polynomials over series and a scalar triple sum).
 """
 
 from __future__ import annotations

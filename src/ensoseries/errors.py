@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, and the value guards.
+"""Exception and warning types shared across the package, the work limits and the value guards.
 
 The CLI maps these onto exit codes: ``UsageError`` exits with 2, any
 ``NumericError`` with 3.
@@ -22,6 +22,10 @@ MAX_ITERATIONS = 1000
 # asks at most 4,274,808.  Nine dense steps to cap 2000, 9,360,498 of them,
 # take 0.25 s on the same Xeon.
 MAX_VIM_WORK = 10**7
+
+# The most RK4 steps one call takes, and grid rows the CLI builds; the README
+# jobs need about 2e4.  A larger count is refused before any step is taken.
+MAX_STEPS = 10**8
 
 
 class UsageError(ValueError):
@@ -61,6 +65,27 @@ def check_count(count: int, name: str, low: int, high: int) -> int:
     """
     if not low <= count <= high:
         raise UsageError(f"{name} must be in {low}..{high}")
+    return count
+
+
+def check_step(step: float) -> None:
+    """:class:`UsageError` unless ``step`` is positive and finite."""
+    if not 0.0 < step < math.inf:
+        raise UsageError(f"step must be positive and finite, got {step!r}")
+
+
+def step_ratio(span: float, step: float) -> float:
+    """``span / step``, refused if it overflows (a step too small for the span)."""
+    ratio = span / step
+    if ratio == math.inf:
+        raise UsageError(f"step {step!r} is too small for a span of {span!r}")
+    return ratio
+
+
+def check_steps(count: int, what: str) -> int:
+    """``count``, refused with :class:`UsageError` if it exceeds ``MAX_STEPS``."""
+    if count > MAX_STEPS:
+        raise UsageError(f"{count:.3g} {what} exceed the limit of {MAX_STEPS:g}")
     return count
 
 

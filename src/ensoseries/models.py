@@ -21,7 +21,6 @@ import warnings
 
 from ._frozen import Frozen
 from .errors import ParameterRangeWarning, SingularModelError, UsageError, require_finite
-from .series import SeriesPoly
 
 
 def _warn_eps_range(eps: float) -> None:
@@ -62,8 +61,10 @@ class DelayedParams(Frozen):
     def __post_init__(self):
         for name in ("alpha", "beta", "sigma", "eps", "H0"):
             object.__setattr__(self, name, require_finite(getattr(self, name), name))
-        if self.beta * self.sigma == 1.0:
+        denom = 1.0 - self.beta * self.sigma
+        if denom == 0.0:
             raise SingularModelError("beta*sigma == 1 makes the model singular")
+        object.__setattr__(self, "_reduced", ((self.alpha - self.beta) / denom, self.eps / denom))
         if min(self.alpha, self.beta, self.sigma, self.eps) <= 0.0:
             warnings.warn(
                 "alpha, beta, sigma and eps are physically positive",
@@ -72,7 +73,6 @@ class DelayedParams(Frozen):
             )
         else:
             _warn_eps_range(self.eps)
-        object.__setattr__(self, "_reduced", reduced_delayed_coeffs(self))
 
 
 class SolutionPair(Frozen):
@@ -89,12 +89,9 @@ def reduced_delayed_coeffs(p: DelayedParams) -> tuple[float, float]:
     """Normalize the delayed model to ``dH/dt = a*H - b*H**3``.
 
     Returns ``a = (alpha - beta) / (1 - beta*sigma)`` and
-    ``b = eps / (1 - beta*sigma)``.
+    ``b = eps / (1 - beta*sigma)``, computed once when ``p`` was built.
     """
-    denom = 1.0 - p.beta * p.sigma
-    if denom == 0.0:
-        raise SingularModelError("beta*sigma == 1 makes the model singular")
-    return (p.alpha - p.beta) / denom, p.eps / denom
+    return p._reduced
 
 
 def coupled_rhs(p: CoupledParams, H: float, h: float) -> tuple[float, float]:

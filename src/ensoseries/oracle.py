@@ -19,7 +19,7 @@ import math
 from math import isfinite
 
 from ._frozen import Frozen
-from .errors import DomainError, UsageError, check_finite
+from .errors import DomainError, UsageError, check_finite, check_step, check_steps, step_ratio
 from .models import (
     CoupledParams,
     DelayedParams,
@@ -29,10 +29,6 @@ from .models import (
     reduced_delayed_coeffs,
 )
 from .series import SeriesPoly
-
-# The most RK4 steps one call takes, and grid rows the CLI builds; the README
-# jobs need about 2e4.  A larger count is refused before any step is taken.
-MAX_STEPS = 10**8
 
 
 class Trajectory(Frozen):
@@ -152,45 +148,29 @@ def _stepper(params: CoupledParams | DelayedParams):
     return _rk4_delayed, (params.H0,)
 
 
-def _check_step(step: float) -> None:
-    if not 0.0 < step < math.inf:
-        raise UsageError(f"step must be positive and finite, got {step!r}")
-
-
-def _step_ratio(span: float, step: float) -> float:
-    """``span / step``, refused if it overflows (a step too small for the span)."""
-    ratio = span / step
-    if ratio == math.inf:
-        raise UsageError(f"step {step!r} is too small for a span of {span!r}")
-    return ratio
-
-
-def _check_count(count: int, what: str) -> int:
-    """``count``, refused with :class:`UsageError` if it exceeds ``MAX_STEPS``."""
-    if count > MAX_STEPS:
-        raise UsageError(f"{count:.3g} {what} exceed the limit of {MAX_STEPS:g}")
-    return count
-
-
 def rk4(params: CoupledParams | DelayedParams, t_end: float, step: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta from t = 0 on a uniform grid.
 
     The step is adjusted minimally so the grid's last time is ``t_end`` itself.
-    More than ``MAX_STEPS`` steps are refused with :class:`UsageError`.
+    More than ``errors.MAX_STEPS`` steps are refused with :class:`UsageError`.
     """
-    _check_step(step)
+    check_step(step)
     if not isfinite(t_end):
         raise UsageError(f"t_end must be finite, got {t_end!r}")
     if t_end < 0.0:
         raise UsageError("t_end must be >= 0")
     steps, state = _stepper(params)
-    if t_end == 0.0:
-        return Trajectory((0.0,), (state,), step)
-    n = _check_count(max(1, round(_step_ratio(t_end, step))), "RK4 steps")
-    h = t_end / n
-    states = [state]
-    steps(params, state, 0.0, h, n, states)
-    return Trajectory((*[i * h for i in range(n)], t_end), tuple(states), h)
+    ts, states, h = (0.0,), [state], step
+    if t_end > 0.0:
+        n = check_steps(max(1, round(step_ratio(t_end, step))), "RK4 steps")
+        h = t_end / n
+        steps(params, state, 0.0, h, n, states)
+        ts = (*[i * h for i in range(n)], t_end)
+    # the stepper checked every state and the grid rises, so the constructor's checks are skipped
+    trajectory = object.__new__(Trajectory)
+    for name, value in zip(Trajectory._fields, (ts, tuple(states), h)):
+        object.__setattr__(trajectory, name, value)
+    return trajectory
 
 
 def rk4_values(
@@ -202,10 +182,10 @@ def rk4_values(
 
     Sub-steps never exceed ``step``, and each requested time is hit exactly,
     so the values carry full RK4 accuracy at the nodes.  More than
-    ``MAX_STEPS`` steps in all are refused with :class:`UsageError` before
+    ``errors.MAX_STEPS`` steps in all are refused with :class:`UsageError` before
     the first one is taken.
     """
-    _check_step(step)
+    check_step(step)
     if not all(map(isfinite, ts)):
         raise UsageError("times must be finite")
     if any(t < 0.0 for t in ts):
@@ -213,8 +193,8 @@ def rk4_values(
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("times must be strictly increasing")
     gaps = [(t_prev, t - t_prev) for t_prev, t in zip([0.0, *ts], ts)]
-    counts = [max(1, math.ceil(_step_ratio(span, step))) if span > 0.0 else 0 for _, span in gaps]
-    _check_count(sum(counts), "RK4 steps")
+    counts = [max(1, math.ceil(step_ratio(span, step))) if span > 0.0 else 0 for _, span in gaps]
+    check_steps(sum(counts), "RK4 steps")
     steps, state = _stepper(params)
     out = []
     for (t_prev, span), n in zip(gaps, counts):

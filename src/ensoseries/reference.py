@@ -51,10 +51,6 @@ class ReferenceTable(Frozen):
     def eps_values(self) -> tuple[float, ...]:
         return tuple(sorted({eps for _, eps in self.columns}))
 
-    @property
-    def methods(self) -> tuple[str, ...]:
-        return tuple(sorted({m for m, _ in self.columns}))
-
     def params(self, eps: float) -> CoupledParams | DelayedParams:
         """Parameter object for one eps column, using the stated constants."""
         if self.model == "coupled":

@@ -23,9 +23,8 @@ from ensoseries import (
     SeriesPoly,
     adm_solve_coupled,
     adm_solve_delayed,
-    transform_coupled,
-    transform_delayed,
 )
+from ensoseries.dtm import transform_coupled, transform_delayed
 
 ADM_K_MAX = 20
 

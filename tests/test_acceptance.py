@@ -20,19 +20,16 @@ from ensoseries import (
     adm_solve_coupled,
     adm_solve_delayed,
     exact_delayed,
-    load_table,
     residual_check,
     rk4_values,
     solve_coupled,
     solve_delayed,
-    transform_coupled,
-    transform_delayed,
     vim_solve,
-    vim_step_coupled,
-    vim_step_delayed,
 )
 from ensoseries.cli import main as cli_main
-from ensoseries.vim import initial_state
+from ensoseries.dtm import transform_coupled, transform_delayed
+from ensoseries.reference import load_table
+from ensoseries.vim import initial_state, vim_step_coupled, vim_step_delayed
 from conftest import ADM_K_MAX, adm_dtm_draws, draw_coupled, draw_delayed, draw_until
 
 

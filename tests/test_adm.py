@@ -11,15 +11,33 @@ from ensoseries import (
     UsageError,
     adm_solve_coupled,
     adm_solve_delayed,
-    adomian_cubic,
-    reduced_delayed_coeffs,
-    transform_coupled,
 )
+from ensoseries.dtm import transform_coupled
 from ensoseries.errors import MAX_ORDER
+from ensoseries.models import reduced_delayed_coeffs
 from conftest import adm_dtm_draws, draw_coupled
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
+
+
+def adomian_cubic(components: tuple[SeriesPoly, ...] | list[SeriesPoly], k: int) -> SeriesPoly:
+    """k-th Adomian polynomial of the cube nonlinearity, over dense components.
+
+    ``A_k = sum_{i+j+l=k} u_i * u_j * u_l`` over the given components.
+    """
+    if k < 0:
+        raise UsageError("k must be >= 0")
+    if k >= len(components):
+        raise UsageError(f"A_{k} needs components 0..{k}, got {len(components)}")
+    acc = SeriesPoly.zero(components[0].cap)
+    for i in range(k + 1):
+        # pairwise convolution over component index at i, then close with u_l
+        pair = SeriesPoly.zero(components[0].cap)
+        for j in range(k - i + 1):
+            pair = pair + components[j].cauchy_mul(components[k - i - j])
+        acc = acc + components[i].cauchy_mul(pair)
+    return acc
 
 
 def mono(value, degree, cap=6):

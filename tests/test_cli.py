@@ -16,13 +16,13 @@ from ensoseries import (
     UsageError,
     adm_solve_coupled,
     adm_solve_delayed,
-    load_table,
     solve_coupled,
     solve_delayed,
     vim_solve,
 )
-from ensoseries import oracle
+from ensoseries import errors
 from ensoseries.cli import build_parser, main
+from ensoseries.reference import load_table
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -466,10 +466,27 @@ def test_a_huge_solve_count_is_a_usage_error(tmp_path, capsys, args):
 
 
 def test_grid_rows_are_counted_against_the_limit(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "MAX_STEPS", 6)
+    monkeypatch.setattr(errors, "MAX_STEPS", 6)
     assert main(["table", "--model", "delayed", "--methods", "exact"]) == 0  # 6 rows
     assert len(capsys.readouterr().out.splitlines()) == 7
     assert main(["table", "--model", "delayed", "--methods", "exact", "--t-max", "2.4"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["table", "--model", "delayed"],
+    ["errors", "--model", "delayed"],
+    ["sweep", "--table", "4", "--method", "dtm", "--eps", "0.05", "--max", "5"],
+    ["trajectory", "--model", "coupled"],
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, args, where):
+    out = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    assert main(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- exit-code contract ---------------------------------------------------

@@ -14,16 +14,14 @@ from ensoseries import (
     UsageError,
     adm_solve_coupled,
     adm_solve_delayed,
-    assemble,
-    load_table,
-    reduced_delayed_coeffs,
     solve_coupled,
     solve_delayed,
-    transform_coupled,
-    transform_delayed,
 )
 from ensoseries import dtm
+from ensoseries.dtm import assemble, transform_coupled, transform_delayed
 from ensoseries.errors import MAX_ORDER, check_coeffs
+from ensoseries.models import reduced_delayed_coeffs
+from ensoseries.reference import load_table
 from conftest import draw_coupled, draw_delayed
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)

@@ -9,18 +9,13 @@ import pickle
 
 import pytest
 
-from ensoseries import (
-    AdmState,
-    CoupledParams,
-    DelayedParams,
-    DtmResult,
-    ReferenceTable,
-    SeriesPoly,
-    SolutionPair,
-    Trajectory,
-    VimState,
-    reduced_delayed_coeffs,
-)
+from ensoseries import CoupledParams, DelayedParams, SeriesPoly, SolutionPair
+from ensoseries.adm import AdmState
+from ensoseries.dtm import DtmResult
+from ensoseries.models import reduced_delayed_coeffs
+from ensoseries.oracle import Trajectory
+from ensoseries.reference import ReferenceTable
+from ensoseries.vim import VimState
 
 
 def s(*coeffs):

@@ -12,10 +12,8 @@ from ensoseries import (
     SingularModelError,
     SolutionPair,
     UsageError,
-    coupled_rhs,
-    delayed_rhs,
-    reduced_delayed_coeffs,
 )
+from ensoseries.models import coupled_rhs, delayed_rhs, reduced_delayed_coeffs
 
 
 def test_reduced_coeffs_table3_constants():

@@ -16,19 +16,16 @@ from ensoseries import (
     SeriesOverflowError,
     SeriesPoly,
     SolutionPair,
-    Trajectory,
     UsageError,
-    coupled_rhs,
-    delayed_rhs,
     exact_delayed,
-    reduced_delayed_coeffs,
     residual_check,
-    rk4,
     rk4_values,
     solve_coupled,
     solve_delayed,
 )
-from ensoseries import oracle
+from ensoseries import errors, oracle
+from ensoseries.models import coupled_rhs, delayed_rhs, reduced_delayed_coeffs
+from ensoseries.oracle import Trajectory, rk4
 from conftest import draw_delayed, plain_cube
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
@@ -267,7 +264,7 @@ def test_rk4_refuses_a_huge_finite_step_count():
 def test_rk4_step_limit_counts_every_gap_before_the_first_step(monkeypatch):
     calls = []
     monkeypatch.setattr(oracle, "delayed_rhs", lambda p, H: calls.append(H) or delayed_rhs(p, H))
-    monkeypatch.setattr(oracle, "MAX_STEPS", 4)
+    monkeypatch.setattr(errors, "MAX_STEPS", 4)
     assert len(rk4(TABLE3, 1.0, 0.25).ts) == 5  # 4 steps: at the limit
     assert len(rk4_values(TABLE3, [0.0, 0.5, 1.0], 0.25)) == 3  # 2 + 2
     taken = len(calls)
@@ -441,6 +438,28 @@ def test_rk4_grid_ends_exactly_at_t_end():
         missed += n * traj.step != t_end
     assert missed > 0  # the pairs include ends the old grid missed
     assert rk4(TABLE3, 0.834, 0.05).states == tuple(reference_rk4(TABLE3, 0.834, 0.05))
+
+
+@pytest.mark.parametrize("p", [TABLE1, TABLE3])
+@pytest.mark.parametrize("t_end, step", [
+    (0.0, 0.1), (0.834, 0.05), (1.0, 0.1), (2.0, 1e-3), (0.3, 1.0), (1e-320, 1e-323),
+])
+def test_rk4_result_equals_the_checked_trajectory(p, t_end, step):
+    # rk4 builds its Trajectory without the constructor's checks, from states the stepper checked
+    n = max(1, round(t_end / step))
+    h = t_end / n if t_end else step
+    ts = (*[i * h for i in range(n)], t_end) if t_end else (0.0,)
+    checked = Trajectory(ts, tuple(reference_rk4(p, t_end, step)), h)
+    traj = rk4(p, t_end, step)
+    assert traj == checked and hash(traj) == hash(checked) and repr(traj) == repr(checked)
+    assert type(traj.ts) is tuple and type(traj.states) is tuple
+
+
+def test_a_hand_built_trajectory_keeps_its_checks():
+    with pytest.raises(DomainError, match="non-finite state at t=0.5"):
+        Trajectory((0.0, 0.5), ((1.0,), (math.nan,)), 0.5)
+    with pytest.raises(DomainError):
+        Trajectory((0.0, 0.5), ((1.0, 1.0), (1.0, math.inf)), 0.5)
 
 
 def test_trajectory_invariants():

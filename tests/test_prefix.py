@@ -16,13 +16,10 @@ from ensoseries import (
     SeriesOverflowError,
     adm_solve_coupled,
     adm_solve_delayed,
-    initial_state,
-    transform_coupled,
-    transform_delayed,
     vim_solve,
-    vim_step_coupled,
-    vim_step_delayed,
 )
+from ensoseries.dtm import transform_coupled, transform_delayed
+from ensoseries.vim import initial_state, vim_step_coupled, vim_step_delayed
 
 unit = st.floats(-2.0, 2.0)
 eps = st.floats(0.01, 0.99)

@@ -17,17 +17,20 @@ from ensoseries import (
     SeriesPoly,
     SolutionPair,
     UsageError,
-    VimState,
-    initial_state,
-    reduced_delayed_coeffs,
-    transform_coupled,
-    transform_delayed,
     vim_solve,
+)
+from ensoseries.dtm import transform_coupled, transform_delayed
+from ensoseries.errors import MAX_ITERATIONS, MAX_ORDER, MAX_VIM_WORK, check_coeffs
+from ensoseries.models import reduced_delayed_coeffs
+from ensoseries.vim import (
+    DEFAULT_DEGREE_CAP,
+    VimState,
+    _live_degree,
+    _solve_work,
+    initial_state,
     vim_step_coupled,
     vim_step_delayed,
 )
-from ensoseries.errors import MAX_ITERATIONS, MAX_ORDER, MAX_VIM_WORK, check_coeffs
-from ensoseries.vim import DEFAULT_DEGREE_CAP, _live_degree, _solve_work
 from conftest import draw_coupled, draw_delayed, draw_until, plain_cube
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
