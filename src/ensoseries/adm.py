@@ -17,10 +17,10 @@ single monomial ``u_k * t**k``.  ``A_k`` is then a monomial of degree k too,
 its weight the scalar convolution above over the component weights, which is
 the degree-k coefficient of ``H**3``; integrating divides by k+1.  That is
 the differential-transform recurrence term for term, so the component
-weights are the Taylor coefficients :mod:`dtm` computes, and the solver takes
-them from there.  The tests keep the dense form over :class:`SeriesPoly`
-components, and a plain scalar triple sum, as oracles independent of that
-recurrence.
+weights are the Taylor coefficients :mod:`dtm` computes, each step from the
+coefficients before it, and the solver takes them from there.  The tests
+keep the dense form over :class:`SeriesPoly` components, and a plain scalar
+triple sum, as oracles independent of that recurrence.
 """
 
 from __future__ import annotations

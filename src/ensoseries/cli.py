@@ -14,7 +14,9 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 from .adm import adm_solve_coupled, adm_solve_delayed
@@ -62,12 +64,6 @@ def _params_from_args(args) -> tuple[str, list]:
     return args.model, [DelayedParams(eps=e, **base) for e in (args.eps or [0.05, 0.1])]
 
 
-def _resolve_order(args) -> int:
-    if args.order is not None:
-        return args.order
-    return 40 if args.t_max >= 2.0 else 25
-
-
 def _solution_values(method, params, grid, order, terms, iters, oracle_step):
     """H values (and h where the model has one) for one method on the grid."""
     coupled = isinstance(params, CoupledParams)
@@ -86,6 +82,22 @@ def _solution_values(method, params, grid, order, terms, iters, oracle_step):
     return [(sol.eval(t),) for t in grid]
 
 
+def _refuse_unwritable(out_path) -> None:
+    """Refuse an ``--out`` that is a directory or lies in a missing one, before any solve.
+
+    The reason is the one ``open`` would give, and no file is created.
+    Whatever else keeps the file from being written, :func:`_write` reports.
+    """
+    if out_path is None:
+        return
+    if os.path.isdir(out_path):
+        raise UsageError(f"cannot write {out_path}: {os.strerror(errno.EISDIR)}")
+    try:
+        os.stat(os.path.dirname(out_path.rstrip(os.sep)) or ".")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
+
+
 def _write(out_path, lines) -> None:
     text = "\n".join(lines) + "\n"
     if out_path is None:
@@ -101,9 +113,13 @@ def _write(out_path, lines) -> None:
 def _column_setup(args):
     """Model, parameter sets, grid, and ``solve(method, params)``: values on the grid."""
     model, params_list = _params_from_args(args)
-    grid = _grid(args.t_max, args.t_step)
-    order = _resolve_order(args)
+    coupled = model == "coupled"
+    t_max = args.t_max if args.t_max is not None else (1.0 if coupled else 2.0)
+    t_step = args.t_step if args.t_step is not None else (0.2 if coupled else 0.4)
+    grid = _grid(t_max, t_step)
+    order = args.order if args.order is not None else (40 if t_max >= 2.0 else 25)
     terms = args.terms if args.terms is not None else order + 1
+    _refuse_unwritable(args.out)
 
     def solve(method, params):
         return _solution_values(method, params, grid, order, terms, args.iters, args.oracle_step)
@@ -197,6 +213,7 @@ def cmd_sweep(args) -> int:
     params = table.params(args.eps)
     if args.min < (1 if args.method != "dtm" else 0) or args.max < args.min:
         raise UsageError("need min <= max (and a positive count for adm/vim)")
+    _refuse_unwritable(args.out)
     rows = []
     for n, sol in enumerate(_solutions(args.method, params, args.min, args.max), args.min):
         H = sol.H if isinstance(sol, SolutionPair) else sol
@@ -268,13 +285,6 @@ _COMMANDS = {
 }
 
 
-def _finish_grid_defaults(args) -> None:
-    if getattr(args, "t_max", None) is None:
-        args.t_max = 1.0 if args.model == "coupled" else 2.0
-    if getattr(args, "t_step", None) is None:
-        args.t_step = 0.2 if args.model == "coupled" else 0.4
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of ``command`` alone, or of all four subcommands if it is None.
 
@@ -299,8 +309,6 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in _COMMANDS else None  # else --help, an unknown or no command
     args = build_parser(command).parse_args(argv)
-    if hasattr(args, "model"):
-        _finish_grid_defaults(args)
     try:
         check_step(args.oracle_step)
         return args.func(args)

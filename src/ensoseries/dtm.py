@@ -9,9 +9,10 @@ series about t = 0:
     delayed:  W(k+1) = (a*W(k) - b*N(k)) / (k+1)
 
 where ``N(k)`` is the degree-k coefficient of ``H**3``.  ``N(k)`` only ever
-involves ``W(0..k)``, so it is accumulated incrementally from a running cache
-of the square's coefficients: two nested convolutions, O(K^2) work overall
-instead of re-cubing the series at every step.
+involves ``W(0..k)``, so each step computes it from the coefficients so far:
+the square's coefficient k, then the product of ``W`` with the square's
+coefficients 0..k.  That is two convolutions of length k, O(K^2) work
+overall instead of re-cubing the series at every step.
 
 ``N(k)`` is also the weight of the k-th Adomian polynomial of the cube, so
 this recurrence yields the Adomian decomposition's component weights as well:
@@ -41,40 +42,24 @@ class DtmResult(Frozen):
             raise UsageError("V must hold order+1 coefficients")
 
 
-class _CubeAccumulator:
-    """Running degree-k coefficients of the cube of a growing coefficient list.
+def _cube_coeff(W: list[float], S: list[float]) -> float:
+    """Coefficient k of ``H**3``, where k = ``len(S)``; appends the square's coefficient k to ``S``.
 
-    ``push(w)`` folds one new coefficient into the square cache; ``nk(k)``
-    then yields the cube's coefficient k.  Entries of the square cache at
-    index m are final once coefficients 0..m have been pushed, which is all
-    ``nk(k)`` for k <= m ever reads.
+    ``S`` holds the square's coefficients 0..k-1 from the earlier calls, and
+    only ``W[0..k]`` is read.  The summation order is fixed, and a test pins
+    its bits: the square's middle term first, then its doubled pairs in
+    ascending j.
     """
-
-    def __init__(self, max_index: int):
-        # square coefficients needed for cube indices 0..max_index
-        self._square = [0.0] * (max_index + 1)
-        self._coeffs: list[float] = []
-        self._max = max_index
-
-    def push(self, w: float) -> None:
-        k = len(self._coeffs)
-        sq = self._square
-        coeffs = self._coeffs
-        lim = self._max - k
-        if lim >= 0:
-            for j in range(min(k, lim + 1)):
-                sq[k + j] += 2.0 * w * coeffs[j]
-            if k <= lim:
-                sq[2 * k] += w * w
-        coeffs.append(w)
-
-    def nk(self, k: int) -> float:
-        coeffs = self._coeffs
-        sq = self._square
-        acc = 0.0
-        for l in range(k + 1):
-            acc += coeffs[l] * sq[k - l]
-        return acc
+    k = len(S)
+    h = k // 2
+    sq = W[h] * W[h] if k % 2 == 0 else 0.0
+    for j in range(h + 1, k + 1):
+        sq += 2.0 * W[j] * W[k - j]
+    S.append(sq)
+    nk = 0.0
+    for l in range(k + 1):
+        nk += W[l] * S[k - l]
+    return nk
 
 
 def transform_coupled(p: CoupledParams, order: int) -> DtmResult:
@@ -82,11 +67,10 @@ def transform_coupled(p: CoupledParams, order: int) -> DtmResult:
     check_count(order, "order", 0, MAX_ORDER)
     W = [p.H0]
     V = [p.h0]
-    cube = _CubeAccumulator(max(order - 1, 0))
+    S: list[float] = []  # the square's coefficients
     for k in range(order):
         wk = W[k]
-        cube.push(wk)
-        nk = cube.nk(k)
+        nk = _cube_coeff(W, S)
         w = (p.c * wk + p.eta * V[k] - p.eps * nk) / (k + 1)
         v = (-p.theta * wk - p.gamma * V[k]) / (k + 1)
         W.append(w)
@@ -101,11 +85,10 @@ def transform_delayed(p: DelayedParams, order: int) -> DtmResult:
     check_count(order, "order", 0, MAX_ORDER)
     a, b = reduced_delayed_coeffs(p)
     W = [p.H0]
-    cube = _CubeAccumulator(max(order - 1, 0))
+    S: list[float] = []  # the square's coefficients
     for k in range(order):
         wk = W[k]
-        cube.push(wk)
-        nk = cube.nk(k)
+        nk = _cube_coeff(W, S)
         w = (a * wk - b * nk) / (k + 1)
         W.append(w)
         if not -COEFF_LIMIT <= w <= COEFF_LIMIT:

@@ -213,8 +213,9 @@ def residual_check(
 
     The residual series is ``d(series)/dt - RHS(series)``; coefficients
     ``0..upto`` are inspected (default: everything below the cap, whose own
-    derivative coefficient is an artifact of truncation).  Each residual
-    coefficient is computed in one pass, in the order of operations of
+    derivative coefficient is an artifact of truncation); an ``upto`` outside
+    ``0..cap-1`` is refused.  Each residual coefficient is computed in one
+    pass, in the order of operations of
     ``H' - (c*H + eta*h - eps*H**3)`` over series (``H' - (a*H - b*H**3)``
     for the delayed model): coefficient k of ``H'`` is ``(k+1)*H[k+1]``, and
     0.0 at the cap.  A non-finite coefficient, at any degree up to the cap,
@@ -242,7 +243,8 @@ def residual_check(
                for k, dH, x, z in zip(range(len(H)), H[1:] + (0.0,), H, C)]
         residuals = (check_finite(res),)
     cap = len(H) - 1
-    last = cap - 1 if upto is None else upto
-    if last >= cap:
-        raise UsageError("upto must stay below the series cap")
-    return max(max(map(abs, res[: last + 1]), default=0.0) for res in residuals)
+    if upto is None:
+        upto = cap - 1
+    elif not 0 <= upto < cap:
+        raise UsageError(f"upto must be >= 0 and below the series cap {cap}")
+    return max(max(map(abs, res[: upto + 1]), default=0.0) for res in residuals)

@@ -20,7 +20,7 @@ from ensoseries import (
     solve_delayed,
     vim_solve,
 )
-from ensoseries import errors
+from ensoseries import adm, cli, errors
 from ensoseries.cli import build_parser, main
 from ensoseries.reference import load_table
 
@@ -479,7 +479,13 @@ def test_grid_rows_are_counted_against_the_limit(monkeypatch, capsys):
     ["trajectory", "--model", "coupled"],
 ])
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
-def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, args, where):
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, args, where):
+    # refused before any solve: no transform (DTM, and ADM through it) and no RK4 run
+    calls = []
+    for module, name in [(cli, "transform_coupled"), (cli, "transform_delayed"), (cli, "rk4_values"),
+                         (adm, "transform_coupled"), (adm, "transform_delayed")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     out = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
     assert main(args + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -487,6 +493,7 @@ def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, args, where):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
     assert list(tmp_path.iterdir()) == []
+    assert calls == []
 
 
 # -- exit-code contract ---------------------------------------------------

@@ -518,6 +518,13 @@ def test_residual_upto_validation_and_mismatches():
     series = solve_delayed(TABLE3, 8)
     with pytest.raises(UsageError):
         residual_check(series, TABLE3, upto=8)
+    # a negative upto must not slice from the end: -1 would inspect nothing, -5 only coefficient 0
+    bad = SeriesPoly((1.0, 5.0, 7.0, 0.0, 0.0))
+    p = DelayedParams(0.5, 0.3, 0.25, 0.05)
+    assert residual_check(bad, p) > 18.0
+    for upto in (-1, -5, -6, -10**9):
+        with pytest.raises(UsageError):
+            residual_check(bad, p, upto=upto)
     with pytest.raises(UsageError):
         residual_check(series, TABLE1)
     with pytest.raises(UsageError):
@@ -546,6 +553,8 @@ def reference_residual_check(solution, params, upto=None):
         a, b = reduced_delayed_coeffs(params)
         H = solution
         residuals = (H.derivative() - (H.scale(a) - plain_cube(H).scale(b)),)
+    if upto is not None and upto < 0:
+        raise UsageError("upto must be >= 0")
     last = residuals[0].cap - 1 if upto is None else upto
     if last >= residuals[0].cap:
         raise UsageError("upto must stay below the series cap")

@@ -1,10 +1,12 @@
-"""One SHA-256 over thousands of seeded product and solver results.
+"""Two SHA-256s over thousands of seeded product and solver results.
 
-The constant was recorded before the series product was register-blocked,
-and it must hold on every supported Python: a reordered float operation, or
-an interpreter whose sums round differently, changes some result's bits.
-Each value enters the hash as ``float.hex``; a :class:`SeriesOverflowError`
-enters as its type and index.
+The first constant was recorded before the series product was
+register-blocked, the second before the DTM cube coefficients were computed
+by a pure function instead of a stateful accumulator.  Both must hold on
+every supported Python: a reordered float operation, or an interpreter whose
+sums round differently, changes some result's bits.  Each value enters the
+hash as ``float.hex``; a :class:`SeriesOverflowError` enters as its type and
+index (and, for the DTM transforms, its value).
 """
 
 import hashlib
@@ -21,8 +23,10 @@ from ensoseries import (
     residual_check,
     vim_solve,
 )
+from ensoseries.dtm import transform_coupled, transform_delayed
 
 PINNED_SHA256 = "9758786f44cf7a31e14a8a4a9024a27b7531847fd1b4aec3b8b0ce5a3d1bf46d"
+DTM_SHA256 = "072abc0f4d6f1890a346d264e098b94eafc797777a012ecfc05b7179da6de647"
 
 # A coefficient: mostly plain values, sometimes a signed zero, a subnormal or a huge value.
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1070, 1e160, -1e200)
@@ -90,16 +94,44 @@ def results():
             yield bits(lambda: residual_check(sol, p))
 
 
-def digest():
+def transform_bits(p, order):
+    """Every transformed coefficient's hex, or the overflow's type, index and value."""
+    transform = transform_coupled if isinstance(p, CoupledParams) else transform_delayed
+    try:
+        res = transform(p, order)
+    except SeriesOverflowError as exc:
+        return f"{type(exc).__name__}:{exc.index}:{exc.value.hex()}"
+    return ",".join(x.hex() for x in res.W + (res.V or ()))
+
+
+def dtm_results():
+    """1,212 seeded DTM transforms: eight at every order 0..150, then four at order 2000."""
+    rng = random.Random(30713)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterRangeWarning)
+        for i in range(8 * 151):
+            yield transform_bits(params(rng), i % 151)
+        # the README parameters stay in range up to the limit, and so does one of the draws
+        for p in (CoupledParams(1.0, 1.0, 1.0, 1.0, 0.1), DelayedParams(0.5, 0.3, 0.25, 0.05),
+                  params(rng), params(rng)):
+            yield transform_bits(p, 2000)
+
+
+def digest(lines):
     h = hashlib.sha256()
-    for line in results():
+    for line in lines:
         h.update(line.encode() + b"\n")
     return h.hexdigest()
 
 
 def test_seeded_results_keep_their_pinned_bits():
-    assert digest() == PINNED_SHA256
+    assert digest(results()) == PINNED_SHA256
+
+
+def test_seeded_dtm_transforms_keep_their_pinned_bits():
+    assert digest(dtm_results()) == DTM_SHA256
 
 
 if __name__ == "__main__":
-    print(digest())
+    print(digest(results()))
+    print(digest(dtm_results()))
