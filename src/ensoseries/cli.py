@@ -21,11 +21,11 @@ import sys
 
 from .adm import adm_solve_coupled, adm_solve_delayed
 from .dtm import assemble, transform_coupled, transform_delayed
-from .errors import MAX_ITERATIONS, NumericError, UsageError, check_count, check_step, check_steps, step_ratio
+from .errors import NumericError, UsageError, check_step, check_steps, step_ratio
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .oracle import exact_delayed, rk4_values
 from .reference import load_table
-from .vim import initial_state, vim_step_coupled, vim_step_delayed
+from .vim import vim_iterates
 
 _COUPLED_DEFAULTS = {"c": 1.0, "eta": 1.0, "gamma": 1.0, "theta": 1.0}
 _DELAYED_DEFAULTS = {"alpha": 0.5, "beta": 0.3, "sigma": 0.25}
@@ -50,7 +50,7 @@ def _grid(t_max: float, t_step: float) -> list[float]:
     return [i * t_step for i in range(n + 1)]
 
 
-def _params_from_args(args) -> tuple[str, list]:
+def _params_from_args(args) -> list:
     """Build one parameter object per requested eps value."""
     own = _COUPLED_DEFAULTS if args.model == "coupled" else _DELAYED_DEFAULTS
     other = _DELAYED_DEFAULTS if args.model == "coupled" else _COUPLED_DEFAULTS
@@ -60,23 +60,18 @@ def _params_from_args(args) -> tuple[str, list]:
     base = {k: getattr(args, k) if getattr(args, k) is not None else v
             for k, v in own.items()}
     if args.model == "coupled":
-        return args.model, [CoupledParams(eps=e, **base) for e in (args.eps or [0.1, 0.2])]
-    return args.model, [DelayedParams(eps=e, **base) for e in (args.eps or [0.05, 0.1])]
+        return [CoupledParams(eps=e, **base) for e in (args.eps or [0.1, 0.2])]
+    return [DelayedParams(eps=e, **base) for e in (args.eps or [0.05, 0.1])]
 
 
 def _solution_values(method, params, grid, order, terms, iters, oracle_step):
     """H values (and h where the model has one) for one method on the grid."""
-    coupled = isinstance(params, CoupledParams)
     if method == "exact":
-        if coupled:
-            raise UsageError("no closed form for the coupled model; use rk4")
         return [(exact_delayed(params, t),) for t in grid]
     if method == "rk4":
         return rk4_values(params, grid, oracle_step)
-    counts = {"dtm": order, "adm": terms, "vim": iters}
-    if method not in counts:
-        raise UsageError(f"unknown method {method!r}")
-    sol = next(_solutions(method, params, counts[method], counts[method]))
+    n = {"dtm": order, "adm": terms, "vim": iters}[method]
+    sol = next(_solutions(method, params, n, n))
     if isinstance(sol, SolutionPair):
         return [(sol.H.eval(t), sol.h.eval(t)) for t in grid]
     return [(sol.eval(t),) for t in grid]
@@ -110,21 +105,29 @@ def _write(out_path, lines) -> None:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
-def _column_setup(args):
-    """Model, parameter sets, grid, and ``solve(method, params)``: values on the grid."""
-    model, params_list = _params_from_args(args)
-    coupled = model == "coupled"
+def _column_setup(args, methods):
+    """Parameter sets, grid, and ``solve(method, params)``: values on the grid.
+
+    Every argument, each of ``methods`` and ``--out`` is checked here, before any solve.
+    """
+    params_list = _params_from_args(args)
+    coupled = args.model == "coupled"
     t_max = args.t_max if args.t_max is not None else (1.0 if coupled else 2.0)
     t_step = args.t_step if args.t_step is not None else (0.2 if coupled else 0.4)
     grid = _grid(t_max, t_step)
     order = args.order if args.order is not None else (40 if t_max >= 2.0 else 25)
     terms = args.terms if args.terms is not None else order + 1
+    for method in methods:  # in the order the command solves them, so the first bad one is named
+        if method not in ("exact", "rk4", "dtm", "adm", "vim"):
+            raise UsageError(f"unknown method {method!r}")
+        if method == "exact" and coupled:
+            raise UsageError("no closed form for the coupled model; use rk4")
     _refuse_unwritable(args.out)
 
     def solve(method, params):
         return _solution_values(method, params, grid, order, terms, args.iters, args.oracle_step)
 
-    return model, params_list, grid, solve
+    return params_list, grid, solve
 
 
 def _emit(out_path, grid, specs, columns) -> int:
@@ -151,17 +154,17 @@ def _emit(out_path, grid, specs, columns) -> int:
 
 
 def cmd_table(args) -> int:
-    model, params_list, grid, solve = _column_setup(args)
-    default_methods = "dtm,adm,vim" if model == "coupled" else "exact,dtm,adm,vim"
+    default_methods = "dtm,adm,vim" if args.model == "coupled" else "exact,dtm,adm,vim"
     methods = (args.methods or default_methods).split(",")
+    params_list, grid, solve = _column_setup(args, methods)
     specs = [(m, p, [f"{m}_eps{p.eps:g}"]) for m in methods for p in params_list]
     return _emit(args.out, grid, specs, lambda m, p: [[v[0] for v in solve(m, p)]])
 
 
 def cmd_errors(args) -> int:
-    model, params_list, grid, solve = _column_setup(args)
-    oracle = args.oracle or ("exact" if model == "delayed" else "rk4")
+    oracle = args.oracle or ("exact" if args.model == "delayed" else "rk4")
     methods = (args.methods or "dtm,adm,vim").split(",")
+    params_list, grid, solve = _column_setup(args, [oracle] + methods)
     truth = {}
     for p in params_list:
         try:
@@ -197,14 +200,7 @@ def _solutions(method, params, lo, hi):
         for n in range(lo, hi + 1):
             yield state.solution(n)
     else:
-        check_count(hi, "iterations", 0, MAX_ITERATIONS)  # before the first step
-        step = vim_step_coupled if coupled else vim_step_delayed
-        state = initial_state(params)
-        for n in range(hi + 1):
-            if n >= lo:
-                yield SolutionPair(state.H_iter, state.h_iter) if coupled else state.H_iter
-            if n < hi:
-                state = step(state, params)
+        yield from vim_iterates(params, hi)[lo:]
 
 
 def cmd_sweep(args) -> int:
@@ -227,11 +223,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    model, params_list, grid, solve = _column_setup(args)
-    default_methods = "dtm,adm,vim,rk4" if model == "coupled" else "dtm,adm,vim,exact"
+    default_methods = "dtm,adm,vim,rk4" if args.model == "coupled" else "dtm,adm,vim,exact"
     methods = (args.methods or default_methods).split(",")
+    params_list, grid, solve = _column_setup(args, methods)
     specs = [
-        (m, p, [f"{x}_{m}_eps{p.eps:g}" for x in ("Hh" if model == "coupled" and m != "exact" else "H")])
+        (m, p, [f"{x}_{m}_eps{p.eps:g}" for x in ("Hh" if args.model == "coupled" and m != "exact" else "H")])
         for m in methods
         for p in params_list
     ]

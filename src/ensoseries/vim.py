@@ -15,43 +15,17 @@ cap and therefore never disturbs the order-n agreement for n below it.  Each
 step works at the iterate's live degree below that cap: the first three
 iterates stay below degree 14, so their products are not dense to degree 64.
 :func:`vim_solve` carries the iterates as plain coefficient tuples at that
-live degree and pads them to the degree cap once, at the end; the public
-steps pad every iterate they return.
+live degree and pads them to the degree cap once, at the end;
+:func:`vim_iterates` runs the same steps and pads each iterate.
 """
 
 from __future__ import annotations
 
-from ._frozen import Frozen
 from .errors import MAX_ITERATIONS, MAX_ORDER, MAX_VIM_WORK, UsageError, check_coeffs, check_count
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
 from .series import SeriesPoly, _live_degree, _trusted
 
 DEFAULT_DEGREE_CAP = 64
-
-
-class VimState(Frozen):
-    """Current iterate: H (and h for the coupled model, else None) plus the step count."""
-
-    __slots__ = ("H_iter", "h_iter", "iteration")
-
-    def __post_init__(self):
-        if self.iteration < 0:
-            raise UsageError("iteration count cannot be negative")
-        if self.h_iter is not None and self.h_iter.cap != self.H_iter.cap:
-            raise UsageError("H and h iterates must share their cap")
-
-    @property
-    def degree_cap(self) -> int:
-        return self.H_iter.cap
-
-
-def initial_state(params: CoupledParams | DelayedParams, degree_cap: int = DEFAULT_DEGREE_CAP) -> VimState:
-    """Constant initial iterate(s); the natural starting point for Picard."""
-    check_count(degree_cap, "degree_cap", 0, MAX_ORDER)
-    H = SeriesPoly.constant(params.H0, degree_cap)
-    if isinstance(params, CoupledParams):
-        return VimState(H, SeriesPoly.constant(params.h0, degree_cap), 0)
-    return VimState(H, None, 0)
 
 
 def _at(coeffs: tuple[float, ...], m: int) -> tuple[float, ...]:
@@ -101,28 +75,6 @@ def _next_delayed(H, a: float, b: float, cap: int):
     return check_coeffs(tuple(H_next))
 
 
-def _step_cap(state: VimState) -> int:
-    """The state's degree cap; a step past ``MAX_ITERATIONS`` or above ``MAX_ORDER`` is refused."""
-    check_count(state.iteration + 1, "iterations", 0, MAX_ITERATIONS)
-    return check_count(state.degree_cap, "degree_cap", 0, MAX_ORDER)
-
-
-def vim_step_coupled(state: VimState, p: CoupledParams) -> VimState:
-    """One correction step of the coupled system (see :func:`_next_coupled`), padded to the degree cap."""
-    if state.h_iter is None:
-        raise UsageError("coupled step needs an h iterate")
-    cap = _step_cap(state)
-    H, h = _next_coupled(state.H_iter.coeffs, state.h_iter.coeffs, p, cap)
-    return VimState(_trusted(_at(H, cap)), _trusted(_at(h, cap)), state.iteration + 1)
-
-
-def vim_step_delayed(state: VimState, p: DelayedParams) -> VimState:
-    """One correction step of the delayed model in normalized form (see :func:`_next_delayed`)."""
-    cap = _step_cap(state)
-    H = _next_delayed(state.H_iter.coeffs, *reduced_delayed_coeffs(p), cap)
-    return VimState(_trusted(_at(H, cap)), None, state.iteration + 1)
-
-
 def _solve_work(iterations: int, degree_cap: int) -> int:
     """Most multiply-adds the cubes of ``iterations`` steps from a constant take.
 
@@ -137,19 +89,11 @@ def _solve_work(iterations: int, degree_cap: int) -> int:
     return work
 
 
-def vim_solve(
-    params: CoupledParams | DelayedParams,
-    iterations: int,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> SolutionPair | SeriesPoly:
-    """Apply ``iterations`` correction steps from the constant initial iterate.
+def _iterates(params: CoupledParams | DelayedParams, iterations: int, degree_cap: int):
+    """Iterates 0..iterations from the constant initial value, as coefficient tuples at their working caps.
 
-    The same steps as :func:`vim_step_coupled` and :func:`vim_step_delayed`
-    from :func:`initial_state`, bit for bit, but the iterates stay tuples at
-    their working caps and are padded to ``degree_cap`` once, at the end.
-    ``iterations`` may be at most ``MAX_ITERATIONS`` and ``degree_cap`` at
-    most ``MAX_ORDER``, and together they may ask for at most
-    ``MAX_VIM_WORK`` multiply-adds (see :func:`_solve_work`).
+    A coupled iterate is the pair ``(H, h)``, a delayed one ``H`` alone.
+    The limits :func:`vim_solve` names are checked before the first step.
     """
     check_count(iterations, "iterations", 0, MAX_ITERATIONS)
     check_count(degree_cap, "degree_cap", 0, MAX_ORDER)
@@ -157,13 +101,53 @@ def vim_solve(
     if work > MAX_VIM_WORK:
         raise UsageError(f"{iterations} iterations at degree cap {degree_cap} need up to {work} "
                          f"multiply-adds, more than the {MAX_VIM_WORK} allowed")
-    if isinstance(params, CoupledParams):
-        H, h = (params.H0,), (params.h0,)
-        for _ in range(iterations):
-            H, h = _next_coupled(H, h, params, degree_cap)
-        return SolutionPair(_trusted(_at(H, degree_cap)), _trusted(_at(h, degree_cap)))
-    a, b = reduced_delayed_coeffs(params)
-    H = (params.H0,)
+    coupled = isinstance(params, CoupledParams)
+    if coupled:
+        it = (params.H0,), (params.h0,)
+    else:
+        a, b = reduced_delayed_coeffs(params)
+        it = (params.H0,)
+    yield it
     for _ in range(iterations):
-        H = _next_delayed(H, a, b, degree_cap)
-    return _trusted(_at(H, degree_cap))
+        it = _next_coupled(*it, params, degree_cap) if coupled else _next_delayed(it, a, b, degree_cap)
+        yield it
+
+
+def _padded(params: CoupledParams | DelayedParams, it, degree_cap: int) -> SolutionPair | SeriesPoly:
+    """One iterate of :func:`_iterates` padded to ``degree_cap``."""
+    if isinstance(params, CoupledParams):
+        return SolutionPair(_trusted(_at(it[0], degree_cap)), _trusted(_at(it[1], degree_cap)))
+    return _trusted(_at(it, degree_cap))
+
+
+def vim_solve(
+    params: CoupledParams | DelayedParams,
+    iterations: int,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
+) -> SolutionPair | SeriesPoly:
+    """Apply ``iterations`` correction steps from the constant initial iterate.
+
+    The iterates stay tuples at their working caps, and only the last is
+    padded to ``degree_cap``.  ``iterations`` may be at most
+    ``MAX_ITERATIONS`` and ``degree_cap`` at most ``MAX_ORDER``, and together
+    they may ask for at most ``MAX_VIM_WORK`` multiply-adds (see
+    :func:`_solve_work`); more is refused before the first step.
+    """
+    for it in _iterates(params, iterations, degree_cap):
+        pass
+    return _padded(params, it, degree_cap)
+
+
+def vim_iterates(
+    params: CoupledParams | DelayedParams,
+    iterations: int,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
+) -> list[SolutionPair] | list[SeriesPoly]:
+    """Iterates 0..iterations, each padded to ``degree_cap``.
+
+    Entry n is ``vim_solve(params, n, degree_cap)``, bit for bit, and the
+    limits are those of :func:`vim_solve`; every entry comes from one run of
+    steps.  A list, not a generator, so every step has run when the call
+    returns.
+    """
+    return [_padded(params, it, degree_cap) for it in _iterates(params, iterations, degree_cap)]

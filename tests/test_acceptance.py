@@ -29,7 +29,7 @@ from ensoseries import (
 from ensoseries.cli import main as cli_main
 from ensoseries.dtm import transform_coupled, transform_delayed
 from ensoseries.reference import load_table
-from ensoseries.vim import initial_state, vim_step_coupled, vim_step_delayed
+from ensoseries.vim import vim_iterates
 from conftest import ADM_K_MAX, adm_dtm_draws, draw_coupled, draw_delayed, draw_until
 
 
@@ -292,17 +292,10 @@ def test_criterion_4_adm_equals_dtm():
 
 
 def _iterates(params, steps, order):
-    scalar = isinstance(params, DelayedParams)
-    if scalar:
-        r = transform_delayed(params, order)
-    else:
-        r = transform_coupled(params, order)
-    state = initial_state(params, 64)
-    out = []
-    for _ in range(steps):
-        state = (vim_step_delayed if scalar else vim_step_coupled)(state, params)
-        out.append(state)
-    return r, out
+    """The transform to ``order`` and iterates 1..steps as ``(H, h)`` pairs, h None for the delayed model."""
+    if isinstance(params, DelayedParams):
+        return transform_delayed(params, order), [(H, None) for H in vim_iterates(params, steps, 64)[1:]]
+    return transform_coupled(params, order), [(s.H, s.h) for s in vim_iterates(params, steps, 64)[1:]]
 
 
 def test_criterion_5_vim_picard_matching_and_sweeps(tmp_path):
@@ -311,13 +304,14 @@ def test_criterion_5_vim_picard_matching_and_sweeps(tmp_path):
         rng = random.Random(seed)
         for _ in range(50):
             p, (r, states) = draw_until(draw, rng, lambda q: _iterates(q, n_max, n_max))
-            for n, state in enumerate(states, start=1):
+            assert len(states) == n_max
+            for n, (H, h) in enumerate(states, start=1):
                 for k in range(n + 1):
-                    gap = abs(state.H_iter.coeffs[k] - r.W[k])
+                    gap = abs(H.coeffs[k] - r.W[k])
                     assert gap <= 1e-12 * max(1.0, abs(r.W[k]))
-                if state.h_iter is not None:
+                if h is not None:
                     for k in range(n + 1):
-                        gap = abs(state.h_iter.coeffs[k] - r.V[k])
+                        gap = abs(h.coeffs[k] - r.V[k])
                         assert gap <= 1e-12 * max(1.0, abs(r.V[k]))
 
     devs1, best1 = run_sweep(tmp_path, 1, "vim", 0.1, 1, 30)

@@ -472,6 +472,20 @@ def test_grid_rows_are_counted_against_the_limit(monkeypatch, capsys):
     assert main(["table", "--model", "delayed", "--methods", "exact", "--t-max", "2.4"]) == 2
 
 
+def watch_solves(monkeypatch):
+    """Record the name of each solve the CLI starts, in the list returned.
+
+    The solves are the transforms (DTM, and ADM through them), RK4, the closed form and VIM.
+    """
+    calls = []
+    for module, name in [(cli, "transform_coupled"), (cli, "transform_delayed"), (cli, "rk4_values"),
+                         (cli, "exact_delayed"), (cli, "vim_iterates"),
+                         (adm, "transform_coupled"), (adm, "transform_delayed")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    return calls
+
+
 @pytest.mark.parametrize("args", [
     ["table", "--model", "delayed"],
     ["errors", "--model", "delayed"],
@@ -480,12 +494,7 @@ def test_grid_rows_are_counted_against_the_limit(monkeypatch, capsys):
 ])
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, args, where):
-    # refused before any solve: no transform (DTM, and ADM through it) and no RK4 run
-    calls = []
-    for module, name in [(cli, "transform_coupled"), (cli, "transform_delayed"), (cli, "rk4_values"),
-                         (adm, "transform_coupled"), (adm, "transform_delayed")]:
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    calls = watch_solves(monkeypatch)  # refused before any solve
     out = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
     assert main(args + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -494,6 +503,31 @@ def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, args,
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
     assert list(tmp_path.iterdir()) == []
     assert calls == []
+
+
+NO_CLOSED_FORM = "no closed form for the coupled model; use rk4"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["table", "--model", "coupled", "--methods", "dtm,adm,vim,rk4,bogus"], "unknown method 'bogus'"),
+    (["table", "--model", "coupled", "--order", "2000", "--methods", "dtm,adm,exact"], NO_CLOSED_FORM),
+    (["table", "--model", "delayed", "--methods", "exact,vim,bogus,exact,other"], "unknown method 'bogus'"),
+    (["errors", "--model", "coupled", "--oracle", "exact", "--methods", "bogus"], NO_CLOSED_FORM),
+    (["errors", "--model", "coupled", "--methods", "vim,exact,bogus"], NO_CLOSED_FORM),
+    (["errors", "--model", "delayed", "--methods", "dtm,rk4,"], "unknown method ''"),
+    (["trajectory", "--model", "coupled", "--methods", "rk4,vim,exact"], NO_CLOSED_FORM),
+    (["trajectory", "--model", "delayed", "--methods", "exact,rk4,DTM", "--out", "missing/x.csv"],
+     "unknown method 'DTM'"),
+])
+def test_a_bad_method_is_a_usage_error_before_any_solve(tmp_path, capsys, monkeypatch, args, message):
+    # the first bad method in the order the columns are solved, the errors oracle first, and before --out
+    calls = watch_solves(monkeypatch)
+    assert main([str(tmp_path / a) if a.endswith(".csv") else a for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- exit-code contract ---------------------------------------------------

@@ -1,7 +1,8 @@
-"""The nine record types behave as the frozen dataclasses they replaced.
+"""The eight record types behave as the frozen dataclasses they replaced.
 
 The expected reprs were recorded from the ``@dataclass(frozen=True)``
-versions of these classes.
+versions of these classes.  The ``vim`` cases are records a solve returns,
+whose series are built without the public constructor.
 """
 
 import copy
@@ -9,13 +10,12 @@ import pickle
 
 import pytest
 
-from ensoseries import CoupledParams, DelayedParams, SeriesPoly, SolutionPair
+from ensoseries import CoupledParams, DelayedParams, SeriesPoly, SolutionPair, vim_solve
 from ensoseries.adm import AdmState
 from ensoseries.dtm import DtmResult
 from ensoseries.models import reduced_delayed_coeffs
 from ensoseries.oracle import Trajectory
 from ensoseries.reference import ReferenceTable
-from ensoseries.vim import VimState
 
 
 def s(*coeffs):
@@ -65,14 +65,14 @@ RECORDS = {
         "Trajectory(ts=(0.0, 0.5), states=((1.0,), (2.0,)), step=0.5)",
     ),
     "vim-delayed": (
-        lambda: VimState(s(1.0, 0.0), None, 0),
-        (s(1.0, 0.0), None, 0),
-        "VimState(H_iter=SeriesPoly(coeffs=(1.0, 0.0)), h_iter=None, iteration=0)",
+        lambda: vim_solve(DelayedParams(0.5, 0.3, 0.25, 0.05), 1, 2),
+        ((1.0, 0.16216216216216217, 0.0),),
+        "SeriesPoly(coeffs=(1.0, 0.16216216216216217, 0.0))",
     ),
     "vim-coupled": (
-        lambda: VimState(s(1.0, 0.5), s(1.0, -1.0), 2),
-        (s(1.0, 0.5), s(1.0, -1.0), 2),
-        "VimState(H_iter=SeriesPoly(coeffs=(1.0, 0.5)), h_iter=SeriesPoly(coeffs=(1.0, -1.0)), iteration=2)",
+        lambda: vim_solve(CoupledParams(1.0, 1.0, 1.0, 1.0, 0.1), 1, 1),
+        (s(1.0, 1.9), s(1.0, -2.0)),
+        "SolutionPair(H=SeriesPoly(coeffs=(1.0, 1.9)), h=SeriesPoly(coeffs=(1.0, -2.0)))",
     ),
     "dtm": (
         lambda: DtmResult((1.0, 2.0), None, 1),

@@ -19,7 +19,7 @@ from ensoseries import (
     vim_solve,
 )
 from ensoseries.dtm import transform_coupled, transform_delayed
-from ensoseries.vim import initial_state, vim_step_coupled, vim_step_delayed
+from ensoseries.vim import vim_iterates
 
 unit = st.floats(-2.0, 2.0)
 eps = st.floats(0.01, 0.99)
@@ -81,15 +81,7 @@ def test_adm_weights_are_the_transform_and_prefixes_are_the_short_solve(p, n, m)
 @examples
 @given(params, st.integers(0, 5), st.integers(0, 24))
 def test_vim_steps_are_the_solve(p, k, cap):
-    step = vim_step_coupled if isinstance(p, CoupledParams) else vim_step_delayed
-    state = initial_state(p, cap)
-    try:
-        for _ in range(k):
-            state = step(state, p)
-    except SeriesOverflowError:
-        assume(False)
-    solved = vim_solve(p, k, cap)
-    if isinstance(p, CoupledParams):
-        assert (state.H_iter, state.h_iter) == (solved.H, solved.h)
-    else:
-        assert state.H_iter == solved
+    iterates = no_overflow(vim_iterates, p, k, cap)
+    assert len(iterates) == k + 1
+    for n, iterate in enumerate(iterates):
+        assert iterate == vim_solve(p, n, cap)

@@ -22,14 +22,15 @@ from ensoseries import (
 from ensoseries.dtm import transform_coupled, transform_delayed
 from ensoseries.errors import MAX_ITERATIONS, MAX_ORDER, MAX_VIM_WORK, check_coeffs
 from ensoseries.models import reduced_delayed_coeffs
+from ensoseries import vim
 from ensoseries.vim import (
     DEFAULT_DEGREE_CAP,
-    VimState,
+    _at,
     _live_degree,
+    _next_coupled,
+    _next_delayed,
     _solve_work,
-    initial_state,
-    vim_step_coupled,
-    vim_step_delayed,
+    vim_iterates,
 )
 from conftest import draw_coupled, draw_delayed, draw_until, plain_cube
 
@@ -39,31 +40,32 @@ TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_zero_parameters_fix_the_constant():
-    state = initial_state(CoupledParams(0, 0, 0, 0, 0.0), 8)
-    stepped = vim_step_coupled(state, CoupledParams(0, 0, 0, 0, 0.0))
-    assert stepped.H_iter.coeffs == state.H_iter.coeffs
-    assert stepped.h_iter.coeffs == state.h_iter.coeffs
+    start, stepped = vim_iterates(CoupledParams(0, 0, 0, 0, 0.0), 1, 8)
+    assert start.H.coeffs == start.h.coeffs == (1.0,) + (0.0,) * 8
+    assert stepped.H.coeffs == start.H.coeffs
+    assert stepped.h.coeffs == start.h.coeffs
 
 
 def test_one_step_is_a_hand_integration():
-    stepped = vim_step_coupled(initial_state(TABLE1, 8), TABLE1)
-    assert stepped.H_iter.coeffs[:2] == (1.0, 1.9)
-    assert all(c == 0.0 for c in stepped.H_iter.coeffs[2:])
-    assert stepped.h_iter.coeffs[:2] == (1.0, -2.0)
-    assert stepped.iteration == 1
+    iterates = vim_iterates(TABLE1, 1, 8)
+    assert len(iterates) == 2
+    stepped = iterates[1]
+    assert stepped.H.coeffs[:2] == (1.0, 1.9)
+    assert all(c == 0.0 for c in stepped.H.coeffs[2:])
+    assert stepped.h.coeffs[:2] == (1.0, -2.0)
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_delayed_fixed_point():
     p = DelayedParams(0.7, 0.7, 0.5, 0.0)
-    stepped = vim_step_delayed(initial_state(p, 8), p)
-    assert stepped.H_iter.coeffs == (1.0,) + (0.0,) * 8
+    stepped = vim_iterates(p, 1, 8)[1]
+    assert stepped.coeffs == (1.0,) + (0.0,) * 8
 
 
 def test_delayed_one_step():
-    stepped = vim_step_delayed(initial_state(TABLE3, 8), TABLE3)
-    assert stepped.H_iter.coeffs[1] == pytest.approx(0.15 / 0.925, rel=1e-14)
-    assert all(c == 0.0 for c in stepped.H_iter.coeffs[2:])
+    stepped = vim_iterates(TABLE3, 1, 8)[1]
+    assert stepped.coeffs[1] == pytest.approx(0.15 / 0.925, rel=1e-14)
+    assert all(c == 0.0 for c in stepped.coeffs[2:])
 
 
 def test_solve_zero_iterations_is_the_constant():
@@ -91,23 +93,20 @@ def test_delayed_sufficient_steps_near_published_value():
 
 
 def test_initial_condition_preserved_every_iteration():
-    state = initial_state(TABLE1, 32)
-    for _ in range(6):
-        state = vim_step_coupled(state, TABLE1)
-        assert state.H_iter.eval(0.0) == 1.0
-        assert state.h_iter.eval(0.0) == 1.0
+    for pair in vim_iterates(TABLE1, 6, 32):
+        assert pair.H.eval(0.0) == 1.0
+        assert pair.h.eval(0.0) == 1.0
 
 
 def test_picard_order_matching_sample():
     rng = random.Random(71)
     for _ in range(10):
         p, r = draw_until(draw_coupled, rng, lambda q: transform_coupled(q, 8))
-        state = initial_state(p, 64)
-        try:
+        try:  # each iterate up to the first that overflows
             for n in range(1, 9):
-                state = vim_step_coupled(state, p)
+                H = vim_solve(p, n, 64).H
                 for k in range(n + 1):
-                    gap = abs(state.H_iter.coeffs[k] - r.W[k])
+                    gap = abs(H.coeffs[k] - r.W[k])
                     assert gap <= 1e-12 * max(1.0, abs(r.W[k]))
         except SeriesOverflowError:
             continue
@@ -117,12 +116,11 @@ def test_picard_order_matching_delayed_sample():
     rng = random.Random(72)
     for _ in range(10):
         p, r = draw_until(draw_delayed, rng, lambda q: transform_delayed(q, 6))
-        state = initial_state(p, 64)
-        try:
+        try:  # each iterate up to the first that overflows
             for n in range(1, 7):
-                state = vim_step_delayed(state, p)
+                H = vim_solve(p, n, 64)
                 for k in range(n + 1):
-                    gap = abs(state.H_iter.coeffs[k] - r.W[k])
+                    gap = abs(H.coeffs[k] - r.W[k])
                     assert gap <= 1e-12 * max(1.0, abs(r.W[k]))
         except SeriesOverflowError:
             continue
@@ -135,13 +133,9 @@ def _max_gap_on_grid(a: SeriesPoly, b: SeriesPoly, t_max=1.0, points=21):
 
 def test_iterate_differences_shrink_for_table_parameters():
     for params in (TABLE1, TABLE3):
-        scalar = isinstance(params, DelayedParams)
-        state = initial_state(params, 64)
-        gaps = []
-        for _ in range(8):
-            nxt = (vim_step_delayed if scalar else vim_step_coupled)(state, params)
-            gaps.append(_max_gap_on_grid(nxt.H_iter, state.H_iter))
-            state = nxt
+        Hs = [it if isinstance(params, DelayedParams) else it.H for it in vim_iterates(params, 8, 64)]
+        gaps = [_max_gap_on_grid(nxt, H) for H, nxt in zip(Hs, Hs[1:])]
+        assert len(gaps) == 8
         assert all(b <= a * (1 + 1e-12) for a, b in zip(gaps, gaps[1:]))
 
 
@@ -162,42 +156,52 @@ def test_an_overflowing_cube_is_a_numeric_error(p):
 
 
 def test_usage_errors():
-    with pytest.raises(UsageError):
-        vim_solve(TABLE1, -1)
-    with pytest.raises(UsageError):
-        initial_state(TABLE1, -2)
-    scalar_state = initial_state(TABLE3, 8)
-    with pytest.raises(UsageError):
-        vim_step_coupled(scalar_state, TABLE1)
+    for solve in (vim_solve, vim_iterates):
+        with pytest.raises(UsageError):
+            solve(TABLE1, -1)
+        with pytest.raises(UsageError):
+            solve(TABLE1, 1, -2)
 
 
-def test_counts_above_the_limits_are_refused_before_any_work():
+def no_steps(monkeypatch):
+    """Make any correction step fail the test: the calls that follow must be refused before one."""
+    def step(*args):
+        pytest.fail("a step ran before the refusal")
+
+    monkeypatch.setattr(vim, "_next_coupled", step)
+    monkeypatch.setattr(vim, "_next_delayed", step)
+
+
+def test_counts_above_the_limits_are_refused_before_any_work(monkeypatch):
     assert vim_solve(TABLE3, 1, MAX_ORDER).cap == MAX_ORDER
-    for call in (lambda: vim_solve(TABLE1, MAX_ITERATIONS + 1),
-                 lambda: vim_solve(TABLE3, 10**9),
-                 lambda: vim_solve(TABLE3, 1, MAX_ORDER + 1),
-                 lambda: vim_solve(TABLE1, 1, 10**12),
-                 lambda: initial_state(TABLE1, MAX_ORDER + 1)):
-        with pytest.raises(UsageError, match="must be in 0.."):
-            call()
-    # the steps refuse an iterate past the iteration limit, or above the cap limit
-    state = initial_state(TABLE1, 2)
-    last = VimState(state.H_iter, state.h_iter, MAX_ITERATIONS - 1)
-    assert vim_step_coupled(last, TABLE1).iteration == MAX_ITERATIONS
-    with pytest.raises(UsageError, match=f"iterations must be in 0..{MAX_ITERATIONS}$"):
-        vim_step_coupled(VimState(state.H_iter, state.h_iter, MAX_ITERATIONS), TABLE1)
-    with pytest.raises(UsageError, match=f"degree_cap must be in 0..{MAX_ORDER}$"):
-        vim_step_delayed(VimState(SeriesPoly.zero(MAX_ORDER + 1), None, 0), TABLE3)
+    assert vim_iterates(TABLE3, 1, MAX_ORDER)[1] == vim_solve(TABLE3, 1, MAX_ORDER)
+    iterates = vim_iterates(TABLE1, MAX_ITERATIONS, 2)
+    assert len(iterates) == MAX_ITERATIONS + 1 and iterates[-1] == vim_solve(TABLE1, MAX_ITERATIONS, 2)
+    no_steps(monkeypatch)
+    for solve in (vim_solve, vim_iterates):
+        for call in (lambda: solve(TABLE1, MAX_ITERATIONS + 1),
+                     lambda: solve(TABLE3, 10**9),
+                     lambda: solve(TABLE3, 1, MAX_ORDER + 1),
+                     lambda: solve(TABLE1, 1, 10**12)):
+            with pytest.raises(UsageError, match="must be in 0.."):
+                call()
+        with pytest.raises(UsageError, match=f"iterations must be in 0..{MAX_ITERATIONS}$"):
+            solve(TABLE1, MAX_ITERATIONS + 1, 2)
+        with pytest.raises(UsageError, match=f"degree_cap must be in 0..{MAX_ORDER}$"):
+            solve(TABLE3, 0, MAX_ORDER + 1)
 
 
-def test_solve_work_is_refused_above_the_budget_before_any_step():
+def test_solve_work_is_refused_above_the_budget_before_any_step(monkeypatch):
     # the CLI's largest VIM solve stays accepted; both count limits together are refused
     assert _solve_work(MAX_ITERATIONS, DEFAULT_DEGREE_CAP) == 4_274_808 <= MAX_VIM_WORK
     assert _solve_work(9, MAX_ORDER) <= MAX_VIM_WORK < _solve_work(10, MAX_ORDER)
     assert vim_solve(TABLE3, 9, MAX_ORDER).cap == MAX_ORDER
-    for iterations, cap in ((MAX_ITERATIONS, MAX_ORDER), (10, MAX_ORDER), (MAX_ITERATIONS, 100)):
-        with pytest.raises(UsageError, match=f"more than the {MAX_VIM_WORK} allowed$"):
-            vim_solve(TABLE1, iterations, cap)
+    assert vim_iterates(TABLE3, 9, MAX_ORDER)[-1] == vim_solve(TABLE3, 9, MAX_ORDER)
+    no_steps(monkeypatch)
+    for solve in (vim_solve, vim_iterates):
+        for iterations, cap in ((MAX_ITERATIONS, MAX_ORDER), (10, MAX_ORDER), (MAX_ITERATIONS, 100)):
+            with pytest.raises(UsageError, match=f"more than the {MAX_VIM_WORK} allowed$"):
+                solve(TABLE1, iterations, cap)
 
 
 def test_solve_work_bounds_the_multiply_adds_of_the_cubes(monkeypatch):
@@ -221,34 +225,44 @@ def test_solve_work_bounds_the_multiply_adds_of_the_cubes(monkeypatch):
 # -- the live-degree step against a dense step at the full cap ----------
 
 
-def dense_step(state, p):
+def dense_step(H, h, p):
     """One correction step with every ``SeriesPoly`` op at the full degree cap.
 
-    The cube comes from the plain loops of :func:`conftest.plain_cube`, not
-    from the series products the step under test uses.
+    ``h`` is None for the delayed model.  The cube comes from the plain loops
+    of :func:`conftest.plain_cube`, not from the series products the step
+    under test uses.
     """
-    H, h = state.H_iter, state.h_iter
     if isinstance(p, CoupledParams):
         res_H = H.derivative() - H.scale(p.c) - h.scale(p.eta) + plain_cube(H).scale(p.eps)
         res_h = h.derivative() + H.scale(p.theta) + h.scale(p.gamma)
         H_next, h_next = H - res_H.antiderivative(), h - res_h.antiderivative()
         check_coeffs(H_next.coeffs)
         check_coeffs(h_next.coeffs)
-        return VimState(H_next, h_next, state.iteration + 1)
+        return H_next, h_next
     a, b = reduced_delayed_coeffs(p)
     res = H.derivative() - H.scale(a) + plain_cube(H).scale(b)
     H_next = H - res.antiderivative()
     check_coeffs(H_next.coeffs)
-    return VimState(H_next, None, state.iteration + 1)
+    return H_next, None
 
 
-def iterate_bits(step, state, p, iterations):
-    """Exact hex coefficients of every iterate, or the overflow's message."""
+def kernel_step(H, h, p):
+    """One step of the kernels ``vim_solve`` and ``vim_iterates`` run, padded to the cap with ``_at``."""
+    cap = H.cap
+    if isinstance(p, CoupledParams):
+        H_next, h_next = _next_coupled(H.coeffs, h.coeffs, p, cap)
+        return SeriesPoly(_at(H_next, cap)), SeriesPoly(_at(h_next, cap))
+    return SeriesPoly(_at(_next_delayed(H.coeffs, *reduced_delayed_coeffs(p), cap), cap)), None
+
+
+def iterate_bits(step, start, p, iterations):
+    """Exact hex coefficients of every iterate from ``start = (H, h)``, or the overflow's message."""
+    H, h = start
     out = []
     try:
         for _ in range(iterations):
-            state = step(state, p)
-            out.append(tuple(x.hex() for s in (state.H_iter, state.h_iter) if s for x in s.coeffs))
+            H, h = step(H, h, p)
+            out.append(tuple(x.hex() for s in (H, h) if s for x in s.coeffs))
     except SeriesOverflowError as exc:
         out.append(str(exc))
     return out
@@ -271,16 +285,22 @@ def vim_delayed(draw):
 coeff = st.one_of(st.just(0.0), st.just(-0.0), unit)
 
 
+def constant_start(p, cap):
+    """The constant initial iterate ``(H, h)`` at ``cap``; h is None for the delayed model."""
+    h = SeriesPoly.constant(p.h0, cap) if isinstance(p, CoupledParams) else None
+    return SeriesPoly.constant(p.H0, cap), h
+
+
 @st.composite
 def start(draw, p):
     """The constant initial iterate, or a short hand-built one, at a drawn cap."""
     cap = draw(st.sampled_from([0, 1, 2, 10, 64]) | st.integers(0, 64))
     if draw(st.booleans()):
-        return initial_state(p, cap)
+        return constant_start(p, cap)
     iterate = st.lists(coeff, min_size=1, max_size=min(cap + 1, 6))
     H = SeriesPoly.from_coeffs(draw(iterate), cap)
     h = SeriesPoly.from_coeffs(draw(iterate), cap) if isinstance(p, CoupledParams) else None
-    return VimState(H, h, 0)
+    return H, h
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
@@ -288,9 +308,8 @@ def start(draw, p):
 @given(st.one_of(vim_coupled, vim_delayed()).flatmap(lambda p: st.tuples(st.just(p), start(p))),
        st.sampled_from([0, 1, 2, 3, 5]))
 def test_steps_are_bit_identical_to_the_dense_step(drawn, iterations):
-    p, state = drawn
-    step = vim_step_coupled if isinstance(p, CoupledParams) else vim_step_delayed
-    assert iterate_bits(step, state, p, iterations) == iterate_bits(dense_step, state, p, iterations)
+    p, start = drawn
+    assert iterate_bits(kernel_step, start, p, iterations) == iterate_bits(dense_step, start, p, iterations)
 
 
 def random_draws():
@@ -309,36 +328,33 @@ def random_draws():
 def test_steps_are_bit_identical_to_the_dense_step_on_random_draws():
     # full-precision draws, where a reordered sum changes the last bits
     for p, cap in random_draws():
-        state = initial_state(p, cap)
-        step = vim_step_coupled if isinstance(p, CoupledParams) else vim_step_delayed
-        assert iterate_bits(step, state, p, 4) == iterate_bits(dense_step, state, p, 4)
+        start = constant_start(p, cap)
+        assert iterate_bits(kernel_step, start, p, 4) == iterate_bits(dense_step, start, p, 4)
 
 
 def overflow_bits(exc):
     return exc.index, exc.value.hex()
 
 
-def solve_bits(p, iterations, cap):
-    """Exact hex coefficients of ``vim_solve``, or its overflow's index and value."""
-    try:
-        sol = vim_solve(p, iterations, cap)
-    except SeriesOverflowError as exc:
-        return overflow_bits(exc)
+def sol_bits(sol):
+    """Exact hex coefficients of a solution: H (and h) of a pair, or one series."""
     return [x.hex() for s in ((sol.H, sol.h) if isinstance(sol, SolutionPair) else (sol,)) for x in s.coeffs]
 
 
-def stepped_bits(p, iterations, cap):
-    """``solve_bits`` of 0..iterations public steps from the initial state."""
-    step = vim_step_coupled if isinstance(p, CoupledParams) else vim_step_delayed
-    state, out = initial_state(p, cap), []
-    for n in range(iterations + 1):
-        if n:
-            try:
-                state = step(state, p)
-            except SeriesOverflowError as exc:
-                return out + [overflow_bits(exc)] * (iterations + 1 - n)
-        out.append([x.hex() for s in (state.H_iter, state.h_iter) if s for x in s.coeffs])
-    return out
+def solve_bits(p, iterations, cap):
+    """``sol_bits`` of ``vim_solve``, or its overflow's index and value."""
+    try:
+        return sol_bits(vim_solve(p, iterations, cap))
+    except SeriesOverflowError as exc:
+        return overflow_bits(exc)
+
+
+def iterates_bits(p, iterations, cap):
+    """``sol_bits`` of each entry of ``vim_iterates``, or its overflow's index and value."""
+    try:
+        return [sol_bits(sol) for sol in vim_iterates(p, iterations, cap)]
+    except SeriesOverflowError as exc:
+        return overflow_bits(exc)
 
 
 OVERFLOWING = [CoupledParams(40.0, 0, 0, 0, 0.5), CoupledParams(1, 1, 1, 1, 0.1, H0=1e120),
@@ -348,14 +364,15 @@ OVERFLOWING = [CoupledParams(40.0, 0, 0, 0, 0.5), CoupledParams(1, 1, 1, 1, 0.1,
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 @pytest.mark.parametrize("cap", [0, 1, 2, 5, 10, 64])
 def test_solve_is_bit_identical_to_the_public_steps(cap):
-    # vim_solve carries live-length tuples and pads once; the steps pad every iterate
+    # entry k of vim_iterates(p, n) is vim_solve(p, k): one pads every iterate, the other the last;
+    # a list whose last step overflows is refused with the overflow that solve gives
     overflows = 0
     for p in [p for p, _ in random_draws()] + OVERFLOWING:
         n = 12 if p in OVERFLOWING else 5
-        want = stepped_bits(p, n, cap)
-        got = [solve_bits(p, k, cap) for k in range(n + 1)]
-        assert got == want
-        overflows += isinstance(want[-1], tuple)
+        solved = [solve_bits(p, k, cap) for k in range(n + 1)]
+        for k in range(n + 1):
+            assert iterates_bits(p, k, cap) == (solved[k] if isinstance(solved[k], tuple) else solved[: k + 1])
+        overflows += isinstance(solved[-1], tuple)
     assert overflows >= 2  # the comparison reached the overflow path
 
 
