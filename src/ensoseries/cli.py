@@ -21,7 +21,8 @@ import sys
 
 from .adm import adm_solve_coupled, adm_solve_delayed
 from .dtm import assemble, transform_coupled, transform_delayed
-from .errors import NumericError, UsageError, check_step, check_steps, step_ratio
+from .errors import (MAX_ITERATIONS, MAX_ORDER, NumericError, UsageError, check_count, check_step, check_steps,
+                     step_ratio)
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .oracle import exact_delayed, rk4_values
 from .reference import load_table
@@ -108,7 +109,7 @@ def _write(out_path, lines) -> None:
 def _column_setup(args, methods):
     """Parameter sets, grid, and ``solve(method, params)``: values on the grid.
 
-    Every argument, each of ``methods`` and ``--out`` is checked here, before any solve.
+    Every argument, each of ``methods`` with its count and ``--out`` is checked here, before any solve.
     """
     params_list = _params_from_args(args)
     coupled = args.model == "coupled"
@@ -117,11 +118,15 @@ def _column_setup(args, methods):
     grid = _grid(t_max, t_step)
     order = args.order if args.order is not None else (40 if t_max >= 2.0 else 25)
     terms = args.terms if args.terms is not None else order + 1
+    limits = {"dtm": (order, "order", 0, MAX_ORDER), "adm": (terms, "n_terms", 1, MAX_ORDER + 1),
+              "vim": (args.iters, "iterations", 0, MAX_ITERATIONS)}  # each solver's own check
     for method in methods:  # in the order the command solves them, so the first bad one is named
         if method not in ("exact", "rk4", "dtm", "adm", "vim"):
             raise UsageError(f"unknown method {method!r}")
         if method == "exact" and coupled:
             raise UsageError("no closed form for the coupled model; use rk4")
+        if method in limits:
+            check_count(*limits[method])
     _refuse_unwritable(args.out)
 
     def solve(method, params):

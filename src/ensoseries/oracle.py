@@ -10,7 +10,8 @@ equation: substituting ``w = H**-2`` gives the linear equation
 and ``H(t) = sign(H0) * w(t)**-0.5``.  The closed form is validated against the RK4
 integrator before it is trusted anywhere (the acceptance suite runs that gate
 explicitly), and RK4 doubles as the reference for the coupled model, which
-has no elementary closed form.
+has no elementary closed form.  :func:`rk4_values` is the one RK4 entry
+point: it returns the states at the requested times.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from math import isfinite
 
-from ._frozen import Frozen
 from .errors import DomainError, UsageError, check_finite, check_step, check_steps, step_ratio
 from .models import (
     CoupledParams,
@@ -29,31 +29,6 @@ from .models import (
     reduced_delayed_coeffs,
 )
 from .series import SeriesPoly
-
-
-class Trajectory(Frozen):
-    """Integrator output: states (H,) or (H, h) on a strictly increasing grid, and the step."""
-
-    __slots__ = ("ts", "states", "step")
-
-    def __post_init__(self):
-        if len(self.ts) != len(self.states):
-            raise UsageError("ts and states must align")
-        if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
-            raise UsageError("grid must be strictly increasing")
-        for t, state in zip(self.ts, self.states):
-            if not all(math.isfinite(x) for x in state):
-                raise DomainError(f"non-finite state at t={t}")
-
-    @property
-    def H(self) -> tuple[float, ...]:
-        return tuple(s[0] for s in self.states)
-
-    @property
-    def h(self) -> tuple[float, ...]:
-        if len(self.states[0]) < 2:
-            raise UsageError("scalar trajectory has no h component")
-        return tuple(s[1] for s in self.states)
 
 
 def exact_delayed(p: DelayedParams, t: float) -> float:
@@ -99,13 +74,13 @@ def _blew_up(t: float, h: float, steps: int) -> DomainError:
     return DomainError(f"integration blew up near t={t}")
 
 
-def _rk4_coupled(p: CoupledParams, state: tuple[float, float], t: float, h: float, n: int, out=None):
+def _rk4_coupled(p: CoupledParams, state: tuple[float, float], t: float, h: float, n: int):
     """Advance ``n`` classical RK4 steps of size ``h`` of the coupled model from time ``t``.
 
-    Returns the final state ``(H, h)`` and appends each new state to the list
-    ``out`` if one is given.  The state lives in scalar locals and each stage
-    calls :func:`models.coupled_rhs` once.  Float ``*`` and ``+`` saturate to
-    inf rather than raise, so a blow-up shows as a non-finite state; only its
+    Returns the final state ``(H, h)``; :func:`rk4_values` runs one call per
+    gap.  The state lives in scalar locals and each stage calls
+    :func:`models.coupled_rhs` once.  Float ``*`` and ``+`` saturate to inf
+    rather than raise, so a blow-up shows as a non-finite state; only its
     message needs the time, which :func:`_blew_up` sums as a running clock would.
     """
     half = 0.5 * h
@@ -119,12 +94,10 @@ def _rk4_coupled(p: CoupledParams, state: tuple[float, float], t: float, h: floa
         v = v + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
         if not (isfinite(u) and isfinite(v)):
             raise _blew_up(t, h, i + 1)
-        if out is not None:
-            out.append((u, v))
     return u, v
 
 
-def _rk4_delayed(p: DelayedParams, state: tuple[float], t: float, h: float, n: int, out=None):
+def _rk4_delayed(p: DelayedParams, state: tuple[float], t: float, h: float, n: int):
     """Advance ``n`` RK4 steps of the delayed model like :func:`_rk4_coupled`, through ``delayed_rhs``."""
     half = 0.5 * h
     (u,) = state
@@ -136,41 +109,7 @@ def _rk4_delayed(p: DelayedParams, state: tuple[float], t: float, h: float, n: i
         u = u + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not isfinite(u):
             raise _blew_up(t, h, i + 1)
-        if out is not None:
-            out.append((u,))
     return (u,)
-
-
-def _stepper(params: CoupledParams | DelayedParams):
-    """The model's RK4 stepper ``steps(params, state, t, h, n, out=None)``, and its initial state."""
-    if isinstance(params, CoupledParams):
-        return _rk4_coupled, (params.H0, params.h0)
-    return _rk4_delayed, (params.H0,)
-
-
-def rk4(params: CoupledParams | DelayedParams, t_end: float, step: float) -> Trajectory:
-    """Classical fourth-order Runge-Kutta from t = 0 on a uniform grid.
-
-    The step is adjusted minimally so the grid's last time is ``t_end`` itself.
-    More than ``errors.MAX_STEPS`` steps are refused with :class:`UsageError`.
-    """
-    check_step(step)
-    if not isfinite(t_end):
-        raise UsageError(f"t_end must be finite, got {t_end!r}")
-    if t_end < 0.0:
-        raise UsageError("t_end must be >= 0")
-    steps, state = _stepper(params)
-    ts, states, h = (0.0,), [state], step
-    if t_end > 0.0:
-        n = check_steps(max(1, round(step_ratio(t_end, step))), "RK4 steps")
-        h = t_end / n
-        steps(params, state, 0.0, h, n, states)
-        ts = (*[i * h for i in range(n)], t_end)
-    # the stepper checked every state and the grid rises, so the constructor's checks are skipped
-    trajectory = object.__new__(Trajectory)
-    for name, value in zip(Trajectory._fields, (ts, tuple(states), h)):
-        object.__setattr__(trajectory, name, value)
-    return trajectory
 
 
 def rk4_values(
@@ -195,7 +134,10 @@ def rk4_values(
     gaps = [(t_prev, t - t_prev) for t_prev, t in zip([0.0, *ts], ts)]
     counts = [max(1, math.ceil(step_ratio(span, step))) if span > 0.0 else 0 for _, span in gaps]
     check_steps(sum(counts), "RK4 steps")
-    steps, state = _stepper(params)
+    if isinstance(params, CoupledParams):
+        steps, state = _rk4_coupled, (params.H0, params.h0)
+    else:
+        steps, state = _rk4_delayed, (params.H0,)
     out = []
     for (t_prev, span), n in zip(gaps, counts):
         if n:

@@ -455,14 +455,35 @@ def test_a_huge_finite_count_is_a_usage_error(tmp_path, capsys, args):
     ["trajectory", "--model", "coupled", "--order", "1" + "0" * 400],
     ["sweep", "--table", "1", "--method", "vim", "--eps", "0.1", "--max", "1000000000"],
     ["sweep", "--table", "4", "--method", "adm", "--eps", "0.05", "--max", "2002"],
+    # refused before the oracle and every earlier column: these ran 1 to 5 s before exiting 2
+    ["errors", "--model", "coupled", "--oracle-step", "1e-6", "--methods", "dtm", "--order", "5000"],
+    ["table", "--model", "delayed", "--iters", "1001", "--order", "2000"],
+    ["table", "--model", "coupled", "--methods", "dtm,adm", "--order", "2000", "--terms", "2002"],
+    ["trajectory", "--model", "coupled", "--iters", "1001"],
 ])
-def test_a_huge_solve_count_is_a_usage_error(tmp_path, capsys, args):
+def test_a_huge_solve_count_is_a_usage_error(tmp_path, capsys, monkeypatch, args):
     # refused before the solver allocates or steps: --order 20000 ran past 10 s before
+    calls = watch_solves(monkeypatch)
     code = main(args + ["--out", str(tmp_path / "x.csv")])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and " must be in " in err[0]
+    assert len(err) == 1 and err[0] in (
+        "error: order must be in 0..2000", "error: n_terms must be in 1..2001", "error: iterations must be in 0..1000")
     assert not (tmp_path / "x.csv").exists()
+    if args[0] != "sweep":  # a sweep's count is checked by its one solve
+        assert calls == []
+
+
+def test_a_count_error_comes_before_an_out_error(tmp_path, capsys, monkeypatch):
+    calls = watch_solves(monkeypatch)
+    assert main(["table", "--model", "delayed", "--iters", "1001", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: iterations must be in 0..1000\n"
+    assert calls == []
+
+
+def test_the_count_of_a_method_not_requested_is_not_checked(capsys):
+    assert main(["table", "--model", "coupled", "--methods", "vim,rk4", "--order", "5000", "--terms", "0"]) == 0
+    assert capsys.readouterr().out.startswith("t,vim_eps0.1,vim_eps0.2,rk4_eps0.1,rk4_eps0.2\n")
 
 
 def test_grid_rows_are_counted_against_the_limit(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""The eight record types behave as the frozen dataclasses they replaced.
+"""The seven record types behave as the frozen dataclasses they replaced.
 
 The expected reprs were recorded from the ``@dataclass(frozen=True)``
 versions of these classes.  The ``vim`` cases are records a solve returns,
@@ -14,7 +14,6 @@ from ensoseries import CoupledParams, DelayedParams, SeriesPoly, SolutionPair, v
 from ensoseries.adm import AdmState
 from ensoseries.dtm import DtmResult
 from ensoseries.models import reduced_delayed_coeffs
-from ensoseries.oracle import Trajectory
 from ensoseries.reference import ReferenceTable
 
 
@@ -58,11 +57,6 @@ RECORDS = {
         lambda: SolutionPair(s(1.0, 2.0), s(3.0, -0.0)),
         (s(1.0, 2.0), s(3.0, -0.0)),
         "SolutionPair(H=SeriesPoly(coeffs=(1.0, 2.0)), h=SeriesPoly(coeffs=(3.0, -0.0)))",
-    ),
-    "trajectory": (
-        lambda: Trajectory((0.0, 0.5), ((1.0,), (2.0,)), 0.5),
-        ((0.0, 0.5), ((1.0,), (2.0,)), 0.5),
-        "Trajectory(ts=(0.0, 0.5), states=((1.0,), (2.0,)), step=0.5)",
     ),
     "vim-delayed": (
         lambda: vim_solve(DelayedParams(0.5, 0.3, 0.25, 0.05), 1, 2),

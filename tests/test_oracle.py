@@ -25,7 +25,6 @@ from ensoseries import (
 )
 from ensoseries import errors, oracle
 from ensoseries.models import coupled_rhs, delayed_rhs, reduced_delayed_coeffs
-from ensoseries.oracle import Trajectory, rk4
 from conftest import draw_delayed, plain_cube
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
@@ -154,14 +153,13 @@ def test_exact_monotone_toward_attractor_on_table_sets():
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_rk4_constant_for_zero_parameters():
-    traj = rk4(CoupledParams(0, 0, 0, 0, 0.0), 1.0, 0.1)
-    assert set(traj.H) == {1.0}
-    assert set(traj.h) == {1.0}
+    states = rk4_values(CoupledParams(0, 0, 0, 0, 0.0), [0.1 * i for i in range(11)], 0.1)
+    assert set(states) == {(1.0, 1.0)}
 
 
 def test_rk4_matches_exact_on_table3():
-    traj = rk4(TABLE3, 2.0, 1e-3)
-    worst = max(abs(H - exact_delayed(TABLE3, t)) for t, H in zip(traj.ts, traj.H))
+    ts = [1e-3 * i for i in range(2001)]
+    worst = max(abs(H - exact_delayed(TABLE3, t)) for t, (H,) in zip(ts, rk4_values(TABLE3, ts, 1e-3)))
     assert worst <= 1e-9
 
 
@@ -172,25 +170,24 @@ def test_rk4_agrees_with_converged_series_coupled():
 
 
 def test_rk4_halving_reduces_error_fourth_order():
-    errs = []
-    for step in (0.2, 0.1):
-        traj = rk4(TABLE3, 2.0, step)
-        errs.append(max(abs(H - exact_delayed(TABLE3, t)) for t, H in zip(traj.ts, traj.H)))
+    # one requested time: a grid [i*h] would make ceil split gaps such as
+    # 0.6000000000000001 - 0.4 into two steps, and the ratio would leave [12, 20]
+    errs = [abs(rk4_values(TABLE3, [2.0], step)[0][0] - exact_delayed(TABLE3, 2.0)) for step in (0.2, 0.1)]
     assert 12.0 <= errs[0] / errs[1] <= 20.0
 
 
 def test_rk4_argument_validation():
     with pytest.raises(UsageError):
-        rk4(TABLE3, 1.0, 0.0)
+        rk4_values(TABLE3, [1.0], 0.0)
     with pytest.raises(UsageError):
-        rk4(TABLE3, -1.0, 0.1)
+        rk4_values(TABLE3, [-1.0], 0.1)
 
 
 def test_rk4_blowup_names_failure():
     with pytest.warns(ParameterRangeWarning):
         p = CoupledParams(1, 0, 0, 0, -1.0)  # anti-damping: finite-time blow-up
     with pytest.raises(DomainError):
-        rk4(p, 2.0, 0.01)
+        rk4_values(p, [2.0], 0.01)
 
 
 def test_rk4_values_hits_requested_nodes():
@@ -207,13 +204,6 @@ def test_rk4_values_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_rk4_refuses_a_non_finite_end(bad):
-    for p in (TABLE1, TABLE3):
-        with pytest.raises(UsageError):
-            rk4(p, bad, 0.1)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rk4_values_refuses_non_finite_times(bad):
     # a NaN time used to come back silently as the initial state
     for p in (TABLE1, TABLE3):
@@ -224,7 +214,7 @@ def test_rk4_values_refuses_non_finite_times(bad):
 
 def test_rk4_refuses_a_nan_step():
     with pytest.raises(UsageError):
-        rk4(TABLE3, 1.0, math.nan)
+        rk4_values(TABLE3, [1.0], math.nan)
     with pytest.raises(UsageError):
         rk4_values(TABLE1, [0.5], math.nan)
 
@@ -234,43 +224,46 @@ def test_rk4_refuses_a_step_that_is_not_positive_and_finite(bad):
     # an infinite step used to be taken as one RK4 step per requested time
     for p in (TABLE1, TABLE3):
         with pytest.raises(UsageError):
-            rk4(p, 1.0, bad)
+            rk4_values(p, [1.0], bad)
         with pytest.raises(UsageError):
             rk4_values(p, [0.5, 1.0], bad)
 
 
-def test_rk4_refuses_a_step_too_small_for_its_span():
+def test_rk4_refuses_a_step_too_small_for_its_span(monkeypatch):
     # span / step overflowed to inf, and rounding it raised a bare OverflowError
+    calls = []
+    for name in ("coupled_rhs", "delayed_rhs"):
+        rhs = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args, rhs=rhs: calls.append(args) or rhs(*args))
     for p in (TABLE1, TABLE3):
-        with pytest.raises(UsageError, match="too small"):
-            rk4(p, 1.0, 5e-324)
         with pytest.raises(UsageError, match="too small"):
             rk4_values(p, [1.0], 5e-324)
         # a span as small as the step is one step
-        assert len(rk4(p, 5e-324, 5e-324).ts) == 2
+        calls.clear()
+        assert len(rk4_values(p, [5e-324], 5e-324)) == 1 and len(calls) == 4
 
 
 def test_rk4_refuses_a_huge_finite_step_count():
     # about 1e300 steps, each count finite: refused, not run
     for p in (TABLE1, TABLE3):
         with pytest.raises(UsageError, match="exceed the limit"):
-            rk4(p, 1.0, 1e-300)
+            rk4_values(p, [1.0], 1e-300)
         with pytest.raises(UsageError, match="exceed the limit"):
             rk4_values(p, [0.5, 1.0], 1e-300)
         with pytest.raises(UsageError, match="exceed the limit"):
-            rk4(p, 1e308, 1.0)
+            rk4_values(p, [1e308], 1.0)
 
 
 def test_rk4_step_limit_counts_every_gap_before_the_first_step(monkeypatch):
     calls = []
     monkeypatch.setattr(oracle, "delayed_rhs", lambda p, H: calls.append(H) or delayed_rhs(p, H))
     monkeypatch.setattr(errors, "MAX_STEPS", 4)
-    assert len(rk4(TABLE3, 1.0, 0.25).ts) == 5  # 4 steps: at the limit
+    assert len(rk4_values(TABLE3, [1.0], 0.25)) == 1  # 4 steps: at the limit
     assert len(rk4_values(TABLE3, [0.0, 0.5, 1.0], 0.25)) == 3  # 2 + 2
     taken = len(calls)
     assert taken == 4 * 8
     with pytest.raises(UsageError, match="^5 RK4 steps exceed the limit of 4$"):
-        rk4(TABLE3, 1.25, 0.25)
+        rk4_values(TABLE3, [1.25], 0.25)
     with pytest.raises(UsageError, match="^5 RK4 steps"):
         rk4_values(TABLE3, [0.5, 1.25], 0.25)  # 2 + 3: each gap alone is within it
     assert len(calls) == taken
@@ -278,9 +271,7 @@ def test_rk4_step_limit_counts_every_gap_before_the_first_step(monkeypatch):
 
 def test_rk4_takes_a_finite_step_wider_than_the_span():
     # the step only bounds the sub-steps: 1e308 gives one step per gap
-    one_step = rk4(TABLE3, 1.0, 1.0).states[-1]
-    assert rk4(TABLE3, 1.0, 1e308).states[-1] == one_step
-    assert rk4_values(TABLE3, [1.0], 1e308) == [one_step]
+    assert rk4_values(TABLE3, [1.0], 1e308) == rk4_values(TABLE3, [1.0], 1.0)
     assert rk4_values(TABLE1, [0.5, 1.0], 1e308) == rk4_values(TABLE1, [0.5, 1.0], 0.5)
 
 
@@ -308,14 +299,6 @@ def reference_rhs(p):
     if isinstance(p, CoupledParams):
         return lambda s: coupled_rhs(p, s[0], s[1]), (p.H0, p.h0)
     return lambda s: (delayed_rhs(p, s[0]),), (p.H0,)
-
-
-def reference_rk4(p, t_end, step):
-    f, state = reference_rhs(p)
-    if t_end == 0.0:
-        return [state]
-    n = max(1, round(t_end / step))
-    return [state, *reference_rk4_steps(f, state, 0.0, t_end / n, n)]
 
 
 def reference_rk4_values(p, ts, step):
@@ -370,8 +353,10 @@ with warnings.catch_warnings():
 @example(ANTI_DAMPED, 2.0, 0.01)
 @example(ANTI_DAMPED_DELAYED, 2.0, 0.01)
 def test_rk4_states_are_bit_identical_to_the_generic_stepper(p, t_end, step):
-    want = bits(lambda: reference_rk4(p, t_end, step))
-    assert bits(lambda: rk4(p, t_end, step).states) == want
+    # every multiple of the step up to t_end requested, so every step's state is compared
+    ts = [i * step for i in range(round(t_end / step) + 1)]
+    want = bits(lambda: reference_rk4_values(p, ts, step))
+    assert bits(lambda: rk4_values(p, ts, step)) == want
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
@@ -388,7 +373,7 @@ def test_rk4_values_are_bit_identical_to_the_generic_stepper(p, ts, step):
 def test_generic_stepper_comparison_sees_blowups():
     # the examples above must exercise the error path, message included
     for p in (ANTI_DAMPED, ANTI_DAMPED_DELAYED):
-        got = bits(lambda: rk4(p, 2.0, 0.01).states)
+        got = bits(lambda: rk4_values(p, [2.0], 0.01))
         assert got[0] == "DomainError" and "blew up near t=" in got[1]
 
 
@@ -414,7 +399,7 @@ def test_every_rk4_step_calls_the_right_hand_side_four_times(p, monkeypatch):
     name = "coupled_rhs" if isinstance(p, CoupledParams) else "delayed_rhs"
     rhs = getattr(oracle, name)
     monkeypatch.setattr(oracle, name, lambda *args: calls.append(args) or rhs(*args))
-    assert len(rk4(p, 1.0, 0.1).ts) == 11
+    assert len(rk4_values(p, [1.0], 0.1)) == 1
     assert len(calls) == 4 * 10
     calls.clear()
     # gaps 0, 0.25, 0.5 and 0.75 at step 0.2: 0 + 2 + 3 + 4 steps
@@ -423,53 +408,6 @@ def test_every_rk4_step_calls_the_right_hand_side_four_times(p, monkeypatch):
     calls.clear()
     rk4_values(p, [0.5], 1.0)
     assert len(calls) == 4
-
-
-def test_rk4_grid_ends_exactly_at_t_end():
-    # n * (t_end / n) can miss t_end by an ulp; the states are unchanged
-    rng = random.Random(11)
-    pairs = [(0.834, 0.05)] + [(rng.uniform(0.01, 3.0), rng.choice([0.05, 0.1, 0.13, 0.3])) for _ in range(300)]
-    missed = 0
-    for t_end, step in pairs:
-        traj = rk4(TABLE3, t_end, step)
-        n = len(traj.ts) - 1
-        assert traj.ts[-1] == t_end
-        assert traj.ts[:-1] == tuple(i * traj.step for i in range(n))
-        missed += n * traj.step != t_end
-    assert missed > 0  # the pairs include ends the old grid missed
-    assert rk4(TABLE3, 0.834, 0.05).states == tuple(reference_rk4(TABLE3, 0.834, 0.05))
-
-
-@pytest.mark.parametrize("p", [TABLE1, TABLE3])
-@pytest.mark.parametrize("t_end, step", [
-    (0.0, 0.1), (0.834, 0.05), (1.0, 0.1), (2.0, 1e-3), (0.3, 1.0), (1e-320, 1e-323),
-])
-def test_rk4_result_equals_the_checked_trajectory(p, t_end, step):
-    # rk4 builds its Trajectory without the constructor's checks, from states the stepper checked
-    n = max(1, round(t_end / step))
-    h = t_end / n if t_end else step
-    ts = (*[i * h for i in range(n)], t_end) if t_end else (0.0,)
-    checked = Trajectory(ts, tuple(reference_rk4(p, t_end, step)), h)
-    traj = rk4(p, t_end, step)
-    assert traj == checked and hash(traj) == hash(checked) and repr(traj) == repr(checked)
-    assert type(traj.ts) is tuple and type(traj.states) is tuple
-
-
-def test_a_hand_built_trajectory_keeps_its_checks():
-    with pytest.raises(DomainError, match="non-finite state at t=0.5"):
-        Trajectory((0.0, 0.5), ((1.0,), (math.nan,)), 0.5)
-    with pytest.raises(DomainError):
-        Trajectory((0.0, 0.5), ((1.0, 1.0), (1.0, math.inf)), 0.5)
-
-
-def test_trajectory_invariants():
-    with pytest.raises(UsageError):
-        Trajectory((0.0, 0.0), ((1.0,), (1.0,)), 0.1)
-    with pytest.raises(UsageError):
-        Trajectory((0.0,), ((1.0,), (1.0,)), 0.1)
-    scalar = Trajectory((0.0, 1.0), ((1.0,), (1.1,)), 1.0)
-    with pytest.raises(UsageError):
-        scalar.h
 
 
 # -- residuals ----------------------------------------------------------
