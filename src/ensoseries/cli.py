@@ -107,7 +107,10 @@ def _write(out_path, lines) -> None:
 
 
 def _column_setup(args, methods):
-    """Parameter sets, grid, and ``solve(method, params)``: values on the grid.
+    """Parameter sets, grid, ``solve(method, params)``: values on the grid, and ``label(method, params)``.
+
+    The label names a solve on stderr: the method, the eps and, for a series
+    method, its order, terms or iterations.
 
     Every argument, each of ``methods`` with its count and ``--out`` is checked here, before any solve.
     """
@@ -129,25 +132,30 @@ def _column_setup(args, methods):
             check_count(*limits[method])
     _refuse_unwritable(args.out)
 
+    counts = {"dtm": f" order={order}", "adm": f" terms={terms}", "vim": f" iters={args.iters}"}
+
     def solve(method, params):
         return _solution_values(method, params, grid, order, terms, args.iters, args.oracle_step)
 
-    return params_list, grid, solve
+    def label(method, params):
+        return f"{method} eps={params.eps:g}{counts.get(method, '')}"
+
+    return params_list, grid, solve, label
 
 
-def _emit(out_path, grid, specs, columns) -> int:
+def _emit(out_path, grid, specs, columns, label) -> int:
     """Write ``t`` and one column per name; exit code 3 if any cell is an error.
 
     ``specs`` lists ``(method, params, names)``, and ``columns(method,
     params)`` returns the values of each name.  A numeric failure turns all
-    of them into error cells.
+    of them into error cells and is reported under ``label(method, params)``.
     """
     header, cells = ["t"], []
     for method, params, names in specs:
         try:
             cols = [[_fmt(v) for v in col] for col in columns(method, params)]
         except NumericError as exc:
-            print(f"{method} eps={params.eps:g}: {exc}", file=sys.stderr)
+            print(f"{label(method, params)}: {exc}", file=sys.stderr)
             cols = [[ERROR_CELL] * len(grid) for _ in names]
         header += names
         cells += cols
@@ -161,21 +169,21 @@ def _emit(out_path, grid, specs, columns) -> int:
 def cmd_table(args) -> int:
     default_methods = "dtm,adm,vim" if args.model == "coupled" else "exact,dtm,adm,vim"
     methods = (args.methods or default_methods).split(",")
-    params_list, grid, solve = _column_setup(args, methods)
+    params_list, grid, solve, label = _column_setup(args, methods)
     specs = [(m, p, [f"{m}_eps{p.eps:g}"]) for m in methods for p in params_list]
-    return _emit(args.out, grid, specs, lambda m, p: [[v[0] for v in solve(m, p)]])
+    return _emit(args.out, grid, specs, lambda m, p: [[v[0] for v in solve(m, p)]], label)
 
 
 def cmd_errors(args) -> int:
     oracle = args.oracle or ("exact" if args.model == "delayed" else "rk4")
     methods = (args.methods or "dtm,adm,vim").split(",")
-    params_list, grid, solve = _column_setup(args, [oracle] + methods)
+    params_list, grid, solve, label = _column_setup(args, [oracle] + methods)
     truth = {}
     for p in params_list:
         try:
             truth[p] = [v[0] for v in solve(oracle, p)]
         except NumericError as exc:
-            print(f"{oracle} eps={p.eps:g}: {exc}", file=sys.stderr)
+            print(f"{label(oracle, p)}: {exc}", file=sys.stderr)
             truth[p] = None
 
     def errors(m, p):
@@ -184,7 +192,7 @@ def cmd_errors(args) -> int:
         return [[abs(v[0] - w) for v, w in zip(solve(m, p), truth[p])]]
 
     specs = [(m, p, [f"err_{m}_eps{p.eps:g}"]) for p in params_list for m in methods]
-    return _emit(args.out, grid, specs, errors)
+    return _emit(args.out, grid, specs, errors, label)
 
 
 def _solutions(method, params, lo, hi):
@@ -230,13 +238,13 @@ def cmd_sweep(args) -> int:
 def cmd_trajectory(args) -> int:
     default_methods = "dtm,adm,vim,rk4" if args.model == "coupled" else "dtm,adm,vim,exact"
     methods = (args.methods or default_methods).split(",")
-    params_list, grid, solve = _column_setup(args, methods)
+    params_list, grid, solve, label = _column_setup(args, methods)
     specs = [
         (m, p, [f"{x}_{m}_eps{p.eps:g}" for x in ("Hh" if args.model == "coupled" and m != "exact" else "H")])
         for m in methods
         for p in params_list
     ]
-    return _emit(args.out, grid, specs, lambda m, p: list(zip(*solve(m, p))))
+    return _emit(args.out, grid, specs, lambda m, p: list(zip(*solve(m, p))), label)
 
 
 def _add_common(sub, model_required=True):

@@ -8,20 +8,25 @@ finite Taylor section behaves.  The solvers' caps stay small (64 for VIM by
 default, ``errors.MAX_ORDER + 1`` at most), so the quadratic-cost convolution
 product is entirely adequate.  A product skips the zero tails of its
 operands: its sums run only over the terms below both operands' live degrees
-(see :meth:`SeriesPoly.cauchy_mul`), and give the same bits as the full sums.
+(see :func:`_product`), and give the same bits as the full sums.
 Where four sums start at the same term, one loop feeds all four, each in
 its own order, so the bits are those of one sum at a time.  No sum uses
 ``sum``, ``math.fsum`` or ``math.sumprod``, which round otherwise from 3.12.
+:func:`_product` and :func:`_cube` work on plain coefficient tuples, so
+:mod:`vim` steps call them without building a series per product;
+:meth:`SeriesPoly.cauchy_mul`, and so :meth:`SeriesPoly.cube`, runs the same
+kernel.
 
 Coefficients are checked where they come in: the public constructor converts
 each one to float and refuses NaN and infinities.  An operation's result is
 computed from series that were already checked, so it is wrapped by
-:func:`_trusted`, which only confirms in one pass that nothing overflowed.
+:func:`_trusted`, which only confirms in one pass that nothing overflowed;
+:func:`_wrap` wraps a tuple that its caller has checked already.
 """
 
 from __future__ import annotations
 
-from math import copysign
+from math import copysign, inf
 
 from ._frozen import Frozen
 from .errors import SeriesOverflowError, UsageError, check_finite, require_finite
@@ -50,12 +55,6 @@ class SeriesPoly(Frozen):
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, cap: int) -> "SeriesPoly":
-        if cap < 0:
-            raise UsageError("cap must be >= 0")
-        return cls((0.0,) * (cap + 1))
-
-    @classmethod
     def constant(cls, value: float, cap: int) -> "SeriesPoly":
         return cls.monomial(value, 0, cap)
 
@@ -68,17 +67,6 @@ class SeriesPoly(Frozen):
             raise UsageError(f"monomial degree {degree} outside 0..{cap}")
         coeffs = [0.0] * (cap + 1)
         coeffs[degree] = require_finite(value, "value")
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def from_coeffs(cls, coeffs, cap: int | None = None) -> "SeriesPoly":
-        """Build from a coefficient sequence, zero-padding up to ``cap``."""
-        coeffs = list(coeffs)
-        if cap is None:
-            cap = len(coeffs) - 1
-        if cap < len(coeffs) - 1:
-            raise UsageError(f"cap {cap} smaller than highest given degree {len(coeffs) - 1}")
-        coeffs.extend([0.0] * (cap + 1 - len(coeffs)))
         return cls(tuple(coeffs))
 
     # -- arithmetic ----------------------------------------------------
@@ -119,56 +107,14 @@ class SeriesPoly(Frozen):
         """Convolution product, truncated at the shared cap.
 
         ``result[k] = sum_r self[r] * other[k-r]``, summed left to right from
-        0.0; degrees above the cap are dropped.  Each sum runs only over
-        ``max(0, k - db) <= r <= min(k, da)``, with ``da`` and ``db`` the live
-        degrees of ``self`` and ``other`` (see :func:`_live_degree`), and
-        coefficients above ``da + db`` are +0.0.  That is bit for bit the
-        full sum: a skipped term is a trailing +0.0 times a finite
-        coefficient, so it is +0.0 or -0.0, and a round-to-nearest sum that
-        starts at +0.0 is never -0.0, so adding such a term changes no
-        partial sum.
-
-        While ``k + 3 <= min(top, da, db)`` (``top = min(cap, da + db)``),
-        the sums of coefficients k..k+3 all start at r = 0: one sweep over
-        ``self[0..k]`` feeds all four, then the terms with r > k follow in
-        ascending r (``self[k+1]*other[0]`` to k+1, ``[k+1]*[1]`` and
-        ``[k+2]*[0]`` to k+2, ``[k+1]*[2]``, ``[k+2]*[1]`` and ``[k+3]*[0]``
-        to k+3).  Each sum keeps its terms, their order and its +0.0 start,
-        so the bits are those of one coefficient per sweep.
+        0.0 over the terms below both operands' live degrees only, which is
+        bit for bit the full sum (see :func:`_product`).
         """
         a, b = self.coeffs, other.coeffs
         if len(a) != len(b):
             self._check_compatible(other)
-        last = len(a) - 1
         da = _live_degree(a)
-        db = da if other is self else _live_degree(b)
-        top = min(last, da + db)
-        a, rb = a[: da + 1], b[db::-1]  # rb: other[db], other[db-1], ..., other[0]
-        out = []
-        blocked = min(top, da, db) - 2  # out[k..k+3] share r = 0..k while k + 3 <= min(top, da, db)
-        if blocked > 0:
-            b0, b1, b2 = b[0], b[1], b[2]
-        for k in range(0, blocked, 4):
-            s0 = s1 = s2 = s3 = 0.0
-            for x, y0, y1, y2, y3 in zip(a, rb[db - k:], rb[db - k - 1:], rb[db - k - 2:], rb[db - k - 3:]):
-                s0 += x * y0
-                s1 += x * y1
-                s2 += x * y2
-                s3 += x * y3
-            a1, a2 = a[k + 1], a[k + 2]
-            out += (s0, s1 + a1 * b0, s2 + a1 * b1 + a2 * b0, s3 + a1 * b2 + a2 * b1 + a[k + 3] * b0)
-        for k in range(len(out), min(top, db) + 1):
-            acc = 0.0
-            for x, y in zip(a, rb[db - k:]):  # self[0] * other[k], ...
-                acc += x * y
-            out.append(acc)
-        for k in range(db + 1, top + 1):
-            acc = 0.0
-            for x, y in zip(a[k - db:], rb):  # self[k-db] * other[db], ...
-                acc += x * y
-            out.append(acc)
-        out += [0.0] * (last - top)
-        return _trusted(tuple(out))
+        return _trusted(_product(a, b, da, da if other is self else _live_degree(b)))
 
     def cube(self) -> "SeriesPoly":
         """Triple convolution ``self * self * self`` (truncated)."""
@@ -195,7 +141,8 @@ class SeriesPoly(Frozen):
 
     def eval(self, t: float) -> float:
         """Horner evaluation of the truncated series at ``t``."""
-        t = require_finite(t, "t")
+        if type(t) is not float or not -inf < t < inf:  # a finite float passes as it is
+            t = require_finite(t, "t")
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * t + c
@@ -217,6 +164,76 @@ def _live_degree(coeffs: tuple[float, ...]) -> int:
     return d
 
 
+def _product(a: tuple[float, ...], b: tuple[float, ...], da: int, db: int) -> tuple[float, ...]:
+    """Convolution product of two coefficient tuples of one length, truncated at their cap.
+
+    ``result[k] = sum_r a[r] * b[k-r]``, summed left to right from 0.0;
+    degrees above the cap are dropped.  Each sum runs only over
+    ``max(0, k - db) <= r <= min(k, da)``, and coefficients above ``da + db``
+    are +0.0.  ``da`` and ``db`` are the caller's live degrees of ``a`` and
+    ``b`` (see :func:`_live_degree`), or any larger index up to the cap.
+    That is bit for bit the full sum: a skipped term is a trailing +0.0 times
+    a finite coefficient, so it is +0.0 or -0.0, and a round-to-nearest sum
+    that starts at +0.0 is never -0.0, so adding such a term changes no
+    partial sum.
+
+    While ``k + 3 <= min(top, da, db)`` (``top = min(cap, da + db)``), the
+    sums of coefficients k..k+3 all start at r = 0: one sweep over
+    ``a[0..k]`` feeds all four, then the terms with r > k follow in
+    ascending r (``a[k+1]*b[0]`` to k+1, ``a[k+1]*b[1]`` and ``a[k+2]*b[0]``
+    to k+2, ``a[k+1]*b[2]``, ``a[k+2]*b[1]`` and ``a[k+3]*b[0]`` to k+3).
+    Each sum keeps its terms, their order and its +0.0 start, so the bits
+    are those of one coefficient per sweep.  The result is not checked.
+    """
+    last = len(a) - 1
+    top = min(last, da + db)
+    a, rb = a[: da + 1], b[db::-1]  # rb: b[db], b[db-1], ..., b[0]
+    out = []
+    blocked = min(top, da, db) - 2  # out[k..k+3] share r = 0..k while k + 3 <= min(top, da, db)
+    if blocked > 0:
+        b0, b1, b2 = b[0], b[1], b[2]
+    for k in range(0, blocked, 4):
+        s0 = s1 = s2 = s3 = 0.0
+        for x, y0, y1, y2, y3 in zip(a, rb[db - k:], rb[db - k - 1:], rb[db - k - 2:], rb[db - k - 3:]):
+            s0 += x * y0
+            s1 += x * y1
+            s2 += x * y2
+            s3 += x * y3
+        a1, a2 = a[k + 1], a[k + 2]
+        out += (s0, s1 + a1 * b0, s2 + a1 * b1 + a2 * b0, s3 + a1 * b2 + a2 * b1 + a[k + 3] * b0)
+    for k in range(len(out), min(top, db) + 1):
+        acc = 0.0
+        for x, y in zip(a, rb[db - k:]):  # a[0] * b[k], ...
+            acc += x * y
+        out.append(acc)
+    for k in range(db + 1, top + 1):
+        acc = 0.0
+        for x, y in zip(a[k - db:], rb):  # a[k-db] * b[db], ...
+            acc += x * y
+        out.append(acc)
+    out += [0.0] * (last - top)
+    return tuple(out)
+
+
+def _cube(H: tuple[float, ...], d: int) -> tuple[float, ...]:
+    """The checked coefficients of :meth:`SeriesPoly.cube` of finite ``H``, bit for bit.
+
+    ``d`` is the caller's live degree of ``H``, or any larger index up to its
+    cap.  The square is checked before it is multiplied by ``H``, as
+    ``cube()`` checks it, so an overflow names the same index.  The square's
+    live degree is at most ``2*d``.
+    """
+    S = check_finite(_product(H, H, d, d))
+    return check_finite(_product(S, H, min(len(H) - 1, 2 * d), d))
+
+
+def _wrap(coeffs: tuple[float, ...]) -> SeriesPoly:
+    """Wrap a non-empty tuple of already checked floats, skipping the public constructor."""
+    series = object.__new__(SeriesPoly)
+    object.__setattr__(series, "coeffs", coeffs)
+    return series
+
+
 def _trusted(coeffs: tuple[float, ...]) -> SeriesPoly:
     """Wrap a non-empty tuple of floats computed from already checked series.
 
@@ -225,7 +242,4 @@ def _trusted(coeffs: tuple[float, ...]) -> SeriesPoly:
     overflowed, or raises :class:`SeriesOverflowError` naming the first
     non-finite coefficient.
     """
-    check_finite(coeffs)
-    series = object.__new__(SeriesPoly)
-    object.__setattr__(series, "coeffs", coeffs)
-    return series
+    return _wrap(check_finite(coeffs))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .errors import MAX_ITERATIONS, MAX_ORDER, MAX_VIM_WORK, UsageError, check_coeffs, check_count
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
-from .series import SeriesPoly, _live_degree, _trusted
+from .series import SeriesPoly, _cube, _live_degree, _wrap
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -48,10 +48,13 @@ def _next_coupled(H, h, p: CoupledParams, cap: int):
     with C the cube of H: the expression, in its order of operations, that
     ``H - (H' - c*H - eta*h + eps*H**3).antiderivative()`` evaluates with
     series operations.  Coefficient 0 is H[0] (H[0] - 0.0).  Likewise for h.
+    C comes from :func:`series._cube` on the padded tuple, with the live
+    degree found here: the bits of ``SeriesPoly.cube``, with no series built.
     """
-    m = min(cap, max(3 * _live_degree(H), _live_degree(h)) + 1)
+    d = _live_degree(H)
+    m = min(cap, max(3 * d, _live_degree(h)) + 1)
     H, h = _at(H, m), _at(h, m)
-    C = _trusted(H).cube().coeffs
+    C = _cube(H, min(d, m))  # d > m only where H ran past the cap and _at cut it
     c, eta, eps, theta, gamma = p.c, p.eta, p.eps, p.theta, p.gamma
     H_next, h_next = [H[0]], [h[0]]
     for k, Hk, Hj, hk, hj, Cj in zip(range(1, m + 1), H[1:], H, h[1:], h, C):
@@ -66,9 +69,10 @@ def _next_delayed(H, a: float, b: float, cap: int):
     Runs at working cap ``m = 3*deg(H) + 1``; coefficient k >= 1 of the next
     iterate is ``H[k] - ((k*H[k] - a*H[k-1]) + b*C[k-1]) / k``.
     """
-    m = min(cap, 3 * _live_degree(H) + 1)
+    d = _live_degree(H)
+    m = min(cap, 3 * d + 1)
     H = _at(H, m)
-    C = _trusted(H).cube().coeffs
+    C = _cube(H, min(d, m))
     H_next = [H[0]]
     for k, Hk, Hj, Cj in zip(range(1, m + 1), H[1:], H, C):
         H_next.append(Hk - ((k * Hk - a * Hj) + b * Cj) / k)
@@ -114,10 +118,10 @@ def _iterates(params: CoupledParams | DelayedParams, iterations: int, degree_cap
 
 
 def _padded(params: CoupledParams | DelayedParams, it, degree_cap: int) -> SolutionPair | SeriesPoly:
-    """One iterate of :func:`_iterates` padded to ``degree_cap``."""
+    """One iterate of :func:`_iterates` padded to ``degree_cap``; its steps have checked it already."""
     if isinstance(params, CoupledParams):
-        return SolutionPair(_trusted(_at(it[0], degree_cap)), _trusted(_at(it[1], degree_cap)))
-    return _trusted(_at(it, degree_cap))
+        return SolutionPair(_wrap(_at(it[0], degree_cap)), _wrap(_at(it[1], degree_cap)))
+    return _wrap(_at(it, degree_cap))
 
 
 def vim_solve(

@@ -30,10 +30,10 @@ def adomian_cubic(components: tuple[SeriesPoly, ...] | list[SeriesPoly], k: int)
         raise UsageError("k must be >= 0")
     if k >= len(components):
         raise UsageError(f"A_{k} needs components 0..{k}, got {len(components)}")
-    acc = SeriesPoly.zero(components[0].cap)
+    acc = SeriesPoly((0.0,) * (components[0].cap + 1))
     for i in range(k + 1):
         # pairwise convolution over component index at i, then close with u_l
-        pair = SeriesPoly.zero(components[0].cap)
+        pair = SeriesPoly((0.0,) * (components[0].cap + 1))
         for j in range(k - i + 1):
             pair = pair + components[j].cauchy_mul(components[k - i - j])
         acc = acc + components[i].cauchy_mul(pair)
@@ -72,7 +72,7 @@ def test_missing_components_rejected():
 
 def brute_force_triple_sum(comps, m):
     """All triple products with index sum <= m, by raw triple loop."""
-    total = SeriesPoly.zero(comps[0].cap)
+    total = SeriesPoly((0.0,) * (comps[0].cap + 1))
     for i in range(m + 1):
         for j in range(m + 1):
             for l in range(m + 1):
@@ -89,7 +89,7 @@ def test_partial_sums_match_brute_force_trinomial_expansion():
             SeriesPoly(tuple(rng.uniform(-1, 1) for _ in range(9)))
             for _ in range(m + 1)
         ]
-        total = SeriesPoly.zero(8)
+        total = SeriesPoly((0.0,) * 9)
         for k in range(m + 1):
             total = total + adomian_cubic(comps, k)
         oracle = brute_force_triple_sum(comps, m)

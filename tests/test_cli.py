@@ -193,17 +193,20 @@ def test_errors_oracle_failure_marks_only_its_eps(tmp_path, capsys, oracle):
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_errors_oracle_and_method_failures_each_name_themselves(tmp_path, capsys):
+    # an oracle line names the eps; a series method's line adds its order, terms or iterations
     code, text = run_cli(
         ["errors", "--model", "delayed", "--alpha", "-400", "--eps", "-500", "--eps", "0.1",
-         "--methods", "dtm"],
+         "--methods", "dtm,adm,vim", "--terms", "30", "--iters", "7"],
         tmp_path,
     )
     assert code == 3
     header, rows = parse_csv(text)
-    assert header == ["t", "err_dtm_eps-500", "err_dtm_eps0.1"]
-    assert all(row[1:] == ["ERROR", "ERROR"] for row in rows)
+    assert header == ["t", "err_dtm_eps-500", "err_adm_eps-500", "err_vim_eps-500",
+                      "err_dtm_eps0.1", "err_adm_eps0.1", "err_vim_eps0.1"]
+    assert all(row[1:] == ["ERROR"] * 6 for row in rows)
     err = capsys.readouterr().err.strip().splitlines()
-    assert [line.split(":")[0] for line in err] == ["exact eps=-500", "dtm eps=0.1"]
+    assert [line.split(":")[0] for line in err] == [
+        "exact eps=-500", "dtm eps=0.1 order=40", "adm eps=0.1 terms=30", "vim eps=0.1 iters=7"]
 
 
 # -- sweep command -------------------------------------------------------

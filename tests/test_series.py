@@ -8,7 +8,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ensoseries import SeriesOverflowError, SeriesPoly, UsageError
+from ensoseries.series import _cube, _live_degree
 from conftest import plain_convolution, plain_product
+from test_pinned_bits import SPECIAL
 
 
 def poly(*coeffs):
@@ -78,7 +80,6 @@ def test_is_immutable():
 
 def test_cap_counts_highest_degree():
     assert poly(1, 2, 3).cap == 2
-    assert SeriesPoly.zero(5).cap == 5
 
 
 # -- add / scale -------------------------------------------------------
@@ -213,6 +214,36 @@ def test_zero_tails_are_skipped_bit_for_bit(ab):
     assert product_bits(lambda: A.cube().coeffs) == product_bits(lambda: plain_product(a, a, a))
 
 
+def cube_bits(op):
+    """Exact hex coefficients of a cube, or the index and value of its overflow."""
+    try:
+        return [x.hex() for x in op()]
+    except SeriesOverflowError as exc:
+        return exc.index, exc.value.hex()
+
+
+@st.composite
+def special_prefixed(draw):
+    """A live prefix of plain values with up to three pinned-bits ``SPECIAL`` values, then a +0.0 tail."""
+    cap = draw(st.integers(0, 70))
+    live = draw(st.integers(0, cap))
+    prefix = draw(st.lists(st.floats(-4.0, 4.0), min_size=live + 1, max_size=live + 1))
+    for i, x in draw(st.lists(st.tuples(st.integers(0, live), st.sampled_from(SPECIAL)), max_size=3)):
+        prefix[i] = x
+    return tuple(prefix + [0.0] * (cap - live))
+
+
+@settings(max_examples=400, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+@given(special_prefixed().flatmap(lambda H: st.tuples(st.just(H), st.integers(_live_degree(H), len(H) - 1))))
+def test_tuple_cube_is_the_series_cube_bit_for_bit(Hd):
+    # VIM steps cube their tuples with _cube; the live degree they pass, or any
+    # larger index up to the cap, gives the bits and the overflow of cube()
+    H, d = Hd
+    want = cube_bits(lambda: SeriesPoly(H).cube().coeffs)
+    assert cube_bits(lambda: _cube(H, _live_degree(H))) == want
+    assert cube_bits(lambda: _cube(H, d)) == want
+
+
 def test_mul_exact_on_small_integers():
     # integer coefficients stay exact, so commutativity is literal equality
     a = poly(1, -2, 3, 4)
@@ -312,6 +343,13 @@ def test_eval_at_expansion_point():
 
 def test_eval_simple_line():
     assert poly(1, 2).eval(0.5) == 2.0
+    assert poly(1, 2).eval(2) == poly(1, 2)(True) + 2.0 == 5.0
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_eval_refuses_a_non_finite_t(t):
+    with pytest.raises(UsageError, match=f"^t must be finite, got {t!r}$"):
+        poly(1, 2).eval(t)
 
 
 def test_eval_matches_naive_power_sum():

@@ -22,7 +22,7 @@ from ensoseries import (
 from ensoseries.dtm import transform_coupled, transform_delayed
 from ensoseries.errors import MAX_ITERATIONS, MAX_ORDER, MAX_VIM_WORK, check_coeffs
 from ensoseries.models import reduced_delayed_coeffs
-from ensoseries import vim
+from ensoseries import series, vim
 from ensoseries.vim import (
     DEFAULT_DEGREE_CAP,
     _at,
@@ -207,13 +207,13 @@ def test_solve_work_is_refused_above_the_budget_before_any_step(monkeypatch):
 def test_solve_work_bounds_the_multiply_adds_of_the_cubes(monkeypatch):
     # each product at working cap m counts (m+1)(m+2)/2 multiply-adds; dense iterates reach the bound
     macs = []
-    product = SeriesPoly.cauchy_mul
+    product = series._product
 
-    def counted(a, b):
-        macs.append(len(a.coeffs) * (len(a.coeffs) + 1) // 2)
-        return product(a, b)
+    def counted(a, b, da, db):
+        macs.append(len(a) * (len(a) + 1) // 2)
+        return product(a, b, da, db)
 
-    monkeypatch.setattr(SeriesPoly, "cauchy_mul", counted)
+    monkeypatch.setattr(series, "_product", counted)
     for p in (TABLE1, TABLE3, CoupledParams(1, 0, 1, 0, 0.1, h0=0.0)):
         for iterations in range(8):
             for cap in (0, 1, 2, 5, 13, 64, 200):
@@ -298,8 +298,8 @@ def start(draw, p):
     if draw(st.booleans()):
         return constant_start(p, cap)
     iterate = st.lists(coeff, min_size=1, max_size=min(cap + 1, 6))
-    H = SeriesPoly.from_coeffs(draw(iterate), cap)
-    h = SeriesPoly.from_coeffs(draw(iterate), cap) if isinstance(p, CoupledParams) else None
+    H = SeriesPoly(_at(tuple(draw(iterate)), cap))
+    h = SeriesPoly(_at(tuple(draw(iterate)), cap)) if isinstance(p, CoupledParams) else None
     return H, h
 
 
