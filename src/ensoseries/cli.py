@@ -65,13 +65,15 @@ def _params_from_args(args) -> list:
     return [DelayedParams(eps=e, **base) for e in (args.eps or [0.05, 0.1])]
 
 
-def _solution_values(method, params, grid, order, terms, iters, oracle_step):
-    """H values (and h where the model has one) for one method on the grid."""
+def _solution_values(method, params, grid, n, oracle_step):
+    """H values (and h where the model has one) for one method on the grid.
+
+    ``n`` is a series method's order, term or iteration count.
+    """
     if method == "exact":
         return [(exact_delayed(params, t),) for t in grid]
     if method == "rk4":
         return rk4_values(params, grid, oracle_step)
-    n = {"dtm": order, "adm": terms, "vim": iters}[method]
     sol = next(_solutions(method, params, n, n))
     if isinstance(sol, SolutionPair):
         return [(sol.H.eval(t), sol.h.eval(t)) for t in grid]
@@ -107,12 +109,11 @@ def _write(out_path, lines) -> None:
 
 
 def _column_setup(args, methods):
-    """Parameter sets, grid, ``solve(method, params)``: values on the grid, and ``label(method, params)``.
-
-    The label names a solve on stderr: the method, the eps and, for a series
-    method, its order, terms or iterations.
+    """Parameter sets, grid, and ``solve(method, params)``: values on the grid.
 
     Every argument, each of ``methods`` with its count and ``--out`` is checked here, before any solve.
+    A numeric failure of a solve is reported on stderr under the method, the eps and, for a series
+    method, its count (``dtm eps=0.1 order=25: ...``), and raised on.
     """
     params_list = _params_from_args(args)
     coupled = args.model == "coupled"
@@ -121,41 +122,42 @@ def _column_setup(args, methods):
     grid = _grid(t_max, t_step)
     order = args.order if args.order is not None else (40 if t_max >= 2.0 else 25)
     terms = args.terms if args.terms is not None else order + 1
-    limits = {"dtm": (order, "order", 0, MAX_ORDER), "adm": (terms, "n_terms", 1, MAX_ORDER + 1),
-              "vim": (args.iters, "iterations", 0, MAX_ITERATIONS)}  # each solver's own check
+    # each series method's option and count, then the solver's own name and limits for that count
+    counts = {"dtm": ("order", order, "order", 0, MAX_ORDER), "adm": ("terms", terms, "n_terms", 1, MAX_ORDER + 1),
+              "vim": ("iters", args.iters, "iterations", 0, MAX_ITERATIONS)}
     for method in methods:  # in the order the command solves them, so the first bad one is named
         if method not in ("exact", "rk4", "dtm", "adm", "vim"):
             raise UsageError(f"unknown method {method!r}")
         if method == "exact" and coupled:
             raise UsageError("no closed form for the coupled model; use rk4")
-        if method in limits:
-            check_count(*limits[method])
+        if method in counts:
+            check_count(*counts[method][1:])
     _refuse_unwritable(args.out)
 
-    counts = {"dtm": f" order={order}", "adm": f" terms={terms}", "vim": f" iters={args.iters}"}
-
     def solve(method, params):
-        return _solution_values(method, params, grid, order, terms, args.iters, args.oracle_step)
+        option, n = counts[method][:2] if method in counts else (None, None)
+        try:
+            return _solution_values(method, params, grid, n, args.oracle_step)
+        except NumericError as exc:
+            named = f" {option}={n}" if option else ""
+            print(f"{method} eps={params.eps:g}{named}: {exc}", file=sys.stderr)
+            raise
 
-    def label(method, params):
-        return f"{method} eps={params.eps:g}{counts.get(method, '')}"
-
-    return params_list, grid, solve, label
+    return params_list, grid, solve
 
 
-def _emit(out_path, grid, specs, columns, label) -> int:
+def _emit(out_path, grid, specs, columns) -> int:
     """Write ``t`` and one column per name; exit code 3 if any cell is an error.
 
     ``specs`` lists ``(method, params, names)``, and ``columns(method,
     params)`` returns the values of each name.  A numeric failure turns all
-    of them into error cells and is reported under ``label(method, params)``.
+    of them into error cells; ``solve`` has reported it.
     """
     header, cells = ["t"], []
     for method, params, names in specs:
         try:
             cols = [[_fmt(v) for v in col] for col in columns(method, params)]
-        except NumericError as exc:
-            print(f"{label(method, params)}: {exc}", file=sys.stderr)
+        except NumericError:
             cols = [[ERROR_CELL] * len(grid) for _ in names]
         header += names
         cells += cols
@@ -169,21 +171,20 @@ def _emit(out_path, grid, specs, columns, label) -> int:
 def cmd_table(args) -> int:
     default_methods = "dtm,adm,vim" if args.model == "coupled" else "exact,dtm,adm,vim"
     methods = (args.methods or default_methods).split(",")
-    params_list, grid, solve, label = _column_setup(args, methods)
+    params_list, grid, solve = _column_setup(args, methods)
     specs = [(m, p, [f"{m}_eps{p.eps:g}"]) for m in methods for p in params_list]
-    return _emit(args.out, grid, specs, lambda m, p: [[v[0] for v in solve(m, p)]], label)
+    return _emit(args.out, grid, specs, lambda m, p: [[v[0] for v in solve(m, p)]])
 
 
 def cmd_errors(args) -> int:
     oracle = args.oracle or ("exact" if args.model == "delayed" else "rk4")
     methods = (args.methods or "dtm,adm,vim").split(",")
-    params_list, grid, solve, label = _column_setup(args, [oracle] + methods)
+    params_list, grid, solve = _column_setup(args, [oracle] + methods)
     truth = {}
     for p in params_list:
         try:
             truth[p] = [v[0] for v in solve(oracle, p)]
-        except NumericError as exc:
-            print(f"{label(oracle, p)}: {exc}", file=sys.stderr)
+        except NumericError:  # reported by solve
             truth[p] = None
 
     def errors(m, p):
@@ -192,7 +193,7 @@ def cmd_errors(args) -> int:
         return [[abs(v[0] - w) for v, w in zip(solve(m, p), truth[p])]]
 
     specs = [(m, p, [f"err_{m}_eps{p.eps:g}"]) for p in params_list for m in methods]
-    return _emit(args.out, grid, specs, errors, label)
+    return _emit(args.out, grid, specs, errors)
 
 
 def _solutions(method, params, lo, hi):
@@ -238,13 +239,13 @@ def cmd_sweep(args) -> int:
 def cmd_trajectory(args) -> int:
     default_methods = "dtm,adm,vim,rk4" if args.model == "coupled" else "dtm,adm,vim,exact"
     methods = (args.methods or default_methods).split(",")
-    params_list, grid, solve, label = _column_setup(args, methods)
+    params_list, grid, solve = _column_setup(args, methods)
     specs = [
         (m, p, [f"{x}_{m}_eps{p.eps:g}" for x in ("Hh" if args.model == "coupled" and m != "exact" else "H")])
         for m in methods
         for p in params_list
     ]
-    return _emit(args.out, grid, specs, lambda m, p: list(zip(*solve(m, p))), label)
+    return _emit(args.out, grid, specs, lambda m, p: list(zip(*solve(m, p))))
 
 
 def _add_common(sub, model_required=True):

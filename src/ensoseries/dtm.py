@@ -42,20 +42,19 @@ class DtmResult(Frozen):
             raise UsageError("V must hold order+1 coefficients")
 
 
-def _cube_coeff(W: list[float], D: list[float], S: list[float]) -> float:
+def _cube_coeff(W: list[float], S: list[float]) -> float:
     """Coefficient k of ``H**3``, where k = ``len(S)``; appends the square's coefficient k to ``S``.
 
-    ``D[j]`` is ``2.0*W[j]``, ``S`` holds the square's coefficients 0..k-1
-    from the earlier calls, and only ``W[0..k]`` and ``D[0..k]`` are read.
-    The summation order is fixed, and a test pins its bits: the square's
-    middle term first, then its doubled pairs ``D[j]*W[k-j]`` (the product
-    ``2.0*W[j]*W[k-j]`` evaluates, as doubling is exact) in ascending j.
+    ``S`` holds the square's coefficients 0..k-1 from the earlier calls, and
+    only ``W[0..k]`` is read.  The summation order is fixed, and a test pins
+    its bits: the square's middle term first, then its doubled pairs in
+    ascending j.
     """
     k = len(S)
     h = k // 2
     sq = W[h] * W[h] if k % 2 == 0 else 0.0
     for j in range(h + 1, k + 1):
-        sq += D[j] * W[k - j]
+        sq += 2.0 * W[j] * W[k - j]
     S.append(sq)
     nk = 0.0
     for l in range(k + 1):
@@ -68,16 +67,14 @@ def transform_coupled(p: CoupledParams, order: int) -> DtmResult:
     check_count(order, "order", 0, MAX_ORDER)
     c, eta, eps, theta, gamma = p.c, p.eta, p.eps, p.theta, p.gamma
     W = [p.H0]
-    D = [2.0 * p.H0]  # D[k] = 2.0*W[k]
     V = [p.h0]
     S: list[float] = []  # the square's coefficients
     for k in range(order):
         wk = W[k]
-        nk = _cube_coeff(W, D, S)
+        nk = _cube_coeff(W, S)
         w = (c * wk + eta * V[k] - eps * nk) / (k + 1)
         v = (-theta * wk - gamma * V[k]) / (k + 1)
         W.append(w)
-        D.append(2.0 * w)
         V.append(v)
         if not (-COEFF_LIMIT <= w <= COEFF_LIMIT and -COEFF_LIMIT <= v <= COEFF_LIMIT):
             break  # check_coeffs below names index k+1
@@ -89,14 +86,12 @@ def transform_delayed(p: DelayedParams, order: int) -> DtmResult:
     check_count(order, "order", 0, MAX_ORDER)
     a, b = reduced_delayed_coeffs(p)
     W = [p.H0]
-    D = [2.0 * p.H0]  # D[k] = 2.0*W[k]
     S: list[float] = []  # the square's coefficients
     for k in range(order):
         wk = W[k]
-        nk = _cube_coeff(W, D, S)
+        nk = _cube_coeff(W, S)
         w = (a * wk - b * nk) / (k + 1)
         W.append(w)
-        D.append(2.0 * w)
         if not -COEFF_LIMIT <= w <= COEFF_LIMIT:
             break  # check_coeffs below names index k+1
     return DtmResult(check_coeffs(tuple(W)), None, order)

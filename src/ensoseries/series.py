@@ -14,8 +14,8 @@ its own order, so the bits are those of one sum at a time.  No sum uses
 ``sum``, ``math.fsum`` or ``math.sumprod``, which round otherwise from 3.12.
 :func:`_product` and :func:`_cube` work on plain coefficient tuples, so
 :mod:`vim` steps call them without building a series per product;
-:meth:`SeriesPoly.cauchy_mul`, and so :meth:`SeriesPoly.cube`, runs the same
-kernel.
+:meth:`SeriesPoly.cauchy_mul` and :meth:`SeriesPoly.cube` run the same
+kernels.
 
 Coefficients are checked where they come in: the public constructor converts
 each one to float and refuses NaN and infinities.  An operation's result is
@@ -26,7 +26,7 @@ computed from series that were already checked, so it is wrapped by
 
 from __future__ import annotations
 
-from math import copysign, inf
+from math import copysign
 
 from ._frozen import Frozen
 from .errors import SeriesOverflowError, UsageError, check_finite, require_finite
@@ -117,8 +117,8 @@ class SeriesPoly(Frozen):
         return _trusted(_product(a, b, da, da if other is self else _live_degree(b)))
 
     def cube(self) -> "SeriesPoly":
-        """Triple convolution ``self * self * self`` (truncated)."""
-        return self.cauchy_mul(self).cauchy_mul(self)
+        """Triple convolution ``self * self * self`` (truncated); see :func:`_cube`."""
+        return _wrap(_cube(self.coeffs, _live_degree(self.coeffs)))
 
     def derivative(self) -> "SeriesPoly":
         """Term-wise derivative; the top coefficient becomes zero."""
@@ -141,8 +141,7 @@ class SeriesPoly(Frozen):
 
     def eval(self, t: float) -> float:
         """Horner evaluation of the truncated series at ``t``."""
-        if type(t) is not float or not -inf < t < inf:  # a finite float passes as it is
-            t = require_finite(t, "t")
+        t = require_finite(t, "t")
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * t + c
@@ -216,12 +215,13 @@ def _product(a: tuple[float, ...], b: tuple[float, ...], da: int, db: int) -> tu
 
 
 def _cube(H: tuple[float, ...], d: int) -> tuple[float, ...]:
-    """The checked coefficients of :meth:`SeriesPoly.cube` of finite ``H``, bit for bit.
+    """The checked coefficients of ``H * H * H`` for finite ``H``, truncated at its cap.
 
-    ``d`` is the caller's live degree of ``H``, or any larger index up to its
-    cap.  The square is checked before it is multiplied by ``H``, as
-    ``cube()`` checks it, so an overflow names the same index.  The square's
-    live degree is at most ``2*d``.
+    Bit for bit the two products ``cauchy_mul`` would chain: ``d`` is the
+    caller's live degree of ``H``, or any larger index up to its cap, and the
+    square's live degree is at most ``2*d``.  The square is checked before it
+    is multiplied by ``H``, as that chain checks it, so an overflow names the
+    same index.
     """
     S = check_finite(_product(H, H, d, d))
     return check_finite(_product(S, H, min(len(H) - 1, 2 * d), d))

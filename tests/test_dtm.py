@@ -91,7 +91,7 @@ def test_overflow_stops_at_the_first_bad_coefficient(solve, coupled, monkeypatch
     # a large requested order must not be computed past the first bad value
     calls = []
     cube_coeff = dtm._cube_coeff
-    monkeypatch.setattr(dtm, "_cube_coeff", lambda W, D, S: calls.append(len(S)) or cube_coeff(W, D, S))
+    monkeypatch.setattr(dtm, "_cube_coeff", lambda W, S: calls.append(len(S)) or cube_coeff(W, S))
     with pytest.warns(UserWarning):
         p = CoupledParams(1, 1, 1, 1, 5.0) if coupled else DelayedParams(0.5, 0.3, 0.25, 5.0)
     with pytest.raises(SeriesOverflowError) as err:

@@ -235,11 +235,13 @@ def special_prefixed(draw):
 
 @settings(max_examples=400, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(special_prefixed().flatmap(lambda H: st.tuples(st.just(H), st.integers(_live_degree(H), len(H) - 1))))
-def test_tuple_cube_is_the_series_cube_bit_for_bit(Hd):
-    # VIM steps cube their tuples with _cube; the live degree they pass, or any
-    # larger index up to the cap, gives the bits and the overflow of cube()
+def test_tuple_cube_is_the_chained_product_bit_for_bit(Hd):
+    # cube() and VIM steps cube with _cube; the live degree, or any larger index
+    # up to the cap, gives the bits and the overflow of two chained cauchy_mul
     H, d = Hd
-    want = cube_bits(lambda: SeriesPoly(H).cube().coeffs)
+    A = SeriesPoly(H)
+    want = cube_bits(lambda: A.cauchy_mul(A).cauchy_mul(A).coeffs)
+    assert cube_bits(lambda: A.cube().coeffs) == want
     assert cube_bits(lambda: _cube(H, _live_degree(H))) == want
     assert cube_bits(lambda: _cube(H, d)) == want
 
