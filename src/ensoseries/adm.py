@@ -36,14 +36,12 @@ class AdmState(Frozen):
     """Component weights: component k of H is ``u_weights[k] * t**k``, likewise for h.
 
     ``v_weights`` is None for the scalar model.  Components and partial sums
-    are dense series up to degree ``cap``.
+    are dense series up to degree ``n_terms``.
     """
 
-    __slots__ = ("u_weights", "v_weights", "cap")
+    __slots__ = ("u_weights", "v_weights")
 
     def __post_init__(self):
-        if self.cap < self.n_terms:
-            raise UsageError(f"cap {self.cap} too small for {self.n_terms} components")
         if self.v_weights is not None and len(self.v_weights) != self.n_terms:
             raise UsageError("u and v component counts must match")
 
@@ -53,57 +51,47 @@ class AdmState(Frozen):
 
     @property
     def u_components(self) -> tuple[SeriesPoly, ...]:
-        return tuple(SeriesPoly.monomial(w, k, self.cap) for k, w in enumerate(self.u_weights))
+        return tuple(SeriesPoly.monomial(w, k, self.n_terms) for k, w in enumerate(self.u_weights))
 
     @property
     def v_components(self) -> tuple[SeriesPoly, ...] | None:
         if self.v_weights is None:
             return None
-        return tuple(SeriesPoly.monomial(w, k, self.cap) for k, w in enumerate(self.v_weights))
+        return tuple(SeriesPoly.monomial(w, k, self.n_terms) for k, w in enumerate(self.v_weights))
 
     def solution(self, n: int | None = None) -> SolutionPair | SeriesPoly:
-        """Partial sum of the first ``n`` components, with cap ``n``.
+        """Partial sum of the first ``n`` components (all of them by default), dense to degree ``n``.
 
-        Without ``n``, the sum of all computed components with the solve's
-        cap.  Weights never change as more components are computed, so one
-        solve yields every shorter partial sum.
+        Weights never change as more components are computed, so one solve
+        yields every shorter partial sum.
         """
         if n is None:
-            n, cap = self.n_terms, self.cap
-        elif 1 <= n <= self.n_terms:
-            cap = n
-        else:
+            n = self.n_terms
+        elif not 1 <= n <= self.n_terms:
             raise UsageError(f"need 1 <= n <= {self.n_terms}, got {n}")
-        pad = (0.0,) * (cap + 1 - n)
-        H = _trusted(self.u_weights[:n] + pad)
+        H = _trusted(self.u_weights[:n] + (0.0,))
         if self.v_weights is None:
             return H
-        return SolutionPair(H, _trusted(self.v_weights[:n] + pad))
+        return SolutionPair(H, _trusted(self.v_weights[:n] + (0.0,)))
 
 
-def adm_solve_coupled(p: CoupledParams, n_terms: int, cap: int) -> AdmState:
-    """Compute ``n_terms`` components for each of H and h.
+def adm_solve_coupled(p: CoupledParams, n_terms: int) -> AdmState:
+    """Compute ``n_terms`` components (at most ``MAX_ORDER + 1``) for each of H and h.
 
     Recursion: ``u_{k+1} = integral(c*u_k + eta*v_k - eps*A_k)`` and
     ``v_{k+1} = integral(-theta*u_k - gamma*v_k)``, starting from the constant
     initial values.  The weights are the Taylor coefficients of
     :func:`dtm.transform_coupled` at order ``n_terms - 1``.
     """
-    _check_solve_args(n_terms, cap)
+    check_count(n_terms, "n_terms", 1, MAX_ORDER + 1)
     r = transform_coupled(p, n_terms - 1)
-    return AdmState(r.W, r.V, cap)
+    return AdmState(r.W, r.V)
 
 
-def adm_solve_delayed(p: DelayedParams, n_terms: int, cap: int) -> AdmState:
-    """Compute ``n_terms`` components for the scalar delayed model.
+def adm_solve_delayed(p: DelayedParams, n_terms: int) -> AdmState:
+    """Compute ``n_terms`` components (at most ``MAX_ORDER + 1``) for the scalar delayed model.
 
     The weights are the Taylor coefficients of :func:`dtm.transform_delayed`.
     """
-    _check_solve_args(n_terms, cap)
-    return AdmState(transform_delayed(p, n_terms - 1).W, None, cap)
-
-
-def _check_solve_args(n_terms: int, cap: int) -> None:
-    """Components of orders 0..n_terms - 1, so at most ``MAX_ORDER + 1`` of them, and the cap alike."""
     check_count(n_terms, "n_terms", 1, MAX_ORDER + 1)
-    check_count(cap, "cap", n_terms, MAX_ORDER + 1)
+    return AdmState(transform_delayed(p, n_terms - 1).W, None)

@@ -113,7 +113,8 @@ def _column_setup(args, methods):
 
     Every argument, each of ``methods`` with its count and ``--out`` is checked here, before any solve.
     A numeric failure of a solve is reported on stderr under the method, the eps and, for a series
-    method, its count (``dtm eps=0.1 order=25: ...``), and raised on.
+    method, its count (``dtm eps=0.1 order=25: ...``), and raised on.  A value that is not finite is
+    reported under the same label at its first grid time, and its cell prints as an error.
     """
     params_list = _params_from_args(args)
     coupled = args.model == "coupled"
@@ -136,12 +137,16 @@ def _column_setup(args, methods):
 
     def solve(method, params):
         option, n = counts[method][:2] if method in counts else (None, None)
+        label = f"{method} eps={params.eps:g}" + (f" {option}={n}" if option else "")
         try:
-            return _solution_values(method, params, grid, n, args.oracle_step)
+            values = _solution_values(method, params, grid, n, args.oracle_step)
         except NumericError as exc:
-            named = f" {option}={n}" if option else ""
-            print(f"{method} eps={params.eps:g}{named}: {exc}", file=sys.stderr)
+            print(f"{label}: {exc}", file=sys.stderr)
             raise
+        bad = next((t for t, row in zip(grid, values) if not all(map(math.isfinite, row))), None)
+        if bad is not None:
+            print(f"{label}: not finite at t={bad:g}", file=sys.stderr)
+        return values
 
     return params_list, grid, solve
 
@@ -170,7 +175,7 @@ def _emit(out_path, grid, specs, columns) -> int:
 
 def cmd_table(args) -> int:
     default_methods = "dtm,adm,vim" if args.model == "coupled" else "exact,dtm,adm,vim"
-    methods = (args.methods or default_methods).split(",")
+    methods = (default_methods if args.methods is None else args.methods).split(",")
     params_list, grid, solve = _column_setup(args, methods)
     specs = [(m, p, [f"{m}_eps{p.eps:g}"]) for m in methods for p in params_list]
     return _emit(args.out, grid, specs, lambda m, p: [[v[0] for v in solve(m, p)]])
@@ -178,7 +183,7 @@ def cmd_table(args) -> int:
 
 def cmd_errors(args) -> int:
     oracle = args.oracle or ("exact" if args.model == "delayed" else "rk4")
-    methods = (args.methods or "dtm,adm,vim").split(",")
+    methods = ("dtm,adm,vim" if args.methods is None else args.methods).split(",")
     params_list, grid, solve = _column_setup(args, [oracle] + methods)
     truth = {}
     for p in params_list:
@@ -210,7 +215,7 @@ def _solutions(method, params, lo, hi):
         for n in range(lo, hi + 1):
             yield assemble(res, n)
     elif method == "adm":
-        state = (adm_solve_coupled if coupled else adm_solve_delayed)(params, hi, hi)
+        state = (adm_solve_coupled if coupled else adm_solve_delayed)(params, hi)
         for n in range(lo, hi + 1):
             yield state.solution(n)
     else:
@@ -238,7 +243,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_trajectory(args) -> int:
     default_methods = "dtm,adm,vim,rk4" if args.model == "coupled" else "dtm,adm,vim,exact"
-    methods = (args.methods or default_methods).split(",")
+    methods = (default_methods if args.methods is None else args.methods).split(",")
     params_list, grid, solve = _column_setup(args, methods)
     specs = [
         (m, p, [f"{x}_{m}_eps{p.eps:g}" for x in ("Hh" if args.model == "coupled" and m != "exact" else "H")])

@@ -29,17 +29,15 @@ from .series import SeriesPoly, _trusted
 
 
 class DtmResult(Frozen):
-    """Transformed coefficients of orders 0..order: W for H, V for h (None for the scalar model)."""
+    """Transformed coefficients of orders 0..len(W)-1: W for H, V for h (None for the scalar model)."""
 
-    __slots__ = ("W", "V", "order")
+    __slots__ = ("W", "V")
 
     def __post_init__(self):
-        if self.order < 0:
-            raise UsageError("order must be >= 0")
-        if len(self.W) != self.order + 1:
-            raise UsageError("W must hold order+1 coefficients")
-        if self.V is not None and len(self.V) != self.order + 1:
-            raise UsageError("V must hold order+1 coefficients")
+        if not self.W:
+            raise UsageError("W must hold at least one coefficient")
+        if self.V is not None and len(self.V) != len(self.W):
+            raise UsageError("V must be as long as W")
 
 
 def _cube_coeff(W: list[float], S: list[float]) -> float:
@@ -78,7 +76,7 @@ def transform_coupled(p: CoupledParams, order: int) -> DtmResult:
         V.append(v)
         if not (-COEFF_LIMIT <= w <= COEFF_LIMIT and -COEFF_LIMIT <= v <= COEFF_LIMIT):
             break  # check_coeffs below names index k+1
-    return DtmResult(check_coeffs(tuple(W)), check_coeffs(tuple(V)), order)
+    return DtmResult(check_coeffs(tuple(W)), check_coeffs(tuple(V)))
 
 
 def transform_delayed(p: DelayedParams, order: int) -> DtmResult:
@@ -94,7 +92,7 @@ def transform_delayed(p: DelayedParams, order: int) -> DtmResult:
         W.append(w)
         if not -COEFF_LIMIT <= w <= COEFF_LIMIT:
             break  # check_coeffs below names index k+1
-    return DtmResult(check_coeffs(tuple(W)), None, order)
+    return DtmResult(check_coeffs(tuple(W)), None)
 
 
 def assemble(result: DtmResult, n: int | None = None) -> SolutionPair | SeriesPoly:
@@ -107,10 +105,11 @@ def assemble(result: DtmResult, n: int | None = None) -> SolutionPair | SeriesPo
     checked the coefficients already; a hand-built result still gets the
     one-pass finiteness check.
     """
+    order = len(result.W) - 1
     if n is None:
-        n = result.order
-    elif not 0 <= n <= result.order:
-        raise UsageError(f"need 0 <= n <= {result.order}, got {n}")
+        n = order
+    elif not 0 <= n <= order:
+        raise UsageError(f"need 0 <= n <= {order}, got {n}")
     H = _trusted(tuple(result.W[: n + 1]))
     if result.V is None:
         return H

@@ -11,8 +11,8 @@ import math
 COEFF_LIMIT = 1e15
 
 # The most work one solve takes.  MAX_ORDER bounds every truncation order: a
-# DTM order, the order n_terms - 1 of an ADM solve (so n_terms and its cap
-# reach MAX_ORDER + 1) and a VIM degree cap.  MAX_ITERATIONS bounds the VIM
+# DTM order, the order n_terms - 1 of an ADM solve (so n_terms reaches
+# MAX_ORDER + 1) and a VIM degree cap.  MAX_ITERATIONS bounds the VIM
 # steps.  On a 2-core Xeon, transform_delayed takes 0.24 s at order 2000, and
 # 1000 coupled VIM iterations at cap 64 take 0.17 s.
 MAX_ORDER = 2000

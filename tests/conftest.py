@@ -76,7 +76,7 @@ def adm_dtm_draws():
         rng = random.Random(seed)
         for _ in range(100):
             out.append(draw_until(
-                draw, rng, lambda q: (adm(q, ADM_K_MAX + 1, ADM_K_MAX + 1), dtm(q, ADM_K_MAX)),
+                draw, rng, lambda q: (adm(q, ADM_K_MAX + 1), dtm(q, ADM_K_MAX)),
             ))
     return out
 

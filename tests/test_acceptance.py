@@ -278,7 +278,7 @@ def test_criterion_4_adm_equals_dtm():
     table3 = load_table(3)
     p = table3.params(0.05)
     series = solve_delayed(p, 25)
-    partial = adm_solve_delayed(p, 26, 26).solution()
+    partial = adm_solve_delayed(p, 26).solution()
     worst_own = max(abs(series.eval(t) - partial.eval(t)) for t in table3.grid)
     assert worst_own <= 1e-10
 
@@ -393,11 +393,11 @@ def test_criterion_7_residuals():
             if table.model == "coupled":
                 order = 25
                 dtm_sol = solve_coupled(p, order)
-                adm_sol = adm_solve_coupled(p, order + 1, order + 1).solution()
+                adm_sol = adm_solve_coupled(p, order + 1).solution()
             else:
                 order = 40 if number == 4 else 25
                 dtm_sol = solve_delayed(p, order)
-                adm_sol = adm_solve_delayed(p, order + 1, order + 1).solution()
+                adm_sol = adm_solve_delayed(p, order + 1).solution()
             vim_sol = vim_solve(p, 10)
             worst = max(worst, residual_check(dtm_sol, p))
             worst = max(worst, residual_check(adm_sol, p, upto=order - 1))

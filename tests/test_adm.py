@@ -13,7 +13,6 @@ from ensoseries import (
     adm_solve_delayed,
 )
 from ensoseries.dtm import transform_coupled
-from ensoseries.errors import MAX_ORDER
 from ensoseries.models import reduced_delayed_coeffs
 from conftest import adm_dtm_draws, draw_coupled
 
@@ -99,38 +98,38 @@ def test_partial_sums_match_brute_force_trinomial_expansion():
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_zero_parameters_leave_only_the_constant():
-    state = adm_solve_coupled(CoupledParams(0, 0, 0, 0, 0.0), 3, 4)
+    state = adm_solve_coupled(CoupledParams(0, 0, 0, 0, 0.0), 3)
     for comp in state.u_components[1:] + state.v_components[1:]:
         assert all(c == 0.0 for c in comp.coeffs)
 
 
 def test_first_integration_step_coupled():
-    state = adm_solve_coupled(TABLE1, 2, 4)
-    assert state.u_components[1].coeffs == (0.0, 1.9, 0.0, 0.0, 0.0)
-    assert state.v_components[1].coeffs == (0.0, -2.0, 0.0, 0.0, 0.0)
+    state = adm_solve_coupled(TABLE1, 2)
+    assert state.u_components[1].coeffs == (0.0, 1.9, 0.0)
+    assert state.v_components[1].coeffs == (0.0, -2.0, 0.0)
 
 
 def test_first_integration_step_delayed():
-    state = adm_solve_delayed(TABLE3, 2, 4)
+    state = adm_solve_delayed(TABLE3, 2)
     assert state.u_components[1].coeffs[1] == pytest.approx(0.15 / 0.925, rel=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_delayed_zero_rhs_components():
-    state = adm_solve_delayed(DelayedParams(0.7, 0.7, 0.5, 0.0), 3, 4)
+    state = adm_solve_delayed(DelayedParams(0.7, 0.7, 0.5, 0.0), 3)
     for comp in state.u_components[1:]:
         assert all(c == 0.0 for c in comp.coeffs)
 
 
 def test_partial_sum_reaches_table1_value():
     for n in (15, 20):
-        sol = adm_solve_coupled(TABLE1, n, n).solution()
+        sol = adm_solve_coupled(TABLE1, n).solution()
         assert sol.H.eval(0.2) == pytest.approx(1.363075110, abs=1e-7)
 
 
 def test_partial_sum_reaches_table3_value():
     p = DelayedParams(0.5, 0.3, 0.25, 0.1)
-    sol = adm_solve_delayed(p, 20, 20).solution()
+    sol = adm_solve_delayed(p, 20).solution()
     assert sol.eval(0.4) == pytest.approx(1.042243491, abs=1e-7)
 
 
@@ -139,7 +138,7 @@ def test_each_component_is_the_matching_taylor_monomial():
     for _ in range(10):
         p = draw_coupled(rng)
         n = 10
-        state = adm_solve_coupled(p, n, n)
+        state = adm_solve_coupled(p, n)
         r = transform_coupled(p, n - 1)
         for k, comp in enumerate(state.u_components):
             assert abs(comp.coeffs[k] - r.W[k]) <= 1e-12 * max(1.0, abs(r.W[k]))
@@ -147,7 +146,7 @@ def test_each_component_is_the_matching_taylor_monomial():
 
 
 def test_integration_raises_minimum_degree_by_one():
-    state = adm_solve_coupled(TABLE1, 8, 8)
+    state = adm_solve_coupled(TABLE1, 8)
     for k, comp in enumerate(state.u_components):
         nonzero = [i for i, c in enumerate(comp.coeffs) if c != 0.0]
         assert nonzero == [k]
@@ -209,7 +208,7 @@ def test_solver_recursion_reproducible_with_standalone_polynomials():
     # recompute every component from the previous ones via adomian_cubic
     p = CoupledParams(0.8, -0.4, 0.3, 1.2, 0.25)
     n = 8
-    state = adm_solve_coupled(p, n, n)
+    state = adm_solve_coupled(p, n)
     u, v = state.u_components, state.v_components
     for k in range(n - 1):
         a_k = adomian_cubic(u[: k + 1], k)
@@ -226,17 +225,4 @@ def test_solver_recursion_reproducible_with_standalone_polynomials():
 
 def test_solve_preconditions():
     with pytest.raises(UsageError):
-        adm_solve_coupled(TABLE1, 0, 4)
-    with pytest.raises(UsageError):
-        adm_solve_coupled(TABLE1, 5, 4)
-    with pytest.raises(UsageError):
-        adm_solve_delayed(TABLE3, 3, 2)
-
-
-def test_a_cap_above_the_limit_is_refused():
-    # components of orders 0..MAX_ORDER need a cap of MAX_ORDER + 1, and no more is taken
-    assert adm_solve_delayed(TABLE3, 3, MAX_ORDER + 1).cap == MAX_ORDER + 1
-    with pytest.raises(UsageError, match=f"cap must be in 3..{MAX_ORDER + 1}$"):
-        adm_solve_delayed(TABLE3, 3, MAX_ORDER + 2)
-    with pytest.raises(UsageError, match=f"cap must be in 3..{MAX_ORDER + 1}$"):
-        adm_solve_coupled(TABLE1, 3, 10**12)
+        adm_solve_coupled(TABLE1, 0)

@@ -133,6 +133,38 @@ def test_table_exact_beyond_the_exp_range(tmp_path):
     assert "ERROR" in text
 
 
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+@pytest.mark.parametrize("args, columns, lines", [
+    # a transform overflow
+    (["table", "--model", "coupled", "--c", "50", "--eps", "0.5", "--order", "60", "--methods", "dtm"],
+     ["dtm_eps0.5"], ["dtm eps=0.5 order=60: coefficient 12 overflowed"]),
+    # an RK4 blow-up
+    (["table", "--model", "delayed", "--eps", "-500", "--methods", "rk4"],
+     ["rk4_eps-500"], ["rk4 eps=-500: integration blew up near t="]),
+    # the closed form leaving its domain, for one eps only
+    (["table", "--model", "delayed", "--alpha", "-400", "--eps", "-500", "--eps", "0.1", "--methods", "exact"],
+     ["exact_eps-500"], ["exact eps=-500: solution blows up before t=0.4"]),
+    # values that are not finite, with no exception raised
+    (["table", "--model", "delayed", "--methods", "dtm", "--order", "25", "--t-max", "1e20", "--t-step", "1e20"],
+     ["dtm_eps0.05", "dtm_eps0.1"],
+     ["dtm eps=0.05 order=25: not finite at t=1e+20", "dtm eps=0.1 order=25: not finite at t=1e+20"]),
+    (["errors", "--model", "delayed", "--methods", "vim", "--iters", "3", "--t-max", "1e30", "--t-step", "1e30"],
+     ["err_vim_eps0.05", "err_vim_eps0.1"],
+     ["vim eps=0.05 iters=3: not finite at t=1e+30", "vim eps=0.1 iters=3: not finite at t=1e+30"]),
+    (["trajectory", "--model", "coupled", "--eps", "0.1", "--methods", "adm", "--terms", "20",
+      "--t-max", "1e20", "--t-step", "1e20"],
+     ["H_adm_eps0.1", "h_adm_eps0.1"], ["adm eps=0.1 terms=20: not finite at t=1e+20"]),
+])
+def test_every_exit_3_names_its_error_columns_on_stderr(tmp_path, capsys, args, columns, lines):
+    code, text = run_cli(args, tmp_path)
+    assert code == 3
+    header, rows = parse_csv(text)
+    assert [name for i, name in enumerate(header) if any(row[i] == "ERROR" for row in rows)] == columns
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(lines)
+    assert all(got.startswith(want) for got, want in zip(err, lines))
+
+
 # -- errors command ------------------------------------------------------
 
 
@@ -250,7 +282,7 @@ def sweep_from_scratch(table_number, method, eps, lo, hi):
         if method == "dtm":
             sol = (solve_coupled if coupled else solve_delayed)(p, n)
         elif method == "adm":
-            sol = (adm_solve_coupled if coupled else adm_solve_delayed)(p, n, n).solution()
+            sol = (adm_solve_coupled if coupled else adm_solve_delayed)(p, n).solution()
         else:
             sol = vim_solve(p, n)
         H = sol.H if coupled else sol
@@ -542,6 +574,10 @@ NO_CLOSED_FORM = "no closed form for the coupled model; use rk4"
     (["trajectory", "--model", "coupled", "--methods", "rk4,vim,exact"], NO_CLOSED_FORM),
     (["trajectory", "--model", "delayed", "--methods", "exact,rk4,DTM", "--out", "missing/x.csv"],
      "unknown method 'DTM'"),
+    # an empty list is refused as an empty name, not taken as the default columns
+    (["table", "--model", "delayed", "--methods", ""], "unknown method ''"),
+    (["errors", "--model", "coupled", "--methods", ""], "unknown method ''"),
+    (["trajectory", "--model", "coupled", "--methods", ""], "unknown method ''"),
 ])
 def test_a_bad_method_is_a_usage_error_before_any_solve(tmp_path, capsys, monkeypatch, args, message):
     # the first bad method in the order the columns are solved, the errors oracle first, and before --out

@@ -84,8 +84,8 @@ def test_overflow_aborts_with_index():
 @pytest.mark.parametrize("solve, coupled", [
     (transform_coupled, True),
     (transform_delayed, False),
-    (lambda p, n: adm_solve_coupled(p, n + 1, n + 1), True),
-    (lambda p, n: adm_solve_delayed(p, n + 1, n + 1), False),
+    (lambda p, n: adm_solve_coupled(p, n + 1), True),
+    (lambda p, n: adm_solve_delayed(p, n + 1), False),
 ])
 def test_overflow_stops_at_the_first_bad_coefficient(solve, coupled, monkeypatch):
     # a large requested order must not be computed past the first bad value
@@ -103,8 +103,8 @@ def test_overflow_stops_at_the_first_bad_coefficient(solve, coupled, monkeypatch
 @pytest.mark.parametrize("solve, p", [
     (transform_coupled, TABLE1),
     (transform_delayed, TABLE3),
-    (lambda p, n: adm_solve_coupled(p, n + 1, n + 1), TABLE1),
-    (lambda p, n: adm_solve_delayed(p, n + 1, n + 1), TABLE3),
+    (lambda p, n: adm_solve_coupled(p, n + 1), TABLE1),
+    (lambda p, n: adm_solve_delayed(p, n + 1), TABLE3),
 ])
 def test_an_order_above_the_limit_is_refused_before_any_work(solve, p, monkeypatch):
     # not one cube coefficient is computed for a refused order
@@ -114,7 +114,7 @@ def test_an_order_above_the_limit_is_refused_before_any_work(solve, p, monkeypat
             solve(p, order)
 
 
-@pytest.mark.parametrize("solve", [transform_coupled, lambda p, n: adm_solve_coupled(p, n + 1, n + 1)])
+@pytest.mark.parametrize("solve", [transform_coupled, lambda p, n: adm_solve_coupled(p, n + 1)])
 def test_overflow_in_h_reports_its_lower_index(solve):
     # h leaves the range at index 1, H only at index 2
     with pytest.raises(SeriesOverflowError) as err:
@@ -150,6 +150,16 @@ def test_assemble_takes_each_prefix_of_one_transform():
     for bad in (-1, 13):
         with pytest.raises(UsageError, match="0 <= n <= 12"):
             assemble(res_c, bad)
+
+
+def test_a_result_takes_its_order_from_w():
+    assert assemble(dtm.DtmResult((1.0, 2.0), None)).cap == 1
+    with pytest.raises(UsageError, match="0 <= n <= 1"):
+        assemble(dtm.DtmResult((1.0, 2.0), (3.0, 4.0)), 2)
+    with pytest.raises(UsageError, match="at least one coefficient"):
+        dtm.DtmResult((), None)
+    with pytest.raises(UsageError, match="as long as W"):
+        dtm.DtmResult((1.0, 2.0), (3.0,))
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")

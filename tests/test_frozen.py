@@ -69,19 +69,19 @@ RECORDS = {
         "SolutionPair(H=SeriesPoly(coeffs=(1.0, 1.9)), h=SeriesPoly(coeffs=(1.0, -2.0)))",
     ),
     "dtm": (
-        lambda: DtmResult((1.0, 2.0), None, 1),
-        ((1.0, 2.0), None, 1),
-        "DtmResult(W=(1.0, 2.0), V=None, order=1)",
+        lambda: DtmResult((1.0, 2.0), None),
+        ((1.0, 2.0), None),
+        "DtmResult(W=(1.0, 2.0), V=None)",
     ),
     "dtm-coupled": (
-        lambda: DtmResult((1.0,), (0.5,), 0),
-        ((1.0,), (0.5,), 0),
-        "DtmResult(W=(1.0,), V=(0.5,), order=0)",
+        lambda: DtmResult((1.0,), (0.5,)),
+        ((1.0,), (0.5,)),
+        "DtmResult(W=(1.0,), V=(0.5,))",
     ),
     "adm": (
-        lambda: AdmState((1.0, 2.0), (3.0, 4.0), 3),
-        ((1.0, 2.0), (3.0, 4.0), 3),
-        "AdmState(u_weights=(1.0, 2.0), v_weights=(3.0, 4.0), cap=3)",
+        lambda: AdmState((1.0, 2.0), (3.0, 4.0)),
+        ((1.0, 2.0), (3.0, 4.0)),
+        "AdmState(u_weights=(1.0, 2.0), v_weights=(3.0, 4.0))",
     ),
     "table": (
         lambda: ReferenceTable(1, "coupled", {"c": 1.0}, (0.0, 0.2), {("dtm", 0.1): (1.0, 1.3)}),
@@ -127,7 +127,7 @@ def test_equal_fields_in_another_class_are_not_equal():
     q = Params(0.5, 1.0, 2.0, 1.0, 0.1)
     assert q.H0 == 1.0 and q.h0 == 1.0
     assert p != q and q != p and not p == q
-    assert DtmResult((1.0,), None, 0) != DtmResult((1.0,), (1.0,), 0)
+    assert DtmResult((1.0,), None) != DtmResult((1.0,), (1.0,))
     assert s(1.0, 2.0) != (1.0, 2.0) and s(1.0, 2.0) != ((1.0, 2.0),)
 
 
@@ -135,7 +135,7 @@ def test_fields_differing_in_one_value_are_not_equal():
     p = CoupledParams(0.5, 1.0, 2.0, 1.0, 0.1)
     assert p != CoupledParams(0.5, 1.0, 2.0, 1.0, 0.1, h0=0.5)
     assert s(1.0, 2.0) != s(1.0, 2.5)
-    assert AdmState((1.0,), None, 1) != AdmState((1.0,), None, 2)
+    assert AdmState((1.0,), None) != AdmState((2.0,), None)
 
 
 @pytest.mark.parametrize("key", RECORDS)

@@ -45,7 +45,7 @@ def transform(p, order):
 
 
 def adm_solve(p, n_terms):
-    return (adm_solve_coupled if isinstance(p, CoupledParams) else adm_solve_delayed)(p, n_terms, n_terms)
+    return (adm_solve_coupled if isinstance(p, CoupledParams) else adm_solve_delayed)(p, n_terms)
 
 
 def no_overflow(fn, *args):
