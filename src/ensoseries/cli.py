@@ -24,7 +24,7 @@ from .dtm import assemble, transform_coupled, transform_delayed
 from .errors import (MAX_ITERATIONS, MAX_ORDER, NumericError, UsageError, check_count, check_step, check_steps,
                      step_ratio)
 from .models import CoupledParams, DelayedParams, SolutionPair
-from .oracle import exact_delayed, rk4_values
+from .oracle import _rk4_gaps, exact_delayed, rk4_values
 from .reference import load_table
 from .vim import vim_iterates
 
@@ -65,21 +65,6 @@ def _params_from_args(args) -> list:
     return [DelayedParams(eps=e, **base) for e in (args.eps or [0.05, 0.1])]
 
 
-def _solution_values(method, params, grid, n, oracle_step):
-    """H values (and h where the model has one) for one method on the grid.
-
-    ``n`` is a series method's order, term or iteration count.
-    """
-    if method == "exact":
-        return [(exact_delayed(params, t),) for t in grid]
-    if method == "rk4":
-        return rk4_values(params, grid, oracle_step)
-    sol = next(_solutions(method, params, n, n))
-    if isinstance(sol, SolutionPair):
-        return [(sol.H.eval(t), sol.h.eval(t)) for t in grid]
-    return [(sol.eval(t),) for t in grid]
-
-
 def _refuse_unwritable(out_path) -> None:
     """Refuse an ``--out`` that is a directory or lies in a missing one, before any solve.
 
@@ -109,9 +94,9 @@ def _write(out_path, lines) -> None:
 
 
 def _column_setup(args, methods):
-    """Parameter sets, grid, and ``solve(method, params)``: values on the grid.
+    """Parameter sets, grid, and ``solve(method, params)``: H values (and h where the model has one) on the grid.
 
-    Every argument, each of ``methods`` with its count and ``--out`` is checked here, before any solve.
+    Every argument, each of ``methods`` with its count or RK4 step count, and ``--out`` is checked before any solve.
     A numeric failure of a solve is reported on stderr under the method, the eps and, for a series
     method, its count (``dtm eps=0.1 order=25: ...``), and raised on.  A value that is not finite is
     reported under the same label at its first grid time, and its cell prints as an error.
@@ -133,13 +118,21 @@ def _column_setup(args, methods):
             raise UsageError("no closed form for the coupled model; use rk4")
         if method in counts:
             check_count(*counts[method][1:])
+        if method == "rk4":  # every eps shares the grid, so one check covers each rk4 column
+            _rk4_gaps(grid, args.oracle_step)
     _refuse_unwritable(args.out)
 
     def solve(method, params):
         option, n = counts[method][:2] if method in counts else (None, None)
         label = f"{method} eps={params.eps:g}" + (f" {option}={n}" if option else "")
         try:
-            values = _solution_values(method, params, grid, n, args.oracle_step)
+            if method == "exact":
+                values = [(exact_delayed(params, t),) for t in grid]
+            elif method == "rk4":
+                values = rk4_values(params, grid, args.oracle_step)
+            else:
+                sol = next(_solutions(method, params, n, n))
+                values = [(sol.H.eval(t), sol.h.eval(t)) if coupled else (sol.eval(t),) for t in grid]
         except NumericError as exc:
             print(f"{label}: {exc}", file=sys.stderr)
             raise

@@ -112,6 +112,21 @@ def _rk4_delayed(p: DelayedParams, state: tuple[float], t: float, h: float, n: i
     return (u,)
 
 
+def _rk4_gaps(ts: list[float] | tuple[float, ...], step: float) -> list[tuple[float, float, int]]:
+    """Each gap up to a requested time, from the one before or 0, as ``(start, span, steps)``; see :func:`rk4_values`."""
+    check_step(step)
+    if not all(map(isfinite, ts)):
+        raise UsageError("times must be finite")
+    if any(t < 0.0 for t in ts):
+        raise UsageError("times must be >= 0")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise UsageError("times must be strictly increasing")
+    gaps = [(t_prev, t - t_prev) for t_prev, t in zip([0.0, *ts], ts)]
+    gaps = [(t_prev, span, max(1, math.ceil(step_ratio(span, step))) if span > 0.0 else 0) for t_prev, span in gaps]
+    check_steps(sum(n for _, _, n in gaps), "RK4 steps")
+    return gaps
+
+
 def rk4_values(
     params: CoupledParams | DelayedParams,
     ts: list[float] | tuple[float, ...],
@@ -124,22 +139,13 @@ def rk4_values(
     ``errors.MAX_STEPS`` steps in all are refused with :class:`UsageError` before
     the first one is taken.
     """
-    check_step(step)
-    if not all(map(isfinite, ts)):
-        raise UsageError("times must be finite")
-    if any(t < 0.0 for t in ts):
-        raise UsageError("times must be >= 0")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise UsageError("times must be strictly increasing")
-    gaps = [(t_prev, t - t_prev) for t_prev, t in zip([0.0, *ts], ts)]
-    counts = [max(1, math.ceil(step_ratio(span, step))) if span > 0.0 else 0 for _, span in gaps]
-    check_steps(sum(counts), "RK4 steps")
+    gaps = _rk4_gaps(ts, step)
     if isinstance(params, CoupledParams):
         steps, state = _rk4_coupled, (params.H0, params.h0)
     else:
         steps, state = _rk4_delayed, (params.H0,)
     out = []
-    for (t_prev, span), n in zip(gaps, counts):
+    for t_prev, span, n in gaps:
         if n:
             state = steps(params, state, t_prev, span / n, n)
         out.append(state)

@@ -495,6 +495,9 @@ def test_a_huge_finite_count_is_a_usage_error(tmp_path, capsys, args):
     ["table", "--model", "delayed", "--iters", "1001", "--order", "2000"],
     ["table", "--model", "coupled", "--methods", "dtm,adm", "--order", "2000", "--terms", "2002"],
     ["trajectory", "--model", "coupled", "--iters", "1001"],
+    # the adm count comes before the rk4 column's step budget, which is over the limit too
+    ["trajectory", "--model", "coupled", "--eps", "0.1", "--methods", "adm,rk4", "--terms", "5000",
+     "--t-max", "1e20", "--t-step", "1e20"],
 ])
 def test_a_huge_solve_count_is_a_usage_error(tmp_path, capsys, monkeypatch, args):
     # refused before the solver allocates or steps: --order 20000 ran past 10 s before
@@ -588,6 +591,23 @@ def test_a_bad_method_is_a_usage_error_before_any_solve(tmp_path, capsys, monkey
     assert captured.err == f"error: {message}\n"
     assert calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, count", [
+    (["table", "--model", "coupled", "--methods", "vim,rk4", "--t-max", "1e9", "--t-step", "1e9"], "1e+13"),
+    # the adm column is not finite on this grid, so a solve of it would print a stderr line of its own
+    (["trajectory", "--model", "coupled", "--eps", "0.1", "--methods", "adm,rk4", "--terms", "20",
+      "--t-max", "1e20", "--t-step", "1e20"], "1e+24"),
+    (["errors", "--model", "delayed", "--oracle", "rk4", "--methods", "dtm", "--t-max", "1e20", "--t-step", "1e20"],
+     "1e+24"),
+])
+def test_an_rk4_step_budget_is_refused_before_any_solve(capsys, monkeypatch, args, count):
+    calls = watch_solves(monkeypatch)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {count} RK4 steps exceed the limit of 1e+08"]
+    assert calls == []
 
 
 # -- exit-code contract ---------------------------------------------------
