@@ -19,7 +19,7 @@ MAX_ORDER = 2000
 MAX_ITERATIONS = 1000
 
 # The most multiply-adds one vim_solve may ask for (vim._solve_work); the CLI
-# asks at most 4,274,808.  Nine dense steps to cap 2000, 9,360,498 of them,
+# asks at most 4,145,204.  Nine dense steps to cap 2000, 9,349,208 of them,
 # take 0.25 s on the same Xeon.
 MAX_VIM_WORK = 10**7
 

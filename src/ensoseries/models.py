@@ -18,6 +18,7 @@ kept as fields so the solvers stay general.
 from __future__ import annotations
 
 import warnings
+from math import isfinite
 
 from ._frozen import Frozen
 from .errors import ParameterRangeWarning, SingularModelError, UsageError, require_finite
@@ -50,8 +51,10 @@ class DelayedParams(Frozen):
     All four constants are physically positive; values outside that range are
     accepted with a warning so parameter sweeps can probe boundaries.
     ``beta*sigma == 1`` is rejected outright: the factor ``1 - beta*sigma``
-    divides every coefficient of the model.  The reduced ``a, b`` of
-    :func:`reduced_delayed_coeffs` are kept in the private ``_reduced``.
+    divides every coefficient of the model.  So is a set where that factor
+    or the reduced ``a, b`` of :func:`reduced_delayed_coeffs` overflows: the
+    model left would not be the one asked for (an infinite factor makes a and
+    b zero).  ``a, b`` are kept in the private ``_reduced``.
     """
 
     # the RK4 oracle evaluates delayed_rhs four times a step, so a and b are computed once
@@ -64,7 +67,10 @@ class DelayedParams(Frozen):
         denom = 1.0 - self.beta * self.sigma
         if denom == 0.0:
             raise SingularModelError("beta*sigma == 1 makes the model singular")
-        object.__setattr__(self, "_reduced", ((self.alpha - self.beta) / denom, self.eps / denom))
+        a, b = (self.alpha - self.beta) / denom, self.eps / denom
+        if not (isfinite(denom) and isfinite(a) and isfinite(b)):
+            raise SingularModelError(f"the reduced model overflows: 1 - beta*sigma = {denom!r}, (a, b) = ({a!r}, {b!r})")
+        object.__setattr__(self, "_reduced", (a, b))
         if min(self.alpha, self.beta, self.sigma, self.eps) <= 0.0:
             warnings.warn(
                 "alpha, beta, sigma and eps are physically positive",

@@ -36,13 +36,16 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
 
     Computed as ``H = H0 * q**-0.5`` with ``q = H0**2 * w``, so H keeps the
     sign of H0, and H0 = 0 gives the equilibrium H = 0; an H0 whose square
-    overflows is refused with :class:`DomainError`.  With ``x = -2*a*t``,
-    ``q = exp(x) + 2*b*H0**2*t * expm1(x)/x``: no term cancels as a -> 0
-    (``H0**2 * b/a`` would, and would overflow for a tiny a), and x = 0
-    gives the a == 0 form ``1 + 2*b*H0**2*t``.  Where ``exp(-2*a*t)``
-    leaves the float range, q grows like ``(1 - H0**2 * b/a) * exp(-2*a*t)``:
-    H is then taken in log space if that factor is positive, and the solution
-    has blown up before t if it is negative.
+    overflows is refused with :class:`DomainError`.  With ``x = -2*(a*t)``,
+    ``q = exp(x) + 2*(b*H0**2*t) * expm1(x)/x``, in that order so that ``2*a``
+    or ``2*b`` alone never overflows: no term cancels as a -> 0 (``H0**2 * b/a``
+    would, and would overflow for a tiny a), x = 0 gives the a == 0 form
+    ``1 + 2*b*H0**2*t`` (and H0 at t = 0), and where ``a*t`` overflows, x is
+    -inf and q is its limit ``H0**2 * b/a``.  Where ``exp(-2*a*t)`` leaves
+    the float range, q grows like ``(1 - H0**2 * b/a) * exp(-2*a*t)``: H is
+    then taken in log space if that factor is positive, and the solution has
+    blown up before t if it is negative.  Where ``b*H0**2*t`` itself
+    overflows, q is inf and H is 0.0, though the solution may be positive.
     """
     if not math.isfinite(t):
         raise UsageError("t must be finite")
@@ -52,9 +55,9 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
     s = p.H0 * p.H0
     if s == math.inf:
         raise DomainError(f"H0**2 overflows (H0 = {p.H0!r})")
-    x = -2.0 * a * t
-    try:
-        q = math.exp(x) + 2.0 * b * s * t * (math.expm1(x) / x if x else 1.0)
+    x = -2.0 * (a * t)
+    try:  # at x = -inf, exp(x) and expm1(x)/x are 0.0, and q is its limit
+        q = s * b / a if x == -math.inf else math.exp(x) + 2.0 * (b * s * t) * (math.expm1(x) / x if x else 1.0)
     except OverflowError:
         r = s * b / a
         if r == 1.0:
@@ -155,14 +158,12 @@ def rk4_values(
 def residual_check(
     solution: SolutionPair | SeriesPoly,
     params: CoupledParams | DelayedParams,
-    upto: int | None = None,
 ) -> float:
     """Largest residual coefficient left when a series is pushed through its model.
 
     The residual series is ``d(series)/dt - RHS(series)``; coefficients
-    ``0..upto`` are inspected (default: everything below the cap, whose own
-    derivative coefficient is an artifact of truncation); an ``upto`` outside
-    ``0..cap-1`` is refused.  Each residual coefficient is computed in one
+    ``0..cap-1`` are inspected, since the cap's own derivative coefficient is
+    an artifact of truncation.  Each residual coefficient is computed in one
     pass, in the order of operations of
     ``H' - (c*H + eta*h - eps*H**3)`` over series (``H' - (a*H - b*H**3)``
     for the delayed model): coefficient k of ``H'`` is ``(k+1)*H[k+1]``, and
@@ -190,9 +191,4 @@ def residual_check(
         res = [(k + 1) * dH - (a * x - b * z)
                for k, dH, x, z in zip(range(len(H)), H[1:] + (0.0,), H, C)]
         residuals = (check_finite(res),)
-    cap = len(H) - 1
-    if upto is None:
-        upto = cap - 1
-    elif not 0 <= upto < cap:
-        raise UsageError(f"upto must be >= 0 and below the series cap {cap}")
-    return max(max(map(abs, res[: upto + 1]), default=0.0) for res in residuals)
+    return max(max(map(abs, res[:-1]), default=0.0) for res in residuals)

@@ -55,10 +55,6 @@ class SeriesPoly(Frozen):
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, value: float, cap: int) -> "SeriesPoly":
-        return cls.monomial(value, 0, cap)
-
-    @classmethod
     def monomial(cls, value: float, degree: int, cap: int) -> "SeriesPoly":
         """Series with ``value`` at ``degree`` and zeros elsewhere."""
         if cap < 0:
@@ -110,11 +106,9 @@ class SeriesPoly(Frozen):
         0.0 over the terms below both operands' live degrees only, which is
         bit for bit the full sum (see :func:`_product`).
         """
+        self._check_compatible(other)
         a, b = self.coeffs, other.coeffs
-        if len(a) != len(b):
-            self._check_compatible(other)
-        da = _live_degree(a)
-        return _trusted(_product(a, b, da, da if other is self else _live_degree(b)))
+        return _trusted(_product(a, b, _live_degree(a), _live_degree(b)))
 
     def cube(self) -> "SeriesPoly":
         """Triple convolution ``self * self * self`` (truncated); see :func:`_cube`."""

@@ -48,13 +48,15 @@ def _next_coupled(H, h, p: CoupledParams, cap: int):
     with C the cube of H: the expression, in its order of operations, that
     ``H - (H' - c*H - eta*h + eps*H**3).antiderivative()`` evaluates with
     series operations.  Coefficient 0 is H[0] (H[0] - 0.0).  Likewise for h.
-    C comes from :func:`series._cube` on the padded tuple, with the live
-    degree found here: the bits of ``SeriesPoly.cube``, with no series built.
+    The loop reads C[0..m-1], the cube of ``H[:m]`` from :func:`series._cube`
+    at the live degree found here: the bits of ``SeriesPoly.cube``, with no
+    series built.  Its coefficient m, left out, is finite after the first step
+    (H passed :func:`errors.check_coeffs`), so no overflow index moves.
     """
     d = _live_degree(H)
     m = min(cap, max(3 * d, _live_degree(h)) + 1)
     H, h = _at(H, m), _at(h, m)
-    C = _cube(H, min(d, m))  # d > m only where H ran past the cap and _at cut it
+    C = _cube(H[:m], min(d, m - 1)) if m else ()  # d >= m only where H ran past the cap and _at cut it
     c, eta, eps, theta, gamma = p.c, p.eta, p.eps, p.theta, p.gamma
     H_next, h_next = [H[0]], [h[0]]
     for k, Hk, Hj, hk, hj, Cj in zip(range(1, m + 1), H[1:], H, h[1:], h, C):
@@ -72,7 +74,7 @@ def _next_delayed(H, a: float, b: float, cap: int):
     d = _live_degree(H)
     m = min(cap, 3 * d + 1)
     H = _at(H, m)
-    C = _cube(H, min(d, m))
+    C = _cube(H[:m], min(d, m - 1)) if m else ()
     H_next = [H[0]]
     for k, Hk, Hj, Cj in zip(range(1, m + 1), H[1:], H, C):
         H_next.append(Hk - ((k * Hk - a * Hj) + b * Cj) / k)
@@ -84,12 +86,13 @@ def _solve_work(iterations: int, degree_cap: int) -> int:
 
     Step n works at cap at most ``m(n)``: ``m(1) = min(degree_cap, 1)``,
     ``m(n+1) = min(degree_cap, 3*m(n) + 1)`` (see :func:`_next_coupled`).
-    Its cube is two products of at most ``(m+1)*(m+2)/2`` multiply-adds.
+    Its cube runs to degree m - 1, the last its loop reads: two products of
+    at most ``m*(m+1)/2`` multiply-adds.
     """
     work = m = 0
     for _ in range(iterations):
         m = min(degree_cap, 3 * m + 1)
-        work += (m + 1) * (m + 2)
+        work += m * (m + 1)
     return work
 
 

@@ -44,12 +44,12 @@ def mono(value, degree, cap=6):
 
 
 def test_a0_is_cube_of_first_component():
-    a0 = adomian_cubic([SeriesPoly.constant(1.0, 4)], 0)
+    a0 = adomian_cubic([SeriesPoly.monomial(1.0, 0, 4)], 0)
     assert a0.coeffs == (1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_a1_is_3_u0sq_u1():
-    comps = [SeriesPoly.constant(1.0, 4), SeriesPoly.monomial(1.0, 1, 4)]
+    comps = [SeriesPoly.monomial(1.0, 0, 4), SeriesPoly.monomial(1.0, 1, 4)]
     a1 = adomian_cubic(comps, 1)
     assert a1.coeffs == (0.0, 3.0, 0.0, 0.0, 0.0)
 
@@ -64,9 +64,9 @@ def test_a2_hand_expansion():
 
 def test_missing_components_rejected():
     with pytest.raises(UsageError):
-        adomian_cubic([SeriesPoly.constant(1.0, 4)], 1)
+        adomian_cubic([SeriesPoly.monomial(1.0, 0, 4)], 1)
     with pytest.raises(UsageError):
-        adomian_cubic([SeriesPoly.constant(1.0, 4)], -1)
+        adomian_cubic([SeriesPoly.monomial(1.0, 0, 4)], -1)
 
 
 def brute_force_triple_sum(comps, m):

@@ -610,6 +610,22 @@ def test_an_rk4_step_budget_is_refused_before_any_solve(capsys, monkeypatch, arg
     assert calls == []
 
 
+@pytest.mark.parametrize("args", [
+    ["table", "--model", "delayed", "--alpha", "1.5e308", "--beta", "0.5", "--sigma", "1.9999"],
+    ["errors", "--model", "delayed", "--beta", "1e308", "--sigma", "10"],
+    ["trajectory", "--model", "delayed", "--eps", "1.7e308"],
+])
+def test_an_overflowing_reduction_exits_3_before_any_solve(capsys, monkeypatch, args):
+    # these sets were built with a, b infinite or zero, and every solver then failed on its own
+    calls = watch_solves(monkeypatch)
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: the reduced model overflows")
+    assert calls == []
+
+
 # -- exit-code contract ---------------------------------------------------
 
 # Zero, negative, tiny, subnormal and normal values are usable parameters;

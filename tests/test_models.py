@@ -50,6 +50,24 @@ def test_singular_model_rejected():
         DelayedParams(0.5, 2.0, 0.5, 0.05)
 
 
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+@pytest.mark.parametrize("args", [
+    (0.5, 1e308, 10.0, 0.05),  # 1 - beta*sigma = -inf made (a, b) = (0.0, -0.0)
+    (1.5e308, 0.5, 1.9999, 0.05),  # a = inf
+    (1e308, -1e308, 0.25, 0.05),  # alpha - beta = inf
+    (0.5, 0.3, 0.25, 1.7e308),  # b = inf
+])
+def test_an_overflowing_reduction_is_refused(args):
+    with pytest.raises(SingularModelError, match="overflows"):
+        DelayedParams(*args)
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+def test_the_largest_finite_reductions_build():
+    assert reduced_delayed_coeffs(DelayedParams(1e308, 0.3, 0.25, 0.05))[0] == (1e308 - 0.3) / 0.925
+    assert reduced_delayed_coeffs(DelayedParams(0.5, 0.3, 0.25, 1e308))[1] == 1e308 / 0.925
+
+
 def test_non_finite_parameters_rejected():
     with pytest.raises(UsageError):
         CoupledParams(math.nan, 1, 1, 1, 0.1)

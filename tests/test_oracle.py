@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -124,6 +125,42 @@ def test_exact_refuses_a_start_whose_square_overflows():
     for t in (0.0, 0.4, 2.0):
         with pytest.raises(DomainError, match="overflows"):
             exact_delayed(p, t)
+
+
+def decimal_exact_delayed(p, t):
+    """The closed form ``H0 * (H0**2 * w)**-0.5`` in 700-digit decimals, from the float a, b of ``p``.
+
+    ``w = b/a + (H0**-2 - b/a) * exp(-2*a*t)`` cancels to about 300 digits at
+    t = 1e-300, so 700 digits leave the float's 17 intact.
+    """
+    with localcontext(Context(prec=700, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        a, b = map(Decimal, reduced_delayed_coeffs(p))
+        H0, t = Decimal(p.H0), Decimal(t)
+        e = (-2 * a * t).exp()
+        q = e + H0 * H0 * b / a * (1 - e)
+        return float(H0 / q.sqrt())
+
+
+HUGE_A = DelayedParams(1e308, 0.3, 0.25, 0.05)  # a = 1.08e308
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", ParameterRangeWarning)
+    HUGE_B = DelayedParams(0.5, 0.3, 0.25, 1e308)  # b = 1.08e308
+
+
+@pytest.mark.parametrize("p, t", [(HUGE_A, t) for t in (0.0, 1e-300, 1e-100, 1e-5, 1.0, 2.0)]
+                         + [(HUGE_B, t) for t in (0.0, 1e-300, 1e-100, 1e-5)])
+def test_exact_takes_a_huge_reduced_coefficient(p, t):
+    # 2*a and 2*b overflowed first: inf*0.0 made q nan at t = 0, and with huge a q was 0.0 where a*t overflows
+    want = decimal_exact_delayed(p, t)
+    assert abs(exact_delayed(p, t) - want) <= 1e-12 * want
+    if t == 0.0:
+        assert exact_delayed(p, t) == p.H0
+
+
+def test_decimal_reference_agrees_on_table_sets():
+    for p in (TABLE3, TABLE4, DelayedParams(0.5, 0.3, 0.25, 0.1, H0=-2.0)):
+        for t in (0.0, 0.4, 2.0):
+            assert decimal_exact_delayed(p, t) == pytest.approx(exact_delayed(p, t), rel=1e-14)
 
 
 def test_exact_satisfies_the_ode_by_central_differences():
@@ -420,7 +457,7 @@ def test_residual_of_transform_output_is_tiny():
 
 def test_residual_of_the_constant_guess():
     cap = 6
-    ones = SolutionPair(SeriesPoly.constant(1.0, cap), SeriesPoly.constant(1.0, cap))
+    ones = SolutionPair(SeriesPoly.monomial(1.0, 0, cap), SeriesPoly.monomial(1.0, 0, cap))
     # both equations contribute; h' + theta + gamma = 2 dominates here
     assert residual_check(ones, TABLE1) == pytest.approx(2.0, abs=1e-15)
     # with light damping the H-equation defect |c + eta - eps| = 1.9 wins
@@ -452,17 +489,8 @@ def test_residual_overflow_at_the_cap_is_seen():
     assert err.value.index == 1
 
 
-def test_residual_upto_validation_and_mismatches():
+def test_residual_model_mismatches():
     series = solve_delayed(TABLE3, 8)
-    with pytest.raises(UsageError):
-        residual_check(series, TABLE3, upto=8)
-    # a negative upto must not slice from the end: -1 would inspect nothing, -5 only coefficient 0
-    bad = SeriesPoly((1.0, 5.0, 7.0, 0.0, 0.0))
-    p = DelayedParams(0.5, 0.3, 0.25, 0.05)
-    assert residual_check(bad, p) > 18.0
-    for upto in (-1, -5, -6, -10**9):
-        with pytest.raises(UsageError):
-            residual_check(bad, p, upto=upto)
     with pytest.raises(UsageError):
         residual_check(series, TABLE1)
     with pytest.raises(UsageError):
@@ -472,7 +500,7 @@ def test_residual_upto_validation_and_mismatches():
 # -- the one-pass residual against the series-operation residual ---------
 
 
-def reference_residual_check(solution, params, upto=None):
+def reference_residual_check(solution, params):
     """``residual_check`` as series operations: the pushed-through series, then a running max.
 
     The cube comes from the plain loops of :func:`conftest.plain_cube`, not
@@ -491,22 +519,17 @@ def reference_residual_check(solution, params, upto=None):
         a, b = reduced_delayed_coeffs(params)
         H = solution
         residuals = (H.derivative() - (H.scale(a) - plain_cube(H).scale(b)),)
-    if upto is not None and upto < 0:
-        raise UsageError("upto must be >= 0")
-    last = residuals[0].cap - 1 if upto is None else upto
-    if last >= residuals[0].cap:
-        raise UsageError("upto must stay below the series cap")
     worst = 0.0
     for res in residuals:
-        for c in res.coeffs[: last + 1]:
+        for c in res.coeffs[: res.cap]:
             worst = max(worst, abs(c))
     return worst
 
 
-def residual_bits(check, solution, params, upto):
+def residual_bits(check, solution, params):
     """The residual as an exact hex float, or the class of the typed error."""
     try:
-        return check(solution, params, upto).hex()
+        return check(solution, params).hex()
     except (UsageError, SeriesOverflowError) as exc:
         return type(exc).__name__
 
@@ -527,26 +550,24 @@ def residual_series(draw, cap):
 
 @st.composite
 def residual_case(draw):
-    """(solution, params, upto) for either model, at a cap 1..40."""
+    """(solution, params) for either model, at a cap 1..40."""
     cap = draw(st.integers(1, 40))
     if draw(st.booleans()):
         solution = SolutionPair(draw(residual_series(cap)), draw(residual_series(cap)))
         params = draw(rk4_coupled)
     else:
         solution, params = draw(residual_series(cap)), draw(rk4_delayed())
-    upto = draw(st.none() | st.integers(-2, cap + 1))
-    return solution, params, upto
+    return solution, params
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 @settings(max_examples=300, deadline=None)
 @given(residual_case())
-@example((SeriesPoly((1e120,) * 6), TABLE3, None))
-@example((SeriesPoly((0.0, 1e308)), DelayedParams(4.0, 0.3, 0.25, 0.05), None))
+@example((SeriesPoly((1e120,) * 6), TABLE3))
+@example((SeriesPoly((0.0, 1e308)), DelayedParams(4.0, 0.3, 0.25, 0.05)))
 def test_residual_is_bit_identical_to_the_series_operations(case):
-    solution, params, upto = case
-    want = residual_bits(reference_residual_check, solution, params, upto)
-    assert residual_bits(residual_check, solution, params, upto) == want
+    want = residual_bits(reference_residual_check, *case)
+    assert residual_bits(residual_check, *case) == want
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
@@ -560,13 +581,12 @@ def test_residual_is_bit_identical_on_random_draws():
             solution = SolutionPair(*series)
         else:
             p, solution = draw_delayed(rng), series[0]
-        upto = rng.choice([None, rng.randint(0, cap - 1)])
-        want = residual_bits(reference_residual_check, solution, p, upto)
-        assert residual_bits(residual_check, solution, p, upto) == want
+        want = residual_bits(reference_residual_check, solution, p)
+        assert residual_bits(residual_check, solution, p) == want
 
 
 def test_residual_comparison_sees_overflows():
     # the examples above must reach the overflow path on both sides
     for series, p in [(SeriesPoly((1e120,) * 6), TABLE3),
                       (SeriesPoly((0.0, 1e308)), DelayedParams(4.0, 0.3, 0.25, 0.05))]:
-        assert residual_bits(reference_residual_check, series, p, None) == "SeriesOverflowError"
+        assert residual_bits(reference_residual_check, series, p) == "SeriesOverflowError"

@@ -193,8 +193,8 @@ def test_counts_above_the_limits_are_refused_before_any_work(monkeypatch):
 
 def test_solve_work_is_refused_above_the_budget_before_any_step(monkeypatch):
     # the CLI's largest VIM solve stays accepted; both count limits together are refused
-    assert _solve_work(MAX_ITERATIONS, DEFAULT_DEGREE_CAP) == 4_274_808 <= MAX_VIM_WORK
-    assert _solve_work(9, MAX_ORDER) <= MAX_VIM_WORK < _solve_work(10, MAX_ORDER)
+    assert _solve_work(MAX_ITERATIONS, DEFAULT_DEGREE_CAP) == 4_145_204 <= MAX_VIM_WORK
+    assert _solve_work(9, MAX_ORDER) == 9_349_208 <= MAX_VIM_WORK < _solve_work(10, MAX_ORDER) == 13_351_208
     assert vim_solve(TABLE3, 9, MAX_ORDER).cap == MAX_ORDER
     assert vim_iterates(TABLE3, 9, MAX_ORDER)[-1] == vim_solve(TABLE3, 9, MAX_ORDER)
     no_steps(monkeypatch)
@@ -205,7 +205,7 @@ def test_solve_work_is_refused_above_the_budget_before_any_step(monkeypatch):
 
 
 def test_solve_work_bounds_the_multiply_adds_of_the_cubes(monkeypatch):
-    # each product at working cap m counts (m+1)(m+2)/2 multiply-adds; dense iterates reach the bound
+    # a step at working cap m cubes H[:m]: each product counts m(m+1)/2 multiply-adds; dense iterates reach the bound
     macs = []
     product = series._product
 
@@ -287,8 +287,8 @@ coeff = st.one_of(st.just(0.0), st.just(-0.0), unit)
 
 def constant_start(p, cap):
     """The constant initial iterate ``(H, h)`` at ``cap``; h is None for the delayed model."""
-    h = SeriesPoly.constant(p.h0, cap) if isinstance(p, CoupledParams) else None
-    return SeriesPoly.constant(p.H0, cap), h
+    h = SeriesPoly.monomial(p.h0, 0, cap) if isinstance(p, CoupledParams) else None
+    return SeriesPoly.monomial(p.H0, 0, cap), h
 
 
 @st.composite
