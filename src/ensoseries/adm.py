@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from ._frozen import Frozen
 from .dtm import transform_coupled, transform_delayed
-from .errors import MAX_ORDER, UsageError, check_count
+from .errors import UsageError, check_count
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .series import SeriesPoly, _trusted
 
@@ -83,7 +83,7 @@ def adm_solve_coupled(p: CoupledParams, n_terms: int) -> AdmState:
     initial values.  The weights are the Taylor coefficients of
     :func:`dtm.transform_coupled` at order ``n_terms - 1``.
     """
-    check_count(n_terms, "n_terms", 1, MAX_ORDER + 1)
+    check_count(n_terms, "n_terms")
     r = transform_coupled(p, n_terms - 1)
     return AdmState(r.W, r.V)
 
@@ -93,5 +93,5 @@ def adm_solve_delayed(p: DelayedParams, n_terms: int) -> AdmState:
 
     The weights are the Taylor coefficients of :func:`dtm.transform_delayed`.
     """
-    check_count(n_terms, "n_terms", 1, MAX_ORDER + 1)
+    check_count(n_terms, "n_terms")
     return AdmState(transform_delayed(p, n_terms - 1).W, None)

@@ -21,8 +21,7 @@ import sys
 
 from .adm import adm_solve_coupled, adm_solve_delayed
 from .dtm import assemble, transform_coupled, transform_delayed
-from .errors import (MAX_ITERATIONS, MAX_ORDER, NumericError, UsageError, check_count, check_step, check_steps,
-                     step_ratio)
+from .errors import NumericError, UsageError, check_count, check_step, check_steps, step_ratio
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .oracle import _rk4_gaps, exact_delayed, rk4_values
 from .reference import load_table
@@ -94,12 +93,12 @@ def _write(out_path, lines) -> None:
 
 
 def _column_setup(args, methods):
-    """Parameter sets, grid, and ``solve(method, params)``: H values (and h where the model has one) on the grid.
+    """Parameter sets, grid, and ``solve(method, params)``: the columns H (and h where the model has one) on the grid.
 
     Every argument, each of ``methods`` with its count or RK4 step count, and ``--out`` is checked before any solve.
     A numeric failure of a solve is reported on stderr under the method, the eps and, for a series
-    method, its count (``dtm eps=0.1 order=25: ...``), and raised on.  A value that is not finite is
-    reported under the same label at its first grid time, and its cell prints as an error.
+    method, its count (``dtm eps=0.1 order=25: ...``), and each of its columns is None.  A value that is
+    not finite is reported under the same label at its first grid time, and its cell prints as an error.
     """
     params_list = _params_from_args(args)
     coupled = args.model == "coupled"
@@ -108,9 +107,9 @@ def _column_setup(args, methods):
     grid = _grid(t_max, t_step)
     order = args.order if args.order is not None else (40 if t_max >= 2.0 else 25)
     terms = args.terms if args.terms is not None else order + 1
-    # each series method's option and count, then the solver's own name and limits for that count
-    counts = {"dtm": ("order", order, "order", 0, MAX_ORDER), "adm": ("terms", terms, "n_terms", 1, MAX_ORDER + 1),
-              "vim": ("iters", args.iters, "iterations", 0, MAX_ITERATIONS)}
+    # each series method's option and count, then the solver's own name for that count
+    counts = {"dtm": ("order", order, "order"), "adm": ("terms", terms, "n_terms"),
+              "vim": ("iters", args.iters, "iterations")}
     for method in methods:  # in the order the command solves them, so the first bad one is named
         if method not in ("exact", "rk4", "dtm", "adm", "vim"):
             raise UsageError(f"unknown method {method!r}")
@@ -127,41 +126,31 @@ def _column_setup(args, methods):
         label = f"{method} eps={params.eps:g}" + (f" {option}={n}" if option else "")
         try:
             if method == "exact":
-                values = [(exact_delayed(params, t),) for t in grid]
+                rows = [(exact_delayed(params, t),) for t in grid]
             elif method == "rk4":
-                values = rk4_values(params, grid, args.oracle_step)
+                rows = rk4_values(params, grid, args.oracle_step)
             else:
                 sol = next(_solutions(method, params, n, n))
-                values = [(sol.H.eval(t), sol.h.eval(t)) if coupled else (sol.eval(t),) for t in grid]
+                rows = [(sol.H.eval(t), sol.h.eval(t)) if coupled else (sol.eval(t),) for t in grid]
         except NumericError as exc:
             print(f"{label}: {exc}", file=sys.stderr)
-            raise
-        bad = next((t for t, row in zip(grid, values) if not all(map(math.isfinite, row))), None)
+            return (None, None) if coupled else (None,)
+        bad = next((t for t, row in zip(grid, rows) if not all(map(math.isfinite, row))), None)
         if bad is not None:
             print(f"{label}: not finite at t={bad:g}", file=sys.stderr)
-        return values
+        return tuple(zip(*rows))
 
     return params_list, grid, solve
 
 
-def _emit(out_path, grid, specs, columns) -> int:
-    """Write ``t`` and one column per name; exit code 3 if any cell is an error.
+def _emit(out_path, grid, columns) -> int:
+    """Write ``t`` and each ``(name, values)`` of ``columns``; exit code 3 if any cell is an error.
 
-    ``specs`` lists ``(method, params, names)``, and ``columns(method,
-    params)`` returns the values of each name.  A numeric failure turns all
-    of them into error cells; ``solve`` has reported it.
+    Values of None, from a solve that failed and has said so, print as a column of error cells.
     """
-    header, cells = ["t"], []
-    for method, params, names in specs:
-        try:
-            cols = [[_fmt(v) for v in col] for col in columns(method, params)]
-        except NumericError:
-            cols = [[ERROR_CELL] * len(grid) for _ in names]
-        header += names
-        cells += cols
-    lines = [",".join(header)]
-    for i, t in enumerate(grid):
-        lines.append(",".join([f"{t:.9f}"] + [col[i] for col in cells]))
+    cells = [[ERROR_CELL] * len(grid) if values is None else [_fmt(v) for v in values] for _, values in columns]
+    lines = [",".join(["t"] + [name for name, _ in columns])]
+    lines += [",".join([f"{t:.9f}", *row]) for t, *row in zip(grid, *cells)]
     _write(out_path, lines)
     return 3 if any(ERROR_CELL in col for col in cells) else 0
 
@@ -170,28 +159,20 @@ def cmd_table(args) -> int:
     default_methods = "dtm,adm,vim" if args.model == "coupled" else "exact,dtm,adm,vim"
     methods = (default_methods if args.methods is None else args.methods).split(",")
     params_list, grid, solve = _column_setup(args, methods)
-    specs = [(m, p, [f"{m}_eps{p.eps:g}"]) for m in methods for p in params_list]
-    return _emit(args.out, grid, specs, lambda m, p: [[v[0] for v in solve(m, p)]])
+    return _emit(args.out, grid, [(f"{m}_eps{p.eps:g}", solve(m, p)[0]) for m in methods for p in params_list])
 
 
 def cmd_errors(args) -> int:
     oracle = args.oracle or ("exact" if args.model == "delayed" else "rk4")
     methods = ("dtm,adm,vim" if args.methods is None else args.methods).split(",")
     params_list, grid, solve = _column_setup(args, [oracle] + methods)
-    truth = {}
+    truth = {p: solve(oracle, p)[0] for p in params_list}
+    columns = []
     for p in params_list:
-        try:
-            truth[p] = [v[0] for v in solve(oracle, p)]
-        except NumericError:  # reported by solve
-            truth[p] = None
-
-    def errors(m, p):
-        if truth[p] is None:  # no reference: every error of this eps is an ERROR cell
-            return [[math.nan] * len(grid)]
-        return [[abs(v[0] - w) for v, w in zip(solve(m, p), truth[p])]]
-
-    specs = [(m, p, [f"err_{m}_eps{p.eps:g}"]) for p in params_list for m in methods]
-    return _emit(args.out, grid, specs, errors)
+        for m in methods:
+            H = None if truth[p] is None else solve(m, p)[0]  # an eps with no reference solves nothing
+            columns.append((f"err_{m}_eps{p.eps:g}", None if H is None else [abs(v - w) for v, w in zip(H, truth[p])]))
+    return _emit(args.out, grid, columns)
 
 
 def _solutions(method, params, lo, hi):
@@ -238,12 +219,9 @@ def cmd_trajectory(args) -> int:
     default_methods = "dtm,adm,vim,rk4" if args.model == "coupled" else "dtm,adm,vim,exact"
     methods = (default_methods if args.methods is None else args.methods).split(",")
     params_list, grid, solve = _column_setup(args, methods)
-    specs = [
-        (m, p, [f"{x}_{m}_eps{p.eps:g}" for x in ("Hh" if args.model == "coupled" and m != "exact" else "H")])
-        for m in methods
-        for p in params_list
-    ]
-    return _emit(args.out, grid, specs, lambda m, p: list(zip(*solve(m, p))))
+    names = "Hh" if args.model == "coupled" else "H"
+    return _emit(args.out, grid, [(f"{x}_{m}_eps{p.eps:g}", col) for m in methods for p in params_list
+                                  for x, col in zip(names, solve(m, p))])
 
 
 def _add_common(sub, model_required=True):

@@ -23,7 +23,7 @@ tests (dense Adomian polynomials over series and a scalar triple sum).
 from __future__ import annotations
 
 from ._frozen import Frozen
-from .errors import COEFF_LIMIT, MAX_ORDER, UsageError, check_coeffs, check_count
+from .errors import COEFF_LIMIT, UsageError, check_coeffs, check_count
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
 from .series import SeriesPoly, _trusted
 
@@ -62,7 +62,7 @@ def _cube_coeff(W: list[float], S: list[float]) -> float:
 
 def transform_coupled(p: CoupledParams, order: int) -> DtmResult:
     """Run the coupled recurrence up to the given truncation order (at most ``MAX_ORDER``)."""
-    check_count(order, "order", 0, MAX_ORDER)
+    check_count(order, "order")
     c, eta, eps, theta, gamma = p.c, p.eta, p.eps, p.theta, p.gamma
     W = [p.H0]
     V = [p.h0]
@@ -81,7 +81,7 @@ def transform_coupled(p: CoupledParams, order: int) -> DtmResult:
 
 def transform_delayed(p: DelayedParams, order: int) -> DtmResult:
     """Run the scalar delayed-model recurrence up to the given order (at most ``MAX_ORDER``)."""
-    check_count(order, "order", 0, MAX_ORDER)
+    check_count(order, "order")
     a, b = reduced_delayed_coeffs(p)
     W = [p.H0]
     S: list[float] = []  # the square's coefficients

@@ -18,6 +18,10 @@ COEFF_LIMIT = 1e15
 MAX_ORDER = 2000
 MAX_ITERATIONS = 1000
 
+# Each solve count by the name its solver gives it, and its range low..high.
+COUNT_LIMITS = {"order": (0, MAX_ORDER), "n_terms": (1, MAX_ORDER + 1), "iterations": (0, MAX_ITERATIONS),
+                "degree_cap": (0, MAX_ORDER)}
+
 # The most multiply-adds one vim_solve may ask for (vim._solve_work); the CLI
 # asks at most 4,145,204.  Nine dense steps to cap 2000, 9,349,208 of them,
 # take 0.25 s on the same Xeon.
@@ -58,11 +62,12 @@ def require_finite(value, name: str) -> float:
     return value
 
 
-def check_count(count: int, name: str, low: int, high: int) -> int:
-    """``count``, or :class:`UsageError` if it lies outside ``low..high``.
+def check_count(count: int, name: str) -> int:
+    """``count``, or :class:`UsageError` if it lies outside the range ``COUNT_LIMITS`` gives ``name``.
 
     The solvers check their counts this way before they allocate anything.
     """
+    low, high = COUNT_LIMITS[name]
     if not low <= count <= high:
         raise UsageError(f"{name} must be in {low}..{high}")
     return count

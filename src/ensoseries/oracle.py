@@ -36,16 +36,17 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
 
     Computed as ``H = H0 * q**-0.5`` with ``q = H0**2 * w``, so H keeps the
     sign of H0, and H0 = 0 gives the equilibrium H = 0; an H0 whose square
-    overflows is refused with :class:`DomainError`.  With ``x = -2*(a*t)``,
-    ``q = exp(x) + 2*(b*H0**2*t) * expm1(x)/x``, in that order so that ``2*a``
-    or ``2*b`` alone never overflows: no term cancels as a -> 0 (``H0**2 * b/a``
-    would, and would overflow for a tiny a), x = 0 gives the a == 0 form
-    ``1 + 2*b*H0**2*t`` (and H0 at t = 0), and where ``a*t`` overflows, x is
-    -inf and q is its limit ``H0**2 * b/a``.  Where ``exp(-2*a*t)`` leaves
-    the float range, q grows like ``(1 - H0**2 * b/a) * exp(-2*a*t)``: H is
-    then taken in log space if that factor is positive, and the solution has
-    blown up before t if it is negative.  Where ``b*H0**2*t`` itself
-    overflows, q is inf and H is 0.0, though the solution may be positive.
+    overflows is refused with :class:`DomainError`.  With ``x = -2*(a*t)``
+    and ``g = expm1(x)/x``, ``q = exp(x) + 2*(b*H0**2*t) * g``, in that
+    order so that ``2*a`` or ``2*b`` alone never overflows: no term cancels
+    as a -> 0 (``H0**2 * b/a`` would, and would overflow for a tiny a),
+    x = 0 gives the a == 0 form ``1 + 2*b*H0**2*t`` (and H0 at t = 0), and
+    where ``a*t`` overflows to +inf, x is -inf and q is its limit
+    ``H0**2 * b/a``.  Where ``exp(-2*a*t)`` leaves the float range (x = +inf
+    included), q grows like ``(1 - H0**2 * b/a) * exp(-2*a*t)``: H is then
+    taken in log space if that factor is positive, and the solution has
+    blown up before t if it is negative.  Where ``2*(b*H0**2*t)`` itself
+    overflows with b and t positive, q is taken in log space too.
     """
     if not math.isfinite(t):
         raise UsageError("t must be finite")
@@ -56,15 +57,23 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
     if s == math.inf:
         raise DomainError(f"H0**2 overflows (H0 = {p.H0!r})")
     x = -2.0 * (a * t)
-    try:  # at x = -inf, exp(x) and expm1(x)/x are 0.0, and q is its limit
-        q = s * b / a if x == -math.inf else math.exp(x) + 2.0 * (b * s * t) * (math.expm1(x) / x if x else 1.0)
+    try:  # at x = -inf, exp(x) and g are 0.0, and q is its limit
+        g = math.expm1(x) / x if x else 1.0
+        q = s * b / a if x == -math.inf else math.exp(x) + 2.0 * (b * s * t) * g
     except OverflowError:
+        q = math.nan
+    if q != q:  # exp(x) left the float range (it returns inf at x = inf), or b*H0**2 overflowed and t = 0
+        if t == 0.0:
+            return p.H0
         r = s * b / a
         if r == 1.0:
             return p.H0
         if r > 1.0:
-            raise DomainError(f"solution blows up before t={t}") from None
+            raise DomainError(f"solution blows up before t={t}")
         return p.H0 * math.exp(-0.5 * (x + math.log1p(-r)))
+    if q == math.inf and min(b, t, g) > 0.0:  # 2*(b*s*t) overflowed: q = exp(x) + exp(log_q) in log space
+        log_q = math.log(2.0) + math.log(b) + math.log(s) + math.log(t) + math.log(g)
+        return p.H0 * math.exp(-0.5 * (log_q + math.log1p(math.exp(x - log_q))))
     if not q > 0.0:
         raise DomainError(f"solution blows up before t={t} (H0**2 * w = {q})")
     return p.H0 * q ** -0.5

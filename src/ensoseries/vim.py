@@ -21,7 +21,7 @@ live degree and pads them to the degree cap once, at the end;
 
 from __future__ import annotations
 
-from .errors import MAX_ITERATIONS, MAX_ORDER, MAX_VIM_WORK, UsageError, check_coeffs, check_count
+from .errors import MAX_VIM_WORK, UsageError, check_coeffs, check_count
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
 from .series import SeriesPoly, _cube, _live_degree, _wrap
 
@@ -102,8 +102,8 @@ def _iterates(params: CoupledParams | DelayedParams, iterations: int, degree_cap
     A coupled iterate is the pair ``(H, h)``, a delayed one ``H`` alone.
     The limits :func:`vim_solve` names are checked before the first step.
     """
-    check_count(iterations, "iterations", 0, MAX_ITERATIONS)
-    check_count(degree_cap, "degree_cap", 0, MAX_ORDER)
+    check_count(iterations, "iterations")
+    check_count(degree_cap, "degree_cap")
     work = _solve_work(iterations, degree_cap)
     if work > MAX_VIM_WORK:
         raise UsageError(f"{iterations} iterations at degree cap {degree_cap} need up to {work} "

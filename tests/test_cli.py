@@ -154,6 +154,14 @@ def test_table_exact_beyond_the_exp_range(tmp_path):
     (["trajectory", "--model", "coupled", "--eps", "0.1", "--methods", "adm", "--terms", "20",
       "--t-max", "1e20", "--t-step", "1e20"],
      ["H_adm_eps0.1", "h_adm_eps0.1"], ["adm eps=0.1 terms=20: not finite at t=1e+20"]),
+    # coupled columns whose solve raises: both of its H and h, and no other
+    (["trajectory", "--model", "coupled", "--c", "50", "--eps", "0.5", "--order", "60", "--methods", "dtm,rk4"],
+     ["H_dtm_eps0.5", "h_dtm_eps0.5"], ["dtm eps=0.5 order=60: coefficient 12 overflowed"]),
+    (["trajectory", "--model", "coupled", "--eps", "-500", "--methods", "rk4,vim", "--iters", "3"],
+     ["H_rk4_eps-500", "h_rk4_eps-500", "H_vim_eps-500", "h_vim_eps-500"],
+     ["rk4 eps=-500: integration blew up near t=", "vim eps=-500 iters=3: coefficient 6 overflowed"]),
+    (["errors", "--model", "coupled", "--eps", "-500", "--eps", "0.1", "--methods", "dtm,vim", "--iters", "3"],
+     ["err_dtm_eps-500", "err_vim_eps-500"], ["rk4 eps=-500: integration blew up near t="]),
 ])
 def test_every_exit_3_names_its_error_columns_on_stderr(tmp_path, capsys, args, columns, lines):
     code, text = run_cli(args, tmp_path)
@@ -207,8 +215,9 @@ def test_errors_rejects_exact_oracle_for_coupled(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 @pytest.mark.parametrize("oracle", ["exact", "rk4"])
-def test_errors_oracle_failure_marks_only_its_eps(tmp_path, capsys, oracle):
+def test_errors_oracle_failure_marks_only_its_eps(tmp_path, capsys, monkeypatch, oracle):
     # eps = -500 blows up before t = 0.4; eps = 0.1 must keep its columns
+    calls = watch_solves(monkeypatch)
     code, text = run_cli(
         ["errors", "--model", "delayed", "--eps", "-500", "--eps", "0.1",
          "--methods", "dtm,adm", "--oracle", oracle],
@@ -221,6 +230,7 @@ def test_errors_oracle_failure_marks_only_its_eps(tmp_path, capsys, oracle):
     assert all(float(cell) <= 1e-8 for row in rows for cell in row[3:])
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"{oracle} eps=-500: ")
+    assert calls.count("transform_delayed") == 2  # dtm and adm at eps = 0.1 only: the failed eps solves nothing
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
@@ -304,6 +314,16 @@ def test_sweep_equals_per_n_solves(tmp_path, method, lo, hi):
             )
             assert code == 0
             assert text == sweep_from_scratch(number, method, eps, lo, hi)
+
+
+@pytest.mark.parametrize("method", ["adm", "vim"])
+def test_sweep_count_zero_is_dtm_only(capsys, method):
+    # order 0 is the constant H0; zero components or iterations is no solution
+    assert main(["sweep", "--table", "4", "--method", method, "--eps", "0.05", "--min", "0"]) == 2
+    assert capsys.readouterr().err == "error: need min <= max (and a positive count for adm/vim)\n"
+    assert main(["sweep", "--table", "4", "--method", "dtm", "--eps", "0.05", "--min", "0", "--max", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows] == ["dtm_n", "0", "1", "2", "3"]
 
 
 @pytest.mark.parametrize("method", ["dtm", "adm"])

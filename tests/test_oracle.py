@@ -145,12 +145,22 @@ HUGE_A = DelayedParams(1e308, 0.3, 0.25, 0.05)  # a = 1.08e308
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", ParameterRangeWarning)
     HUGE_B = DelayedParams(0.5, 0.3, 0.25, 1e308)  # b = 1.08e308
+    HUGE_NEGATIVE_A = DelayedParams(-1e308, 0.3, 0.25, 0.05)  # a = -1.08e308
+    HUGE_B_H0 = DelayedParams(0.5, 0.3, 0.25, 1e308, H0=2.0)  # b*H0**2 overflows
 
 
 @pytest.mark.parametrize("p, t", [(HUGE_A, t) for t in (0.0, 1e-300, 1e-100, 1e-5, 1.0, 2.0)]
-                         + [(HUGE_B, t) for t in (0.0, 1e-300, 1e-100, 1e-5)])
+                         + [(HUGE_B, t) for t in (0.0, 1e-300, 1e-100, 1e-5, 1.0, 2.0)]
+                         + [(HUGE_NEGATIVE_A, t) for t in (1e-300, 1.0, 2.0)]
+                         + [(HUGE_B_H0, t) for t in (0.0, 1e-300, 1.0)])
 def test_exact_takes_a_huge_reduced_coefficient(p, t):
-    # 2*a and 2*b overflowed first: inf*0.0 made q nan at t = 0, and with huge a q was 0.0 where a*t overflows
+    # 2*a and 2*b overflowed first: inf*0.0 made q nan at t = 0, and with huge a q was 0.0 where a*t overflows;
+    # with huge b, q overflowed to inf at t = 1 (at t = 1e-300 with H0 = 2) and H read 0.0, and with H0 = 2,
+    # inf*0.0 made q nan at t = 0; with huge negative a, x = -2*(a*t) overflowed to inf at t = 1, exp(x)
+    # returned inf without raising, and q was nan
+    if p is HUGE_NEGATIVE_A:  # H is below the smallest subnormal, where the decimal exponent would overflow
+        assert exact_delayed(p, t) == 0.0
+        return
     want = decimal_exact_delayed(p, t)
     assert abs(exact_delayed(p, t) - want) <= 1e-12 * want
     if t == 0.0:
