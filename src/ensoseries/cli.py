@@ -19,13 +19,13 @@ import math
 import os
 import sys
 
-from .adm import adm_solve_coupled, adm_solve_delayed
+from .adm import AdmState, adm_solve_coupled, adm_solve_delayed
 from .dtm import assemble, transform_coupled, transform_delayed
 from .errors import NumericError, UsageError, check_count, check_step, check_steps, step_ratio
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .oracle import _rk4_gaps, exact_delayed, rk4_values
 from .reference import load_table
-from .vim import vim_iterates
+from .vim import vim_iterates, vim_solve
 
 _COUPLED_DEFAULTS = {"c": 1.0, "eta": 1.0, "gamma": 1.0, "theta": 1.0}
 _DELAYED_DEFAULTS = {"alpha": 0.5, "beta": 0.3, "sigma": 0.25}
@@ -99,6 +99,8 @@ def _column_setup(args, methods):
     A numeric failure of a solve is reported on stderr under the method, the eps and, for a series
     method, its count (``dtm eps=0.1 order=25: ...``), and each of its columns is None.  A value that is
     not finite is reported under the same label at its first grid time, and its cell prints as an error.
+    One command's dtm column at order n and adm column at n + 1 terms read one DTM transform; a VIM
+    column runs ``vim_solve``.  Each column is bit for bit the same column solved alone.
     """
     params_list = _params_from_args(args)
     coupled = args.model == "coupled"
@@ -120,6 +122,16 @@ def _column_setup(args, methods):
         if method == "rk4":  # every eps shares the grid, so one check covers each rk4 column
             _rk4_gaps(grid, args.oracle_step)
     _refuse_unwritable(args.out)
+    # each successful transform by (id(params), order): an adm column at n terms reads the transform at
+    # order n - 1, as adm_solve_* would, so with --terms = --order + 1 the dtm and adm columns share one;
+    # keyed by identity so that eps 0.0 and -0.0 stay apart, and a failed transform fails again, on its own line
+    transforms = {}
+
+    def transform(params, order):
+        key = (id(params), order)
+        if key not in transforms:
+            transforms[key] = (transform_coupled if coupled else transform_delayed)(params, order)
+        return transforms[key]
 
     def solve(method, params):
         option, n = counts[method][:2] if method in counts else (None, None)
@@ -130,7 +142,13 @@ def _column_setup(args, methods):
             elif method == "rk4":
                 rows = rk4_values(params, grid, args.oracle_step)
             else:
-                sol = next(_solutions(method, params, n, n))
+                if method == "dtm":
+                    sol = assemble(transform(params, n))
+                elif method == "adm":
+                    r = transform(params, n - 1)
+                    sol = AdmState(r.W, r.V).solution()
+                else:
+                    sol = vim_solve(params, n)
                 rows = [(sol.H.eval(t), sol.h.eval(t)) if coupled else (sol.eval(t),) for t in grid]
         except NumericError as exc:
             print(f"{label}: {exc}", file=sys.stderr)
@@ -176,7 +194,7 @@ def cmd_errors(args) -> int:
 
 
 def _solutions(method, params, lo, hi):
-    """Series solution at each order, component or iteration count n in lo..hi.
+    """Series solution at each order, component or iteration count n in lo..hi, for ``sweep``.
 
     All come from one solve at hi: raising the order leaves lower
     coefficients, components and iterates bit-for-bit unchanged, so each n

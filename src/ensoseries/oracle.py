@@ -45,8 +45,9 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
     ``H0**2 * b/a``.  Where ``exp(-2*a*t)`` leaves the float range (x = +inf
     included), q grows like ``(1 - H0**2 * b/a) * exp(-2*a*t)``: H is then
     taken in log space if that factor is positive, and the solution has
-    blown up before t if it is negative.  Where ``2*(b*H0**2*t)`` itself
-    overflows with b and t positive, q is taken in log space too.
+    blown up before t if it is negative.  Where q overflows with b*t
+    positive (``2*(b*H0**2*t)``, or the limit ``H0**2 * b/a``), q is taken
+    in log space too, from ``log|b|`` and ``log|t|`` (or ``log|a|``).
     """
     if not math.isfinite(t):
         raise UsageError("t must be finite")
@@ -71,8 +72,11 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
         if r > 1.0:
             raise DomainError(f"solution blows up before t={t}")
         return p.H0 * math.exp(-0.5 * (x + math.log1p(-r)))
-    if q == math.inf and min(b, t, g) > 0.0:  # 2*(b*s*t) overflowed: q = exp(x) + exp(log_q) in log space
-        log_q = math.log(2.0) + math.log(b) + math.log(s) + math.log(t) + math.log(g)
+    if q == math.inf and b * t > 0.0:  # q = exp(x) + exp(log_q) overflowed with log_q real: take it in log space
+        if x == -math.inf:  # s*b/a overflowed, b/a > 0 since a*t = +inf
+            log_q = math.log(s) + math.log(abs(b)) - math.log(abs(a))
+        else:  # 2*(b*s*t) overflowed
+            log_q = math.log(2.0) + math.log(abs(b)) + math.log(s) + math.log(abs(t)) + math.log(g)
         return p.H0 * math.exp(-0.5 * (log_q + math.log1p(math.exp(x - log_q))))
     if not q > 0.0:
         raise DomainError(f"solution blows up before t={t} (H0**2 * w = {q})")

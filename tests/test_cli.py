@@ -230,7 +230,7 @@ def test_errors_oracle_failure_marks_only_its_eps(tmp_path, capsys, monkeypatch,
     assert all(float(cell) <= 1e-8 for row in rows for cell in row[3:])
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"{oracle} eps=-500: ")
-    assert calls.count("transform_delayed") == 2  # dtm and adm at eps = 0.1 only: the failed eps solves nothing
+    assert calls.count("transform_delayed") == 1  # dtm and adm share one at eps = 0.1: the failed eps solves nothing
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
@@ -558,11 +558,34 @@ def watch_solves(monkeypatch):
     """
     calls = []
     for module, name in [(cli, "transform_coupled"), (cli, "transform_delayed"), (cli, "rk4_values"),
-                         (cli, "exact_delayed"), (cli, "vim_iterates"),
+                         (cli, "exact_delayed"), (cli, "vim_iterates"), (cli, "vim_solve"),
                          (adm, "transform_coupled"), (adm, "transform_delayed")]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     return calls
+
+
+@pytest.mark.parametrize("args, transform, per_eps", [
+    # --terms defaults to --order + 1, so the dtm and adm columns of an eps read one transform
+    (["table", "--model", "coupled"], "transform_coupled", 1),
+    # adm at 20 terms reads order 19, dtm order 25: nothing to share
+    (["errors", "--model", "delayed", "--order", "25", "--terms", "20"], "transform_delayed", 2),
+    # eps 0 and -0 are equal parameter sets but separate columns, each with its own transform
+    (["table", "--model", "delayed", "--eps", "0", "--eps", "-0", "--methods", "dtm,adm"], "transform_delayed", 1),
+])
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+def test_dtm_and_adm_columns_share_a_transform_only_at_one_order(tmp_path, monkeypatch, args, transform, per_eps):
+    calls = watch_solves(monkeypatch)
+    code, text = run_cli(args, tmp_path)
+    assert code == 0
+    assert calls.count(transform) == per_eps * 2  # two eps values in each case
+    monkeypatch.undo()
+    header, rows = parse_csv(text)
+    for m in {name.split("_")[-2] for name in header[1:]}:  # dtm_eps0.1, err_dtm_eps0.1
+        alone_header, alone_rows = parse_csv(run_cli(args + ["--methods", m], tmp_path, f"{m}.csv")[1])
+        for j, name in enumerate(alone_header[1:], 1):  # the same column solved alone, cell for cell
+            i = header.index(name)
+            assert [row[i] for row in rows] == [row[j] for row in alone_rows]
 
 
 @pytest.mark.parametrize("args", [
