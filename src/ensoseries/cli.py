@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from .adm import AdmState, adm_solve_coupled, adm_solve_delayed
+from .adm import AdmState
 from .dtm import assemble, transform_coupled, transform_delayed
 from .errors import NumericError, UsageError, check_count, check_step, check_steps, step_ratio
 from .models import CoupledParams, DelayedParams, SolutionPair
@@ -45,7 +45,7 @@ def _grid(t_max: float, t_step: float) -> list[float]:
         raise UsageError("need 0 < t-step <= t-max")
     n = round(step_ratio(t_max, t_step))
     check_steps(n + 1, "grid rows")
-    if abs(n * t_step - t_max) > 1e-9:
+    if abs(n * t_step - t_max) > 1e-9 * min(1.0, t_max):  # relative to t-max below 1
         raise UsageError("t-max must be a whole number of t-steps")
     return [i * t_step for i in range(n + 1)]
 
@@ -123,7 +123,7 @@ def _column_setup(args, methods):
             _rk4_gaps(grid, args.oracle_step)
     _refuse_unwritable(args.out)
     # each successful transform by (id(params), order): an adm column at n terms reads the transform at
-    # order n - 1, as adm_solve_* would, so with --terms = --order + 1 the dtm and adm columns share one;
+    # order n - 1, ADM's n component weights, so with --terms = --order + 1 the dtm and adm columns share one;
     # keyed by identity so that eps 0.0 and -0.0 stay apart, and a failed transform fails again, on its own line
     transforms = {}
 
@@ -201,17 +201,15 @@ def _solutions(method, params, lo, hi):
     is a prefix of that solve.  Yields a :class:`SolutionPair` for the
     coupled model, a single :class:`SeriesPoly` for the scalar one.
     """
-    coupled = isinstance(params, CoupledParams)
-    if method == "dtm":
-        res = (transform_coupled if coupled else transform_delayed)(params, hi)
-        for n in range(lo, hi + 1):
-            yield assemble(res, n)
-    elif method == "adm":
-        state = (adm_solve_coupled if coupled else adm_solve_delayed)(params, hi)
-        for n in range(lo, hi + 1):
-            yield state.solution(n)
-    else:
+    if method == "vim":
         yield from vim_iterates(params, hi)[lo:]
+        return
+    if method == "adm":  # hi components are the DTM coefficients to order hi - 1; their count is checked first
+        check_count(hi, "n_terms")
+    r = (transform_coupled if isinstance(params, CoupledParams) else transform_delayed)(params, hi - (method == "adm"))
+    adm = AdmState(r.W, r.V)
+    for n in range(lo, hi + 1):
+        yield assemble(r, n) if method == "dtm" else adm.solution(n)
 
 
 def cmd_sweep(args) -> int:

@@ -17,6 +17,7 @@ point: it returns the states at the requested times.
 from __future__ import annotations
 
 import math
+import sys
 from math import isfinite
 
 from .errors import DomainError, UsageError, check_finite, check_step, check_steps, step_ratio
@@ -29,6 +30,8 @@ from .models import (
     reduced_delayed_coeffs,
 )
 from .series import SeriesPoly
+
+_MIN_NORMAL = sys.float_info.min  # exact_delayed takes a q below it, subnormal or 0.0, in log space where it can
 
 
 def exact_delayed(p: DelayedParams, t: float) -> float:
@@ -45,9 +48,13 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
     ``H0**2 * b/a``.  Where ``exp(-2*a*t)`` leaves the float range (x = +inf
     included), q grows like ``(1 - H0**2 * b/a) * exp(-2*a*t)``: H is then
     taken in log space if that factor is positive, and the solution has
-    blown up before t if it is negative.  Where q overflows with b*t
-    positive (``2*(b*H0**2*t)``, or the limit ``H0**2 * b/a``), q is taken
-    in log space too, from ``log|b|`` and ``log|t|`` (or ``log|a|``).
+    blown up before t if it is negative.  Where q overflows, or falls below
+    the smallest normal float, with b*t positive (``2*(b*H0**2*t)``, or the
+    limit ``H0**2 * b/a``), q is taken in log space too, from ``log|b|``,
+    ``log|H0|`` and ``log|t|`` (or ``log|a|``); where b == 0 and
+    ``q = exp(x)`` underflows, ``log q = x``.  Each log-space H is
+    ``exp(log|H0| - 0.5*log q)`` with the sign of H0, so a huge H0 does not
+    meet an exponential that has already underflowed.
     """
     if not math.isfinite(t):
         raise UsageError("t must be finite")
@@ -71,16 +78,25 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
             return p.H0
         if r > 1.0:
             raise DomainError(f"solution blows up before t={t}")
-        return p.H0 * math.exp(-0.5 * (x + math.log1p(-r)))
-    if q == math.inf and b * t > 0.0:  # q = exp(x) + exp(log_q) overflowed with log_q real: take it in log space
-        if x == -math.inf:  # s*b/a overflowed, b/a > 0 since a*t = +inf
-            log_q = math.log(s) + math.log(abs(b)) - math.log(abs(a))
-        else:  # 2*(b*s*t) overflowed
-            log_q = math.log(2.0) + math.log(abs(b)) + math.log(s) + math.log(abs(t)) + math.log(g)
-        return p.H0 * math.exp(-0.5 * (log_q + math.log1p(math.exp(x - log_q))))
-    if not q > 0.0:
+        log_q = x + math.log1p(-r)
+    elif b * t > 0.0 and (q == math.inf or q < _MIN_NORMAL):  # q = exp(x) + exp(log_w), log_w real, left the range
+        log_s = 2.0 * math.log(abs(p.H0))  # s itself may be subnormal or 0.0
+        if x == -math.inf:  # q is its limit s*b/a, b/a > 0 since a*t = +inf
+            log_w = log_s + math.log(abs(b)) - math.log(abs(a))
+        else:  # q is exp(x) + 2*(b*s*t)*g
+            log_w = math.log(2.0) + math.log(abs(b)) + log_s + math.log(abs(t)) + math.log(g)
+        lo, hi = sorted((x, log_w))  # log(exp(x) + exp(log_w)), with an exponent that cannot overflow
+        log_q = hi + math.log1p(math.exp(lo - hi))
+    elif b == 0.0 and q < _MIN_NORMAL and x > -math.inf:  # q = exp(x) underflowed
+        log_q = x
+    elif not q > 0.0:
         raise DomainError(f"solution blows up before t={t} (H0**2 * w = {q})")
-    return p.H0 * q ** -0.5
+    else:
+        return p.H0 * q ** -0.5
+    try:  # H0 * q**-0.5 with q out of the float range
+        return math.copysign(math.exp(math.log(abs(p.H0)) - 0.5 * log_q), p.H0)
+    except OverflowError:
+        raise DomainError(f"|H| leaves the float range at t={t}") from None
 
 
 def _blew_up(t: float, h: float, steps: int) -> DomainError:

@@ -20,7 +20,7 @@ from ensoseries import (
     solve_delayed,
     vim_solve,
 )
-from ensoseries import adm, cli, errors
+from ensoseries import cli, errors
 from ensoseries.cli import build_parser, main
 from ensoseries.reference import load_table
 
@@ -391,6 +391,18 @@ def test_bad_grid_is_a_usage_error(tmp_path):
     assert code == 2
 
 
+def test_a_t_max_below_one_is_a_whole_number_of_steps_to_a_relative_tolerance(capsys, monkeypatch):
+    # 2.5 steps of 4e-10 passed the absolute 1e-9 tolerance, and the grid ended at 8e-10
+    calls = watch_solves(monkeypatch)
+    assert main(["table", "--model", "delayed", "--methods", "exact", "--t-max", "1e-9", "--t-step", "4e-10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t-max must be a whole number of t-steps\n"
+    assert calls == []
+    assert main(["table", "--model", "delayed", "--methods", "exact", "--t-max", "1e-9", "--t-step", "1e-10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 12
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--t-max", "nan"), ("--t-max", "inf"), ("--t-step", "nan"),
 ])
@@ -510,6 +522,7 @@ def test_a_huge_finite_count_is_a_usage_error(tmp_path, capsys, args):
     ["trajectory", "--model", "coupled", "--order", "1" + "0" * 400],
     ["sweep", "--table", "1", "--method", "vim", "--eps", "0.1", "--max", "1000000000"],
     ["sweep", "--table", "4", "--method", "adm", "--eps", "0.05", "--max", "2002"],
+    ["sweep", "--table", "4", "--method", "adm", "--eps", "0.05", "--max", "3000"],
     # refused before the oracle and every earlier column: these ran 1 to 5 s before exiting 2
     ["errors", "--model", "coupled", "--oracle-step", "1e-6", "--methods", "dtm", "--order", "5000"],
     ["table", "--model", "delayed", "--iters", "1001", "--order", "2000"],
@@ -528,8 +541,8 @@ def test_a_huge_solve_count_is_a_usage_error(tmp_path, capsys, monkeypatch, args
     assert len(err) == 1 and err[0] in (
         "error: order must be in 0..2000", "error: n_terms must be in 1..2001", "error: iterations must be in 0..1000")
     assert not (tmp_path / "x.csv").exists()
-    if args[0] != "sweep":  # a sweep's count is checked by its one solve
-        assert calls == []
+    # a VIM sweep's count is checked by its one solve, every other count before any solve
+    assert calls == (["vim_iterates"] if args[0] == "sweep" and "vim" in args else [])
 
 
 def test_a_count_error_comes_before_an_out_error(tmp_path, capsys, monkeypatch):
@@ -554,15 +567,24 @@ def test_grid_rows_are_counted_against_the_limit(monkeypatch, capsys):
 def watch_solves(monkeypatch):
     """Record the name of each solve the CLI starts, in the list returned.
 
-    The solves are the transforms (DTM, and ADM through them), RK4, the closed form and VIM.
+    The solves are the DTM transforms (every dtm and adm column or sweep reads one), RK4, the closed form and VIM.
     """
     calls = []
-    for module, name in [(cli, "transform_coupled"), (cli, "transform_delayed"), (cli, "rk4_values"),
-                         (cli, "exact_delayed"), (cli, "vim_iterates"), (cli, "vim_solve"),
-                         (adm, "transform_coupled"), (adm, "transform_delayed")]:
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    for name in ["transform_coupled", "transform_delayed", "rk4_values", "exact_delayed", "vim_iterates", "vim_solve"]:
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     return calls
+
+
+@pytest.mark.parametrize("table, method, eps, transform", [
+    (4, "adm", "0.05", "transform_delayed"), (1, "adm", "0.1", "transform_coupled"),
+    (4, "dtm", "0.05", "transform_delayed"),
+])
+def test_a_series_sweep_runs_one_transform(capsys, monkeypatch, table, method, eps, transform):
+    # each n is a prefix of one DTM transform, read as ADM component weights for adm
+    calls = watch_solves(monkeypatch)
+    assert main(["sweep", "--table", str(table), "--method", method, "--eps", eps, "--max", "20"]) == 0
+    assert calls == [transform]
 
 
 @pytest.mark.parametrize("args, transform, per_eps", [

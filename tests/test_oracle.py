@@ -130,14 +130,19 @@ def test_exact_refuses_a_start_whose_square_overflows():
 def decimal_exact_delayed(p, t):
     """The closed form ``H0 * (H0**2 * w)**-0.5`` in 700-digit decimals, from the float a, b of ``p``.
 
+    At a = 0, ``H0**2 * w`` is ``1 + 2*b*H0**2*t``.
+
     ``w = b/a + (H0**-2 - b/a) * exp(-2*a*t)`` cancels to about 300 digits at
     t = 1e-300, so 700 digits leave the float's 17 intact.
     """
     with localcontext(Context(prec=700, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         a, b = map(Decimal, reduced_delayed_coeffs(p))
         H0, t = Decimal(p.H0), Decimal(t)
-        e = (-2 * a * t).exp()
-        q = e + H0 * H0 * b / a * (1 - e)
+        if a == 0:
+            q = 1 + 2 * b * H0 * H0 * t
+        else:
+            e = (-2 * a * t).exp()
+            q = e + H0 * H0 * b / a * (1 - e)
         return float(H0 / q.sqrt())
 
 
@@ -169,6 +174,42 @@ def test_exact_takes_a_huge_reduced_coefficient(p, t):
     assert abs(exact_delayed(p, t) - want) <= 1e-12 * want
     if t == 0.0:
         assert exact_delayed(p, t) == p.H0
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", ParameterRangeWarning)
+    BEYOND_THE_FLOAT_RANGE = [
+        # q = H0**2 * w below the smallest normal float: subnormal, then 0.0
+        (DelayedParams(-10.0, 1.0, 0.05, -5e-324, H0=10.0), -1e10),
+        (DelayedParams(-0.3, 1e-300, 0.0, -5e-324), -1e100),
+        (DelayedParams(1.0, 1e308, -0.0, -0.05, H0=1e-100), -0.05),
+        (DelayedParams(-1e100, -0.5, 2.0, -1e-300, H0=0.5), -2.0),
+        # a subnormal q = exp(x) + 2*(b*H0**2*t)*g whose second term is below exp(x) by more than the float range
+        (DelayedParams(0.5, 0.0, 0.0, 5e-324, H0=1e-200), 720.0),
+        # b = 0, so q = exp(-2*a*t): subnormal, then 0.0
+        (DelayedParams(1.0, 0.5, 0.25, 0.0, H0=1e-200), 647.5),
+        (DelayedParams(1.0, 0.5, 0.25, 0.0, H0=1e-200), 700.0),
+        # q overflows with a huge H0, in the a = 0 form and at x = -2*a*t = -1e-15
+        (DelayedParams(1e307, 1e307, 5e-324, 1e308, H0=1e150), 1e307),
+        (DelayedParams(5e-324, 0.0, -1.7e308, 1e200, H0=1e150), 1e308),
+    ]
+
+
+@pytest.mark.parametrize("p, t", BEYOND_THE_FLOAT_RANGE)
+def test_exact_takes_q_beyond_the_float_range_in_log_space(p, t):
+    # a subnormal q was 2% and 5% off at t = -1e10 and -1e100 and 1.3e-3 off at t = 647.5; a q of 0.0 raised
+    # DomainError for a finite solution; with H0 = 1e150, H0 * exp(-0.5*log q) underflowed to 0.0 before H0 scaled it
+    want = decimal_exact_delayed(p, t)
+    assert abs(exact_delayed(p, t) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+def test_exact_refuses_an_h_past_the_float_range():
+    # b = 0: q = exp(-2*a*t) is 0.0 from a*t = 373 on; H = exp(a*t) is 5.1e281 at t = 3000 and overflows at t = 1e4
+    p = DelayedParams(0.5, 0.3, 0.25, 0.0)
+    assert exact_delayed(p, 3000.0) == pytest.approx(decimal_exact_delayed(p, 3000.0), rel=1e-12)
+    with pytest.raises(DomainError, match="float range"):
+        exact_delayed(p, 1e4)
 
 
 def test_decimal_reference_agrees_on_table_sets():
