@@ -19,7 +19,6 @@ import math
 import os
 import sys
 
-from .adm import AdmState
 from .dtm import assemble, transform_coupled, transform_delayed
 from .errors import NumericError, UsageError, check_count, check_step, check_steps, step_ratio
 from .models import CoupledParams, DelayedParams, SolutionPair
@@ -92,6 +91,26 @@ def _write(out_path, lines) -> None:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
+def _series_reader():
+    """``series(method, params, n)``: the dtm series at order n, or the adm series of n terms, of ``params``.
+
+    ADM's n weights are the DTM coefficients to order n - 1, and a higher order leaves lower ones bit for bit,
+    so each is ``assemble(r, order)`` of the longest successful transform r of that set so far (by identity,
+    so eps 0.0 and -0.0 stay apart).  A failed transform is not kept: it fails again, on its own stderr line.
+    """
+    longest = {}
+
+    def series(method, params, n):
+        order = n - (method == "adm")
+        r = longest.get(id(params))
+        if r is None or len(r.W) <= order:
+            r = (transform_coupled if isinstance(params, CoupledParams) else transform_delayed)(params, order)
+            longest[id(params)] = r
+        return assemble(r, order)
+
+    return series
+
+
 def _column_setup(args, methods):
     """Parameter sets, grid, and ``solve(method, params)``: the columns H (and h where the model has one) on the grid.
 
@@ -99,8 +118,8 @@ def _column_setup(args, methods):
     A numeric failure of a solve is reported on stderr under the method, the eps and, for a series
     method, its count (``dtm eps=0.1 order=25: ...``), and each of its columns is None.  A value that is
     not finite is reported under the same label at its first grid time, and its cell prints as an error.
-    One command's dtm column at order n and adm column at n + 1 terms read one DTM transform; a VIM
-    column runs ``vim_solve``.  Each column is bit for bit the same column solved alone.
+    The dtm and adm columns of an eps are prefixes of its longest DTM transform (see :func:`_series_reader`);
+    a VIM column runs ``vim_solve``.  Each column is bit for bit the same column solved alone.
     """
     params_list = _params_from_args(args)
     coupled = args.model == "coupled"
@@ -122,16 +141,7 @@ def _column_setup(args, methods):
         if method == "rk4":  # every eps shares the grid, so one check covers each rk4 column
             _rk4_gaps(grid, args.oracle_step)
     _refuse_unwritable(args.out)
-    # each successful transform by (id(params), order): an adm column at n terms reads the transform at
-    # order n - 1, ADM's n component weights, so with --terms = --order + 1 the dtm and adm columns share one;
-    # keyed by identity so that eps 0.0 and -0.0 stay apart, and a failed transform fails again, on its own line
-    transforms = {}
-
-    def transform(params, order):
-        key = (id(params), order)
-        if key not in transforms:
-            transforms[key] = (transform_coupled if coupled else transform_delayed)(params, order)
-        return transforms[key]
+    series = _series_reader()
 
     def solve(method, params):
         option, n = counts[method][:2] if method in counts else (None, None)
@@ -142,13 +152,7 @@ def _column_setup(args, methods):
             elif method == "rk4":
                 rows = rk4_values(params, grid, args.oracle_step)
             else:
-                if method == "dtm":
-                    sol = assemble(transform(params, n))
-                elif method == "adm":
-                    r = transform(params, n - 1)
-                    sol = AdmState(r.W, r.V).solution()
-                else:
-                    sol = vim_solve(params, n)
+                sol = vim_solve(params, n) if method == "vim" else series(method, params, n)
                 rows = [(sol.H.eval(t), sol.h.eval(t)) if coupled else (sol.eval(t),) for t in grid]
         except NumericError as exc:
             print(f"{label}: {exc}", file=sys.stderr)
@@ -193,25 +197,6 @@ def cmd_errors(args) -> int:
     return _emit(args.out, grid, columns)
 
 
-def _solutions(method, params, lo, hi):
-    """Series solution at each order, component or iteration count n in lo..hi, for ``sweep``.
-
-    All come from one solve at hi: raising the order leaves lower
-    coefficients, components and iterates bit-for-bit unchanged, so each n
-    is a prefix of that solve.  Yields a :class:`SolutionPair` for the
-    coupled model, a single :class:`SeriesPoly` for the scalar one.
-    """
-    if method == "vim":
-        yield from vim_iterates(params, hi)[lo:]
-        return
-    if method == "adm":  # hi components are the DTM coefficients to order hi - 1; their count is checked first
-        check_count(hi, "n_terms")
-    r = (transform_coupled if isinstance(params, CoupledParams) else transform_delayed)(params, hi - (method == "adm"))
-    adm = AdmState(r.W, r.V)
-    for n in range(lo, hi + 1):
-        yield assemble(r, n) if method == "dtm" else adm.solution(n)
-
-
 def cmd_sweep(args) -> int:
     table = load_table(args.table)
     target = table.column(args.method, args.eps)
@@ -219,8 +204,16 @@ def cmd_sweep(args) -> int:
     if args.min < (1 if args.method != "dtm" else 0) or args.max < args.min:
         raise UsageError("need min <= max (and a positive count for adm/vim)")
     _refuse_unwritable(args.out)
+    if args.method == "vim":
+        solutions = vim_iterates(params, args.max)[args.min:]
+    else:  # one transform at --max, so each lower n is a prefix; an adm count is checked as one first
+        if args.method == "adm":
+            check_count(args.max, "n_terms")
+        series = _series_reader()
+        series(args.method, params, args.max)
+        solutions = (series(args.method, params, n) for n in range(args.min, args.max + 1))
     rows = []
-    for n, sol in enumerate(_solutions(args.method, params, args.min, args.max), args.min):
+    for n, sol in enumerate(solutions, args.min):
         H = sol.H if isinstance(sol, SolutionPair) else sol
         rows.append((n, max(abs(H.eval(t) - w) for t, w in zip(table.grid, target))))
     best_n = min(rows, key=lambda r: r[1])[0]

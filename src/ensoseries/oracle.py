@@ -45,10 +45,13 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
     as a -> 0 (``H0**2 * b/a`` would, and would overflow for a tiny a),
     x = 0 gives the a == 0 form ``1 + 2*b*H0**2*t`` (and H0 at t = 0), and
     where ``a*t`` overflows to +inf, x is -inf and q is its limit
-    ``H0**2 * b/a``.  Where ``exp(-2*a*t)`` leaves the float range (x = +inf
-    included), q grows like ``(1 - H0**2 * b/a) * exp(-2*a*t)``: H is then
-    taken in log space if that factor is positive, and the solution has
-    blown up before t if it is negative.  Where q overflows, or falls below
+    ``H0**2 * b/a``.  Where x > 0 and b*t < 0 the two terms of q cancel as
+    ``H0**2 * b/a`` nears 1 (an unstable equilibrium), so there q is taken as
+    ``1 + d*expm1(x)``, with ``d = 1 - H0**2 * b/a`` exact in rationals; d = 0
+    gives H0, and q <= 0 means the solution has blown up before t.  Where
+    ``exp(x)`` leaves the float range (x = +inf included), ``log q = x +
+    log d``: H is then taken in log space if d is positive, and the solution
+    has blown up before t if it is negative.  Where q overflows, or falls below
     the smallest normal float, with b*t positive (``2*(b*H0**2*t)``, or the
     limit ``H0**2 * b/a``), q is taken in log space too, from ``log|b|``,
     ``log|H0|`` and ``log|t|`` (or ``log|a|``); where b == 0 and
@@ -70,15 +73,22 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
         q = s * b / a if x == -math.inf else math.exp(x) + 2.0 * (b * s * t) * g
     except OverflowError:
         q = math.nan
-    if q != q:  # exp(x) left the float range (it returns inf at x = inf), or b*H0**2 overflowed and t = 0
-        if t == 0.0:
+    if q != q and t == 0.0:  # b*H0**2 overflowed
+        return p.H0
+    if q != q or x > 0.0 and b * t < 0.0:  # exp(x) left the float range (it returns inf at x = inf), or its terms cancel
+        from fractions import Fraction  # q = 1 + d*expm1(x) with d = 1 - H0**2 * b/a exact, which may be out of range
+
+        d = 1 - Fraction(p.H0) ** 2 * Fraction(b) / Fraction(a)
+        if d == 0:
             return p.H0
-        r = s * b / a
-        if r == 1.0:
-            return p.H0
-        if r > 1.0:
+        if q == q:
+            q = 1 + d * Fraction(math.expm1(x))
+            if q <= 0:
+                raise DomainError(f"solution blows up before t={t}")
+            return p.H0 * float(q) ** -0.5
+        if d < 0:
             raise DomainError(f"solution blows up before t={t}")
-        log_q = x + math.log1p(-r)
+        log_q = x + math.log(d.numerator) - math.log(d.denominator)
     elif b * t > 0.0 and (q == math.inf or q < _MIN_NORMAL):  # q = exp(x) + exp(log_w), log_w real, left the range
         log_s = 2.0 * math.log(abs(p.H0))  # s itself may be subnormal or 0.0
         if x == -math.inf:  # q is its limit s*b/a, b/a > 0 since a*t = +inf

@@ -588,15 +588,21 @@ def test_a_series_sweep_runs_one_transform(capsys, monkeypatch, table, method, e
 
 
 @pytest.mark.parametrize("args, transform, per_eps", [
-    # --terms defaults to --order + 1, so the dtm and adm columns of an eps read one transform
+    # --terms defaults to --order + 1, so the dtm and adm columns of an eps read one transform at order 60
     (["table", "--model", "coupled"], "transform_coupled", 1),
-    # adm at 20 terms reads order 19, dtm order 25: nothing to share
-    (["errors", "--model", "delayed", "--order", "25", "--terms", "20"], "transform_delayed", 2),
+    # dtm at order 25 runs first, and adm at 20 terms reads its prefix to order 19
+    (["errors", "--model", "delayed", "--order", "25", "--terms", "20"], "transform_delayed", 1),
+    # adm at 61 terms runs order 60 first, and dtm at order 25 reads its prefix
+    (["table", "--model", "delayed", "--methods", "adm,dtm", "--order", "25", "--terms", "61"],
+     "transform_delayed", 1),
+    # dtm at order 25 runs first, and adm at 61 terms needs the longer transform to order 60
+    (["table", "--model", "delayed", "--methods", "dtm,adm", "--order", "25", "--terms", "61"],
+     "transform_delayed", 2),
     # eps 0 and -0 are equal parameter sets but separate columns, each with its own transform
     (["table", "--model", "delayed", "--eps", "0", "--eps", "-0", "--methods", "dtm,adm"], "transform_delayed", 1),
 ])
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
-def test_dtm_and_adm_columns_share_a_transform_only_at_one_order(tmp_path, monkeypatch, args, transform, per_eps):
+def test_every_series_column_is_a_prefix_of_its_eps_longest_transform(tmp_path, monkeypatch, args, transform, per_eps):
     calls = watch_solves(monkeypatch)
     code, text = run_cli(args, tmp_path)
     assert code == 0

@@ -31,6 +31,7 @@ from conftest import draw_delayed, plain_cube
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
 TABLE4 = DelayedParams(1.0, 0.5, 0.5, 0.05)
+DECIMAL = Context(prec=700, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 # -- closed form --------------------------------------------------------
@@ -127,23 +128,27 @@ def test_exact_refuses_a_start_whose_square_overflows():
             exact_delayed(p, t)
 
 
-def decimal_exact_delayed(p, t):
-    """The closed form ``H0 * (H0**2 * w)**-0.5`` in 700-digit decimals, from the float a, b of ``p``.
+def decimal_q(p, t):
+    """``q = H0**2 * w`` in 700-digit decimals, from the float a, b of ``p``.
 
-    At a = 0, ``H0**2 * w`` is ``1 + 2*b*H0**2*t``.
+    At a = 0, q is ``1 + 2*b*H0**2*t``.
 
     ``w = b/a + (H0**-2 - b/a) * exp(-2*a*t)`` cancels to about 300 digits at
     t = 1e-300, so 700 digits leave the float's 17 intact.
     """
-    with localcontext(Context(prec=700, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+    with localcontext(DECIMAL):
         a, b = map(Decimal, reduced_delayed_coeffs(p))
         H0, t = Decimal(p.H0), Decimal(t)
         if a == 0:
-            q = 1 + 2 * b * H0 * H0 * t
-        else:
-            e = (-2 * a * t).exp()
-            q = e + H0 * H0 * b / a * (1 - e)
-        return float(H0 / q.sqrt())
+            return 1 + 2 * b * H0 * H0 * t
+        e = (-2 * a * t).exp()
+        return e + H0 * H0 * b / a * (1 - e)
+
+
+def decimal_exact_delayed(p, t):
+    """The closed form ``H0 * q**-0.5`` in 700-digit decimals, q from :func:`decimal_q`."""
+    with localcontext(DECIMAL):
+        return float(Decimal(p.H0) / decimal_q(p, t).sqrt())
 
 
 HUGE_A = DelayedParams(1e308, 0.3, 0.25, 0.05)  # a = 1.08e308
@@ -199,6 +204,33 @@ with warnings.catch_warnings():
 def test_exact_takes_q_beyond_the_float_range_in_log_space(p, t):
     # a subnormal q was 2% and 5% off at t = -1e10 and -1e100 and 1.3e-3 off at t = 647.5; a q of 0.0 raised
     # DomainError for a finite solution; with H0 = 1e150, H0 * exp(-0.5*log q) underflowed to 0.0 before H0 scaled it
+    want = decimal_exact_delayed(p, t)
+    assert abs(exact_delayed(p, t) - want) <= 1e-12 * abs(want)
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", ParameterRangeWarning)
+    # a < 0 and b < 0: H0**2 * b/a = 1 is an unstable equilibrium, where the two terms of q cancel
+    NEAR_EQUILIBRIUM = DelayedParams(-0.9702748543934043, 0.0, 0.0, -1.0, H0=0.9850253064735973)
+    NEAR_AN_UNSTABLE_EQUILIBRIUM = [
+        (NEAR_EQUILIBRIUM, 20.0), (NEAR_EQUILIBRIUM, 100.0), (NEAR_EQUILIBRIUM, 400.0),
+        (DelayedParams(-3.4660180792803144, 0.0, 0.0, -1.0, H0=1.8617244907021862), 400.0),
+        (DelayedParams(-1.0, 1e-05, 1e-300, -1e-300, H0=1e150), 647.5),
+        (DelayedParams(-1.0, 0.0, 0.0, -0.9999999999999999), 20.0),
+        # d = 1 - H0**2 * b/a = -1e300 and q = 1 + d*expm1(700) are both far past the float range
+        (DelayedParams(-1.0, 0.0, 0.0, -1e-8, H0=1e154), 350.0),
+    ]
+
+
+@pytest.mark.parametrize("p, t", NEAR_AN_UNSTABLE_EQUILIBRIUM)
+def test_exact_near_an_unstable_equilibrium(p, t):
+    # q = exp(x) - |2*b*H0**2*t*g| cancelled: 0.348 for 0.784 at t = 20, DomainError for 2.5e-34 at t = 100, and
+    # H0 for 9.7e-161 at t = 400, where H0**2 * b/a read 1.0 after rounding; H0 where the solution had blown up;
+    # 4.5e-12 off at t = 647.5; and 0.102 for 0.192 at t = 20, as `table --methods exact` printed it
+    if decimal_q(p, t) <= 0:
+        with pytest.raises(DomainError, match="blows up"):
+            exact_delayed(p, t)
+        return
     want = decimal_exact_delayed(p, t)
     assert abs(exact_delayed(p, t) - want) <= 1e-12 * abs(want)
 

@@ -4,8 +4,11 @@ Raising a solver's order or count must leave everything it computed at lower
 orders bit-for-bit unchanged, so each lower n is a prefix of one solve.
 """
 
+import random
+import struct
 import warnings
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +21,10 @@ from ensoseries import (
     adm_solve_delayed,
     vim_solve,
 )
-from ensoseries.dtm import transform_coupled, transform_delayed
+from ensoseries.adm import AdmState
+from ensoseries.dtm import assemble, transform_coupled, transform_delayed
 from ensoseries.vim import vim_iterates
+from conftest import draw_coupled, draw_delayed, draw_until
 
 unit = st.floats(-2.0, 2.0)
 eps = st.floats(0.01, 0.99)
@@ -76,6 +81,21 @@ def test_adm_weights_are_the_transform_and_prefixes_are_the_short_solve(p, n, m)
     assert short.u_weights == r.W
     assert short.v_weights == r.V
     assert long.solution(n) == short.solution()
+
+
+@pytest.mark.parametrize("seed, draw", [(31, draw_coupled), (32, draw_delayed)])
+def test_an_adm_partial_sum_evaluates_bit_for_bit_as_its_transform_prefix(seed, draw):
+    # the CLI prints the adm series of n terms as assemble(r, n - 1): the partial sum's trailing +0.0
+    # weight adds +0.0 to Horner's first step at every finite t, so each value keeps its bits
+    rng = random.Random(seed)
+    for _ in range(30):
+        p, r = draw_until(draw, rng, lambda q: transform(q, 30))
+        for n in range(1, 32):
+            adm, dtm = AdmState(r.W, r.V).solution(n), assemble(r, n - 1)
+            pairs = [(adm, dtm)] if r.V is None else [(adm.H, dtm.H), (adm.h, dtm.h)]
+            for t in (0.0, -0.0, 0.3, -0.3, 2.5, -2.5):
+                for x, y in pairs:
+                    assert struct.pack("<d", x.eval(t)) == struct.pack("<d", y.eval(t))
 
 
 @examples
