@@ -31,7 +31,7 @@ from .models import (
 )
 from .series import SeriesPoly
 
-_MIN_NORMAL = sys.float_info.min  # exact_delayed takes a q below it, subnormal or 0.0, in log space where it can
+_MIN_NORMAL = sys.float_info.min  # below it a float has lost bits, so exact_delayed leaves its float path
 
 
 def exact_delayed(p: DelayedParams, t: float) -> float:
@@ -39,25 +39,14 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
 
     Computed as ``H = H0 * q**-0.5`` with ``q = H0**2 * w``, so H keeps the
     sign of H0, and H0 = 0 gives the equilibrium H = 0; an H0 whose square
-    overflows is refused with :class:`DomainError`.  With ``x = -2*(a*t)``
-    and ``g = expm1(x)/x``, ``q = exp(x) + 2*(b*H0**2*t) * g``, in that
-    order so that ``2*a`` or ``2*b`` alone never overflows: no term cancels
-    as a -> 0 (``H0**2 * b/a`` would, and would overflow for a tiny a),
-    x = 0 gives the a == 0 form ``1 + 2*b*H0**2*t`` (and H0 at t = 0), and
-    where ``a*t`` overflows to +inf, x is -inf and q is its limit
-    ``H0**2 * b/a``.  Where x > 0 and b*t < 0 the two terms of q cancel as
-    ``H0**2 * b/a`` nears 1 (an unstable equilibrium), so there q is taken as
-    ``1 + d*expm1(x)``, with ``d = 1 - H0**2 * b/a`` exact in rationals; d = 0
-    gives H0, and q <= 0 means the solution has blown up before t.  Where
-    ``exp(x)`` leaves the float range (x = +inf included), ``log q = x +
-    log d``: H is then taken in log space if d is positive, and the solution
-    has blown up before t if it is negative.  Where q overflows, or falls below
-    the smallest normal float, with b*t positive (``2*(b*H0**2*t)``, or the
-    limit ``H0**2 * b/a``), q is taken in log space too, from ``log|b|``,
-    ``log|H0|`` and ``log|t|`` (or ``log|a|``); where b == 0 and
-    ``q = exp(x)`` underflows, ``log q = x``.  Each log-space H is
-    ``exp(log|H0| - 0.5*log q)`` with the sign of H0, so a huge H0 does not
-    meet an exponential that has already underflowed.
+    overflows is refused with :class:`DomainError`.  The float path takes
+    ``q = exp(x) + 2*(b*H0**2*t) * g`` with ``x = -2*(a*t)`` and
+    ``g = expm1(x)/x`` (1 at x = 0), in that order so that ``2*a`` or
+    ``2*b`` alone never overflows and nothing cancels as a -> 0.  It is trusted only where b == 0, or where ``H0**2``,
+    ``b*H0**2`` and ``b*H0**2*t`` are normal floats and the two terms of q
+    cannot cancel (x <= 0, or b*t > 0): there a normal finite q gives H, and
+    a q <= 0 with b*t < 0 a blow-up before t.  Every other input is taken by
+    :func:`_decimal_closed_form`.
     """
     if not math.isfinite(t):
         raise UsageError("t must be finite")
@@ -67,46 +56,56 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
     s = p.H0 * p.H0
     if s == math.inf:
         raise DomainError(f"H0**2 overflows (H0 = {p.H0!r})")
-    x = -2.0 * (a * t)
-    try:  # at x = -inf, exp(x) and g are 0.0, and q is its limit
-        g = math.expm1(x) / x if x else 1.0
-        q = s * b / a if x == -math.inf else math.exp(x) + 2.0 * (b * s * t) * g
-    except OverflowError:
-        q = math.nan
-    if q != q and t == 0.0:  # b*H0**2 overflowed
+    if t == 0.0:
         return p.H0
-    if q != q or x > 0.0 and b * t < 0.0:  # exp(x) left the float range (it returns inf at x = inf), or its terms cancel
-        from fractions import Fraction  # q = 1 + d*expm1(x) with d = 1 - H0**2 * b/a exact, which may be out of range
+    x = -2.0 * (a * t)
+    bs = b * s
+    w = bs * t
+    if b == 0.0 or (s >= _MIN_NORMAL and (bs >= _MIN_NORMAL or bs <= -_MIN_NORMAL)
+                    and (w >= _MIN_NORMAL or w <= -_MIN_NORMAL and x <= 0.0)):
+        try:
+            g = math.expm1(x) / x if x else 1.0
+            q = math.exp(x) + 2.0 * w * g
+        except OverflowError:  # exp(x) left the float range
+            q = math.nan
+        if _MIN_NORMAL <= q < math.inf:
+            return p.H0 * q ** -0.5
+        if q <= 0.0 and w < 0.0:
+            raise DomainError(f"solution blows up before t={t} (H0**2 * w = {q})")
+    return _decimal_closed_form(p.H0, a, b, t)
 
-        d = 1 - Fraction(p.H0) ** 2 * Fraction(b) / Fraction(a)
-        if d == 0:
-            return p.H0
-        if q == q:
-            q = 1 + d * Fraction(math.expm1(x))
-            if q <= 0:
-                raise DomainError(f"solution blows up before t={t}")
-            return p.H0 * float(q) ** -0.5
-        if d < 0:
+
+def _decimal_closed_form(H0: float, a: float, b: float, t: float) -> float:
+    """:func:`exact_delayed` in decimals, from the exact values of the floats, rounded once.
+
+    With ``r = H0**2 * b/a``, ``q = (1 - r)*exp(-2*a*t) + r`` (``1 +
+    2*b*H0**2*t`` at a = 0).  ``H0**2 * b`` is exact, so r = 1 exactly
+    where the solution is the equilibrium H0; elsewhere ``1 - r`` is at
+    least about 2**-159, since ``H0**2 * b`` has at most 159 significant
+    bits.  So 80 digits are enough for r, plus one for each leading zero of
+    ``a*t``, which ``1 - exp(x)`` loses.  The exponent range holds any
+    product of floats, and an exp past it is Infinity.
+    """
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, InvalidOperation, localcontext
+
+    h0, a, b, time = map(Decimal, (H0, a, b, t))
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    bs = exact.multiply(exact.multiply(h0, h0), b)
+    if bs == a:
+        return H0
+    prec = 80 + max(0, -(a.adjusted() + time.adjusted()))
+    with localcontext(Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[DivisionByZero, InvalidOperation])):
+        if a:
+            r = bs / a
+            q = (1 - r) * (-2 * a * time).exp() + r
+        else:
+            q = 1 + 2 * bs * time
+        if q <= 0:
             raise DomainError(f"solution blows up before t={t}")
-        log_q = x + math.log(d.numerator) - math.log(d.denominator)
-    elif b * t > 0.0 and (q == math.inf or q < _MIN_NORMAL):  # q = exp(x) + exp(log_w), log_w real, left the range
-        log_s = 2.0 * math.log(abs(p.H0))  # s itself may be subnormal or 0.0
-        if x == -math.inf:  # q is its limit s*b/a, b/a > 0 since a*t = +inf
-            log_w = log_s + math.log(abs(b)) - math.log(abs(a))
-        else:  # q is exp(x) + 2*(b*s*t)*g
-            log_w = math.log(2.0) + math.log(abs(b)) + log_s + math.log(abs(t)) + math.log(g)
-        lo, hi = sorted((x, log_w))  # log(exp(x) + exp(log_w)), with an exponent that cannot overflow
-        log_q = hi + math.log1p(math.exp(lo - hi))
-    elif b == 0.0 and q < _MIN_NORMAL and x > -math.inf:  # q = exp(x) underflowed
-        log_q = x
-    elif not q > 0.0:
-        raise DomainError(f"solution blows up before t={t} (H0**2 * w = {q})")
-    else:
-        return p.H0 * q ** -0.5
-    try:  # H0 * q**-0.5 with q out of the float range
-        return math.copysign(math.exp(math.log(abs(p.H0)) - 0.5 * log_q), p.H0)
-    except OverflowError:
-        raise DomainError(f"|H| leaves the float range at t={t}") from None
+        H = float(h0 / q.sqrt())
+    if math.isinf(H):
+        raise DomainError(f"|H| leaves the float range at t={t}")
+    return H
 
 
 def _blew_up(t: float, h: float, steps: int) -> DomainError:

@@ -3,7 +3,7 @@
 import math
 import random
 import warnings
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow, localcontext
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -233,6 +233,92 @@ def test_exact_near_an_unstable_equilibrium(p, t):
         return
     want = decimal_exact_delayed(p, t)
     assert abs(exact_delayed(p, t) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+@pytest.mark.parametrize("a, H0, t", [
+    (-249.38819542739196, 2.0 ** 507, 1.3112041134199588),
+    (-4.94549385766983e-07, 2.0 ** -317, 335659579.70390505),
+    (0.08808686603708828, -(2.0 ** -198), -2396.615367723062),
+    (0.21340128356632773, 2.0 ** 236, -1027.4576617348448),
+])
+def test_exact_stays_at_an_equilibrium_of_many_digits(a, H0, t):
+    # H0**2 * b/a = 1 exactly, but H0**2 * b has hundreds of significant digits, so that ratio taken to 80 digits
+    # need not be 1, and the error grows as exp(-2*a*t): 2.0e50 for 4.2e152 at t = 1.31
+    p = DelayedParams(a, 0.0, 0.0, a / (H0 * H0), H0=H0)
+    assert p.eps * (H0 * H0) == a
+    assert exact_delayed(p, t) == H0
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", ParameterRangeWarning)
+    A_TERM_THAT_LOST_BITS = [
+        # b*t underflows to 0.0, so q = exp(x) + 2*(b*H0**2*t)*g read 0.0: a false DomainError
+        (DelayedParams(1e33, 0, 0, 1e-300), 1e-30, 3.1622776602e166),
+        (DelayedParams(-1e33, 0, 0, -1e-300), -1e-30, 3.1622776602e166),
+        (DelayedParams(1e200, 0, 0, 1e-200, H0=1e20), 1e-130, 1e200),
+        # b*H0**2 = 1e-320 is subnormal, with three digits: 1.0000055665e55
+        (DelayedParams(1e-90, 0, 0, 1e-200, H0=1e-60), 1e100, 1e55),
+        # H0**2 = 1e-320 is subnormal, so the normal b*H0**2 = 1e-20 is 3.7e-6 off, and so is H
+        (DelayedParams(0.5, 0.5, 0, 1e300, H0=1e-160), 1e20, 5.7735026919e-161),
+    ]
+
+
+@pytest.mark.parametrize("p, t, value", A_TERM_THAT_LOST_BITS)
+def test_exact_takes_a_term_that_lost_bits_in_decimals(p, t, value):
+    want = decimal_exact_delayed(p, t)
+    assert want == pytest.approx(value, rel=1e-10)
+    assert abs(exact_delayed(p, t) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
+def test_exact_keeps_its_digits_when_a_is_tiny(monkeypatch):
+    # 1 - exp(-2*a*t) loses one digit per leading zero of a*t, so the decimal path adds those digits to its 80:
+    # at a fixed 80, a*t below 1e-80 read 1 - exp(x) as 0.  a*t reaches 1e-620 here, so the reference takes
+    # 1200 digits where it takes 700 elsewhere
+    monkeypatch.setitem(globals(), "DECIMAL", Context(prec=1200, Emax=MAX_EMAX, Emin=MIN_EMIN))
+    rng = random.Random(25)
+
+    def draw(lo, hi):
+        return rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(lo, hi)
+
+    checked = 0
+    while checked < 300:
+        p = DelayedParams(draw(-323.5, -250), 0.0, 0.0, draw(-5, 308), H0=draw(-5, 5))
+        t = draw(-5, 300)
+        try:
+            q = decimal_q(p, t)
+        except Overflow:  # exp(-2*a*t) is past the decimal exponent range
+            continue
+        checked += 1
+        if q <= 0:
+            with pytest.raises(DomainError, match="blows up"):
+                exact_delayed(p, t)
+            continue
+        want = decimal_exact_delayed(p, t)
+        if math.isinf(want):
+            with pytest.raises(DomainError, match="float range"):
+                exact_delayed(p, t)
+            continue
+        assert abs(exact_delayed(p, t) - want) <= 1e-12 * abs(want), (p, t)
+
+
+def test_exact_is_the_float_expression_on_scan_and_table_sets():
+    # the float path keeps its order of operations, so its values keep their bits
+    rng = random.Random(2013)
+    sets = [TABLE3, TABLE4, DelayedParams(0.5, 0.3, 0.25, 0.1), DelayedParams(0.5, 0.3, 0.25, 0.15),
+            DelayedParams(0.5, 0.3, 0.25, 0.2)]
+    while len(sets) < 300:  # in the ranges of the scan workload's delayed draws
+        alpha, beta, sigma = (rng.uniform(0.05, 1.0) for _ in range(3))
+        if abs(1.0 - beta * sigma) >= 0.5:
+            sets.append(DelayedParams(alpha, beta, sigma, rng.uniform(0.01, 0.5)))
+    for p in sets:
+        a, b = reduced_delayed_coeffs(p)
+        for t in [0.05 * i for i in range(11)] + [0.1 * i for i in range(21)]:
+            x = -2.0 * (a * t)
+            g = math.expm1(x) / x if x else 1.0
+            q = math.exp(x) + 2.0 * (b * (p.H0 * p.H0) * t) * g
+            assert exact_delayed(p, t).hex() == (p.H0 * q ** -0.5).hex(), (p, t)
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
