@@ -6,8 +6,10 @@ Each step applies the correction functional
 
 to the current polynomial iterate (and likewise for h in the coupled model).
 With multiplier -1 on a first-order equation this is Picard iteration, so the
-n-th iterate reproduces the true Taylor coefficients through degree n
-exactly; everything above is transient and gets squeezed out by later steps.
+n-th iterate reproduces the true Taylor coefficients through degree n, up to
+rounding: its sums run in another order than the DTM recurrence's, so the
+last bits can differ; everything above is transient and gets squeezed out by
+later steps.
 
 Cubing triples the polynomial degree per step, so iterates are truncated at a
 fixed degree cap (default 64).  The truncation only touches degrees above the

@@ -63,10 +63,12 @@ def draw_until(draw, rng: random.Random, compute, max_tries: int = 400):
 
 
 def adm_dtm_draws():
-    """Acceptance criterion 4's draws: ``(params, (AdmState, DtmResult))`` each.
+    """Acceptance criterion 4's draws: ``(params, (series, DtmResult))`` each.
 
     100 coupled draws from seed 2024, then 100 delayed draws from seed 2025,
-    each solved to components and coefficients ``0..ADM_K_MAX``.
+    each solved to the ADM series of ``ADM_K_MAX + 1`` components and the
+    transformed coefficients ``0..ADM_K_MAX``.  The series is a
+    :class:`SolutionPair` for the coupled draws.
     """
     out = []
     for seed, draw, adm, dtm in (

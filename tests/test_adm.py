@@ -12,6 +12,7 @@ from ensoseries import (
     adm_solve_coupled,
     adm_solve_delayed,
 )
+from ensoseries import adm
 from ensoseries.dtm import transform_coupled
 from ensoseries.models import reduced_delayed_coeffs
 from conftest import adm_dtm_draws, draw_coupled
@@ -96,41 +97,45 @@ def test_partial_sums_match_brute_force_trinomial_expansion():
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def components(series: SeriesPoly) -> tuple[SeriesPoly, ...]:
+    """The n components of an n-term ADM series: component k is ``SeriesPoly.monomial(w_k, k, n)``."""
+    n = len(series.coeffs)
+    return tuple(SeriesPoly.monomial(w, k, n) for k, w in enumerate(series.coeffs))
+
+
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_zero_parameters_leave_only_the_constant():
-    state = adm_solve_coupled(CoupledParams(0, 0, 0, 0, 0.0), 3)
-    for comp in state.u_components[1:] + state.v_components[1:]:
-        assert all(c == 0.0 for c in comp.coeffs)
+    sol = adm_solve_coupled(CoupledParams(0, 0, 0, 0, 0.0), 3)
+    assert sol.H.coeffs[1:] == (0.0, 0.0) and sol.h.coeffs[1:] == (0.0, 0.0)
 
 
 def test_first_integration_step_coupled():
-    state = adm_solve_coupled(TABLE1, 2)
-    assert state.u_components[1].coeffs == (0.0, 1.9, 0.0)
-    assert state.v_components[1].coeffs == (0.0, -2.0, 0.0)
+    sol = adm_solve_coupled(TABLE1, 2)
+    assert sol.H.coeffs == (1.0, 1.9)
+    assert sol.h.coeffs == (1.0, -2.0)
 
 
 def test_first_integration_step_delayed():
-    state = adm_solve_delayed(TABLE3, 2)
-    assert state.u_components[1].coeffs[1] == pytest.approx(0.15 / 0.925, rel=1e-14)
+    series = adm_solve_delayed(TABLE3, 2)
+    assert series.coeffs[1] == pytest.approx(0.15 / 0.925, rel=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_delayed_zero_rhs_components():
-    state = adm_solve_delayed(DelayedParams(0.7, 0.7, 0.5, 0.0), 3)
-    for comp in state.u_components[1:]:
-        assert all(c == 0.0 for c in comp.coeffs)
+    series = adm_solve_delayed(DelayedParams(0.7, 0.7, 0.5, 0.0), 3)
+    assert series.coeffs[1:] == (0.0, 0.0)
 
 
 def test_partial_sum_reaches_table1_value():
     for n in (15, 20):
-        sol = adm_solve_coupled(TABLE1, n).solution()
+        sol = adm_solve_coupled(TABLE1, n)
         assert sol.H.eval(0.2) == pytest.approx(1.363075110, abs=1e-7)
 
 
 def test_partial_sum_reaches_table3_value():
     p = DelayedParams(0.5, 0.3, 0.25, 0.1)
-    sol = adm_solve_delayed(p, 20).solution()
-    assert sol.eval(0.4) == pytest.approx(1.042243491, abs=1e-7)
+    series = adm_solve_delayed(p, 20)
+    assert series.eval(0.4) == pytest.approx(1.042243491, abs=1e-7)
 
 
 def test_each_component_is_the_matching_taylor_monomial():
@@ -138,28 +143,23 @@ def test_each_component_is_the_matching_taylor_monomial():
     for _ in range(10):
         p = draw_coupled(rng)
         n = 10
-        state = adm_solve_coupled(p, n)
+        sol = adm_solve_coupled(p, n)
         r = transform_coupled(p, n - 1)
-        for k, comp in enumerate(state.u_components):
-            assert abs(comp.coeffs[k] - r.W[k]) <= 1e-12 * max(1.0, abs(r.W[k]))
-            assert all(c == 0.0 for i, c in enumerate(comp.coeffs) if i != k)
+        assert sol.H.coeffs == r.W
+        assert sol.h.coeffs == r.V
 
 
-def test_integration_raises_minimum_degree_by_one():
-    state = adm_solve_coupled(TABLE1, 8)
-    for k, comp in enumerate(state.u_components):
-        nonzero = [i for i, c in enumerate(comp.coeffs) if c != 0.0]
-        assert nonzero == [k]
-
-
-def _dense_recursion_gap(p, state, n_terms):
+def _dense_recursion_gap(p, sol, n_terms):
     """Largest relative gap between components 1..n_terms-1 and their rebuilds.
 
     Component k+1 is rebuilt by integrating the model's right-hand side over
     the dense components 0..k, with ``A_k`` from :func:`adomian_cubic`: an
     oracle that shares no code with the solver's scalar cube accumulator.
     """
-    u_all, v_all = state.u_components, state.v_components
+    if isinstance(sol, SeriesPoly):
+        u_all, v_all = components(sol), None
+    else:
+        u_all, v_all = components(sol.H), components(sol.h)
     worst = 0.0
     for k in range(n_terms - 1):
         # component k+1 has degree k+1, so cap k+1 suffices
@@ -180,16 +180,19 @@ def _dense_recursion_gap(p, state, n_terms):
     return worst
 
 
-def _scalar_recursion_gap(p, state):
+def _scalar_recursion_gap(p, sol):
     """Largest relative gap between every component weight and its rebuild.
 
     Weight k+1 is rebuilt from the solver's weights 0..k, with the weight of
     ``A_k`` a plain triple sum over ``i+j+l = k``: cheap enough for every
     component, and it shares no code with the solver's cube accumulator.
     """
-    u, v = state.u_weights, state.v_weights
+    if isinstance(sol, SeriesPoly):
+        u, v = sol.coeffs, None
+    else:
+        u, v = sol.H.coeffs, sol.h.coeffs
     worst = 0.0
-    for k in range(state.n_terms - 1):
+    for k in range(len(u) - 1):
         a_k = sum(u[i] * u[j] * u[k - i - j] for i in range(k + 1) for j in range(k - i + 1))
         if v is None:
             a, b = reduced_delayed_coeffs(p)
@@ -208,8 +211,9 @@ def test_solver_recursion_reproducible_with_standalone_polynomials():
     # recompute every component from the previous ones via adomian_cubic
     p = CoupledParams(0.8, -0.4, 0.3, 1.2, 0.25)
     n = 8
-    state = adm_solve_coupled(p, n)
-    u, v = state.u_components, state.v_components
+    sol = adm_solve_coupled(p, n)
+    u, v = components(sol.H), components(sol.h)
+    assert len(u) == len(v) == n
     for k in range(n - 1):
         a_k = adomian_cubic(u[: k + 1], k)
         expect_u = (u[k].scale(p.c) + v[k].scale(p.eta) - a_k.scale(p.eps)).antiderivative()
@@ -218,11 +222,18 @@ def test_solver_recursion_reproducible_with_standalone_polynomials():
         assert v[k + 1].coeffs == pytest.approx(expect_v.coeffs, rel=1e-13, abs=1e-13)
     # criterion 4's draws: the dense oracle costs O(k**2) series products per
     # component, so it stops at component 11; the scalar one covers all 0..ADM_K_MAX
-    for q, (state, _) in adm_dtm_draws():
-        assert _dense_recursion_gap(q, state, 12) <= 1e-13
-        assert _scalar_recursion_gap(q, state) <= 1e-13
+    for q, (sol, _) in adm_dtm_draws():
+        assert _dense_recursion_gap(q, sol, 12) <= 1e-13
+        assert _scalar_recursion_gap(q, sol) <= 1e-13
 
 
-def test_solve_preconditions():
-    with pytest.raises(UsageError):
-        adm_solve_coupled(TABLE1, 0)
+def test_solve_preconditions(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a count out of range must be refused before any solve")
+
+    monkeypatch.setattr(adm, "solve_coupled", no_solve)
+    monkeypatch.setattr(adm, "solve_delayed", no_solve)
+    for solve, p in ((adm_solve_coupled, TABLE1), (adm_solve_delayed, TABLE3)):
+        for n_terms in (0, 2002):
+            with pytest.raises(UsageError, match=r"^n_terms must be in 1\.\.2001$"):
+                solve(p, n_terms)

@@ -292,7 +292,7 @@ def sweep_from_scratch(table_number, method, eps, lo, hi):
         if method == "dtm":
             sol = (solve_coupled if coupled else solve_delayed)(p, n)
         elif method == "adm":
-            sol = (adm_solve_coupled if coupled else adm_solve_delayed)(p, n).solution()
+            sol = (adm_solve_coupled if coupled else adm_solve_delayed)(p, n)
         else:
             sol = vim_solve(p, n)
         H = sol.H if coupled else sol

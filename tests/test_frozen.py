@@ -1,8 +1,8 @@
-"""The seven record types behave as the frozen dataclasses they replaced.
+"""The six record types behave as the frozen dataclasses they replaced.
 
 The expected reprs were recorded from the ``@dataclass(frozen=True)``
-versions of these classes.  The ``vim`` cases are records a solve returns,
-whose series are built without the public constructor.
+versions of these classes.  The ``vim`` and ``adm`` cases are records a
+solve returns, whose series are built without the public constructor.
 """
 
 import copy
@@ -10,8 +10,7 @@ import pickle
 
 import pytest
 
-from ensoseries import CoupledParams, DelayedParams, SeriesPoly, SolutionPair, vim_solve
-from ensoseries.adm import AdmState
+from ensoseries import CoupledParams, DelayedParams, SeriesPoly, SolutionPair, adm_solve_delayed, vim_solve
 from ensoseries.dtm import DtmResult
 from ensoseries.models import reduced_delayed_coeffs
 from ensoseries.reference import ReferenceTable
@@ -68,6 +67,11 @@ RECORDS = {
         (s(1.0, 1.9), s(1.0, -2.0)),
         "SolutionPair(H=SeriesPoly(coeffs=(1.0, 1.9)), h=SeriesPoly(coeffs=(1.0, -2.0)))",
     ),
+    "adm": (
+        lambda: adm_solve_delayed(DelayedParams(0.5, 0.3, 0.25, 0.05), 2),
+        ((1.0, 0.16216216216216217),),
+        "SeriesPoly(coeffs=(1.0, 0.16216216216216217))",
+    ),
     "dtm": (
         lambda: DtmResult((1.0, 2.0), None),
         ((1.0, 2.0), None),
@@ -77,11 +81,6 @@ RECORDS = {
         lambda: DtmResult((1.0,), (0.5,)),
         ((1.0,), (0.5,)),
         "DtmResult(W=(1.0,), V=(0.5,))",
-    ),
-    "adm": (
-        lambda: AdmState((1.0, 2.0), (3.0, 4.0)),
-        ((1.0, 2.0), (3.0, 4.0)),
-        "AdmState(u_weights=(1.0, 2.0), v_weights=(3.0, 4.0))",
     ),
     "table": (
         lambda: ReferenceTable(1, "coupled", {"c": 1.0}, (0.0, 0.2), {("dtm", 0.1): (1.0, 1.3)}),
@@ -135,7 +134,7 @@ def test_fields_differing_in_one_value_are_not_equal():
     p = CoupledParams(0.5, 1.0, 2.0, 1.0, 0.1)
     assert p != CoupledParams(0.5, 1.0, 2.0, 1.0, 0.1, h0=0.5)
     assert s(1.0, 2.0) != s(1.0, 2.5)
-    assert AdmState((1.0,), None) != AdmState((2.0,), None)
+    assert DtmResult((1.0,), None) != DtmResult((2.0,), None)
 
 
 @pytest.mark.parametrize("key", RECORDS)

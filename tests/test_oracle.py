@@ -23,6 +23,7 @@ from ensoseries import (
     rk4_values,
     solve_coupled,
     solve_delayed,
+    vim_solve,
 )
 from ensoseries import errors, oracle
 from ensoseries.models import coupled_rhs, delayed_rhs, reduced_delayed_coeffs
@@ -643,6 +644,17 @@ def test_residual_detects_a_perturbed_coefficient():
     coeffs = list(series.coeffs)
     coeffs[3] += 1e-3
     assert residual_check(SeriesPoly(tuple(coeffs)), TABLE3) >= 1e-4
+
+
+def test_residual_check_cannot_see_a_transform_truncation_error():
+    # residual_check reads the coefficients below the cap, and the DTM recurrence zeroes those by
+    # construction: an order-5 series scores exactly 0.0 while it misses the closed form at t = 2
+    p = DelayedParams(0.5, 0.3, 0.25, 0.1)  # table 3's constants at eps 0.1
+    series = solve_delayed(p, 5)
+    assert residual_check(series, p) == 0.0
+    assert abs(series.eval(2.0) - exact_delayed(p, 2.0)) > 1e-4
+    # a VIM iterate is not a Taylor section, so its low coefficients leave a residual to see
+    assert residual_check(vim_solve(p, 3), p) > 1e-5
 
 
 def test_residual_overflow_is_a_numeric_error():

@@ -17,11 +17,11 @@ from ensoseries import (
     DelayedParams,
     ParameterRangeWarning,
     SeriesOverflowError,
+    SeriesPoly,
     adm_solve_coupled,
     adm_solve_delayed,
     vim_solve,
 )
-from ensoseries.adm import AdmState
 from ensoseries.dtm import assemble, transform_coupled, transform_delayed
 from ensoseries.vim import vim_iterates
 from conftest import draw_coupled, draw_delayed, draw_until
@@ -53,6 +53,11 @@ def adm_solve(p, n_terms):
     return (adm_solve_coupled if isinstance(p, CoupledParams) else adm_solve_delayed)(p, n_terms)
 
 
+def parts(solution):
+    """The series of a solve: H alone for the delayed model, H and h for the coupled one."""
+    return (solution,) if isinstance(solution, SeriesPoly) else (solution.H, solution.h)
+
+
 def no_overflow(fn, *args):
     try:
         return fn(*args)
@@ -77,25 +82,23 @@ def test_adm_weights_are_the_transform_and_prefixes_are_the_short_solve(p, n, m)
     n, m = sorted((n + 1, m + 1))
     long = no_overflow(adm_solve, p, m)
     short = adm_solve(p, n)
-    r = transform(p, n - 1)
-    assert short.u_weights == r.W
-    assert short.v_weights == r.V
-    assert long.solution(n) == short.solution()
+    assert short == assemble(transform(p, n - 1))
+    for x, y in zip(parts(long), parts(short), strict=True):
+        assert x.coeffs[:n] == y.coeffs
 
 
 @pytest.mark.parametrize("seed, draw", [(31, draw_coupled), (32, draw_delayed)])
 def test_an_adm_partial_sum_evaluates_bit_for_bit_as_its_transform_prefix(seed, draw):
-    # the CLI prints the adm series of n terms as assemble(r, n - 1): the partial sum's trailing +0.0
-    # weight adds +0.0 to Horner's first step at every finite t, so each value keeps its bits
+    # the CLI prints the adm series of n terms as assemble(r, n - 1); the library's n-term series is
+    # that series, coefficient bits included, so every value it evaluates to keeps its bits
     rng = random.Random(seed)
     for _ in range(30):
-        p, r = draw_until(draw, rng, lambda q: transform(q, 30))
-        for n in range(1, 32):
-            adm, dtm = AdmState(r.W, r.V).solution(n), assemble(r, n - 1)
-            pairs = [(adm, dtm)] if r.V is None else [(adm.H, dtm.H), (adm.h, dtm.h)]
-            for t in (0.0, -0.0, 0.3, -0.3, 2.5, -2.5):
-                for x, y in pairs:
-                    assert struct.pack("<d", x.eval(t)) == struct.pack("<d", y.eval(t))
+        p, r = draw_until(draw, rng, lambda q: transform(q, 39))
+        for n in range(1, 41):
+            adm, dtm = adm_solve(p, n), assemble(r, n - 1)
+            assert adm == dtm
+            for x, y in zip(parts(adm), parts(dtm), strict=True):
+                assert struct.pack(f"<{len(x.coeffs)}d", *x.coeffs) == struct.pack(f"<{len(y.coeffs)}d", *y.coeffs)
 
 
 @examples

@@ -1,6 +1,7 @@
 """The package root: the README quick start runs against it, and it exports nothing more."""
 
 import ast
+import struct
 from pathlib import Path
 
 import ensoseries
@@ -43,6 +44,10 @@ def test_the_readme_quick_start_runs_against_the_package_root():
     assert repr(value).startswith("1.0654768690999")
     assert abs(value - values["exact_delayed(p, 0.4)"]) <= 1e-15
     assert values["residual_check(series, p)"] < 1e-15
+    adm = namespace["adm_solve_delayed"](namespace["p"], n_terms=26)
+    assert isinstance(adm, ensoseries.SeriesPoly)
+    adm_value = values["adm_solve_delayed(p, n_terms=26).eval(0.4)"]
+    assert struct.pack("<d", adm_value) == struct.pack("<d", value)
     assert isinstance(namespace["series"], ensoseries.SeriesPoly)
     assert isinstance(namespace["pair"], ensoseries.SolutionPair)
     assert len(next(v for k, v in values.items() if k.startswith("rk4_values("))) == 2
