@@ -19,11 +19,12 @@ import math
 import os
 import sys
 
-from .dtm import assemble, transform_coupled, transform_delayed
+from .dtm import solve_coupled, solve_delayed
 from .errors import NumericError, UsageError, check_count, check_step, check_steps, step_ratio
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .oracle import _rk4_gaps, exact_delayed, rk4_values
 from .reference import load_table
+from .series import _wrap
 from .vim import vim_iterates, vim_solve
 
 _COUPLED_DEFAULTS = {"c": 1.0, "eta": 1.0, "gamma": 1.0, "theta": 1.0}
@@ -64,19 +65,21 @@ def _params_from_args(args) -> list:
 
 
 def _refuse_unwritable(out_path) -> None:
-    """Refuse an ``--out`` that is a directory or lies in a missing one, before any solve.
+    """Refuse an ``--out`` that ``open`` refuses by its path alone, before any solve.
 
-    The reason is the one ``open`` would give, and no file is created.
-    Whatever else keeps the file from being written, :func:`_write` reports.
+    That is an empty path, a directory, a path with a trailing separator, and one whose parent is missing
+    or not a directory.  The reason is the one ``open`` would give, and no file is created.  Whatever else
+    keeps the file from being written, :func:`_write` reports.
     """
     if out_path is None:
         return
-    if os.path.isdir(out_path):
-        raise UsageError(f"cannot write {out_path}: {os.strerror(errno.EISDIR)}")
+    head = out_path.rstrip(os.sep)
     try:
-        os.stat(os.path.dirname(out_path.rstrip(os.sep)) or ".")
+        os.stat(os.path.join(os.path.dirname(head) or ".", ""))  # the parent, as a directory: a file is ENOTDIR
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
+    if not out_path or head != out_path or os.path.isdir(out_path):  # a trailing separator names a directory
+        raise UsageError(f"cannot write {out_path}: {os.strerror(errno.EISDIR if out_path else errno.ENOENT)}")
 
 
 def _write(out_path, lines) -> None:
@@ -91,22 +94,29 @@ def _write(out_path, lines) -> None:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
+def _prefix(sol, order):
+    """The coefficients of orders 0..order of ``sol``, a series or a pair, wrapped unchecked: they were checked once."""
+    if isinstance(sol, SolutionPair):
+        return SolutionPair(_wrap(sol.H.coeffs[: order + 1]), _wrap(sol.h.coeffs[: order + 1]))
+    return _wrap(sol.coeffs[: order + 1])
+
+
 def _series_reader():
     """``series(method, params, n)``: the dtm series at order n, or the adm series of n terms, of ``params``.
 
     ADM's n weights are the DTM coefficients to order n - 1, and a higher order leaves lower ones bit for bit,
-    so each is ``assemble(r, order)`` of the longest successful transform r of that set so far (by identity,
-    so eps 0.0 and -0.0 stay apart).  A failed transform is not kept: it fails again, on its own stderr line.
+    so each is a prefix of the longest successful DTM series of that set so far (by identity, so eps 0.0 and
+    -0.0 stay apart).  A failed solve is not kept: it fails again, on its own stderr line.
     """
     longest = {}
 
     def series(method, params, n):
         order = n - (method == "adm")
-        r = longest.get(id(params))
-        if r is None or len(r.W) <= order:
-            r = (transform_coupled if isinstance(params, CoupledParams) else transform_delayed)(params, order)
-            longest[id(params)] = r
-        return assemble(r, order)
+        top, sol = longest.get(id(params), (-1, None))
+        if top < order:
+            sol = (solve_coupled if isinstance(params, CoupledParams) else solve_delayed)(params, order)
+            longest[id(params)] = order, sol
+        return _prefix(sol, order)
 
     return series
 
@@ -118,7 +128,7 @@ def _column_setup(args, methods):
     A numeric failure of a solve is reported on stderr under the method, the eps and, for a series
     method, its count (``dtm eps=0.1 order=25: ...``), and each of its columns is None.  A value that is
     not finite is reported under the same label at its first grid time, and its cell prints as an error.
-    The dtm and adm columns of an eps are prefixes of its longest DTM transform (see :func:`_series_reader`);
+    The dtm and adm columns of an eps are prefixes of its longest DTM series (see :func:`_series_reader`);
     a VIM column runs ``vim_solve``.  Each column is bit for bit the same column solved alone.
     """
     params_list = _params_from_args(args)
@@ -206,7 +216,7 @@ def cmd_sweep(args) -> int:
     _refuse_unwritable(args.out)
     if args.method == "vim":
         solutions = vim_iterates(params, args.max)[args.min:]
-    else:  # one transform at --max, so each lower n is a prefix; an adm count is checked as one first
+    else:  # one DTM solve at --max, so each lower n is a prefix; an adm count is checked as one first
         if args.method == "adm":
             check_count(args.max, "n_terms")
         series = _series_reader()

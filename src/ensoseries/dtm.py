@@ -12,7 +12,10 @@ where ``N(k)`` is the degree-k coefficient of ``H**3``.  ``N(k)`` only ever
 involves ``W(0..k)``, so each step computes it from the coefficients so far:
 the square's coefficient k, then the product of ``W`` with the square's
 coefficients 0..k.  That is two convolutions of length k, O(K^2) work
-overall instead of re-cubing the series at every step.
+overall instead of re-cubing the series at every step.  A step reads only
+the coefficients before it, so raising the order leaves the lower ones bit
+for bit: the solve at order n is the first n + 1 coefficients of any longer
+solve.
 
 ``N(k)`` is also the weight of the k-th Adomian polynomial of the cube, so
 this recurrence yields the Adomian decomposition's component weights as well:
@@ -22,22 +25,9 @@ tests (dense Adomian polynomials over series and a scalar triple sum).
 
 from __future__ import annotations
 
-from ._frozen import Frozen
-from .errors import COEFF_LIMIT, UsageError, check_coeffs, check_count
+from .errors import COEFF_LIMIT, check_coeffs, check_count
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
-from .series import SeriesPoly, _trusted
-
-
-class DtmResult(Frozen):
-    """Transformed coefficients of orders 0..len(W)-1: W for H, V for h (None for the scalar model)."""
-
-    __slots__ = ("W", "V")
-
-    def __post_init__(self):
-        if not self.W:
-            raise UsageError("W must hold at least one coefficient")
-        if self.V is not None and len(self.V) != len(self.W):
-            raise UsageError("V must be as long as W")
+from .series import SeriesPoly, _wrap
 
 
 def _cube_coeff(W: list[float], S: list[float]) -> float:
@@ -60,8 +50,8 @@ def _cube_coeff(W: list[float], S: list[float]) -> float:
     return nk
 
 
-def transform_coupled(p: CoupledParams, order: int) -> DtmResult:
-    """Run the coupled recurrence up to the given truncation order (at most ``MAX_ORDER``)."""
+def solve_coupled(p: CoupledParams, order: int) -> SolutionPair:
+    """The series of H and h to the given truncation order (at most ``MAX_ORDER``)."""
     check_count(order, "order")
     c, eta, eps, theta, gamma = p.c, p.eta, p.eps, p.theta, p.gamma
     W = [p.H0]
@@ -76,11 +66,11 @@ def transform_coupled(p: CoupledParams, order: int) -> DtmResult:
         V.append(v)
         if not (-COEFF_LIMIT <= w <= COEFF_LIMIT and -COEFF_LIMIT <= v <= COEFF_LIMIT):
             break  # check_coeffs below names index k+1
-    return DtmResult(check_coeffs(tuple(W)), check_coeffs(tuple(V)))
+    return SolutionPair(_wrap(check_coeffs(tuple(W))), _wrap(check_coeffs(tuple(V))))
 
 
-def transform_delayed(p: DelayedParams, order: int) -> DtmResult:
-    """Run the scalar delayed-model recurrence up to the given order (at most ``MAX_ORDER``)."""
+def solve_delayed(p: DelayedParams, order: int) -> SeriesPoly:
+    """The series of H for the scalar delayed model to the given order (at most ``MAX_ORDER``)."""
     check_count(order, "order")
     a, b = reduced_delayed_coeffs(p)
     W = [p.H0]
@@ -92,39 +82,4 @@ def transform_delayed(p: DelayedParams, order: int) -> DtmResult:
         W.append(w)
         if not -COEFF_LIMIT <= w <= COEFF_LIMIT:
             break  # check_coeffs below names index k+1
-    return DtmResult(check_coeffs(tuple(W)), None)
-
-
-def assemble(result: DtmResult, n: int | None = None) -> SolutionPair | SeriesPoly:
-    """Turn the transformed coefficients of orders ``0..n`` into series about t = 0.
-
-    ``n`` defaults to the result's order.  Raising the order leaves lower
-    coefficients bit-for-bit unchanged, so each lower ``n`` is the solve at
-    that order.  Returns a :class:`SolutionPair` for the coupled model, a
-    single :class:`SeriesPoly` for the scalar one.  The transforms have
-    checked the coefficients already; a hand-built result still gets the
-    one-pass finiteness check.
-    """
-    order = len(result.W) - 1
-    if n is None:
-        n = order
-    elif not 0 <= n <= order:
-        raise UsageError(f"need 0 <= n <= {order}, got {n}")
-    H = _trusted(tuple(result.W[: n + 1]))
-    if result.V is None:
-        return H
-    return SolutionPair(H, _trusted(tuple(result.V[: n + 1])))
-
-
-def solve_coupled(p: CoupledParams, order: int) -> SolutionPair:
-    """Transform and assemble in one call."""
-    pair = assemble(transform_coupled(p, order))
-    assert isinstance(pair, SolutionPair)
-    return pair
-
-
-def solve_delayed(p: DelayedParams, order: int) -> SeriesPoly:
-    """Transform and assemble in one call."""
-    series = assemble(transform_delayed(p, order))
-    assert isinstance(series, SeriesPoly)
-    return series
+    return _wrap(check_coeffs(tuple(W)))

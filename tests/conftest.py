@@ -24,7 +24,7 @@ from ensoseries import (
     adm_solve_coupled,
     adm_solve_delayed,
 )
-from ensoseries.dtm import transform_coupled, transform_delayed
+from ensoseries.dtm import solve_coupled, solve_delayed
 
 ADM_K_MAX = 20
 
@@ -63,17 +63,17 @@ def draw_until(draw, rng: random.Random, compute, max_tries: int = 400):
 
 
 def adm_dtm_draws():
-    """Acceptance criterion 4's draws: ``(params, (series, DtmResult))`` each.
+    """Acceptance criterion 4's draws: ``(params, (adm series, dtm series))`` each.
 
     100 coupled draws from seed 2024, then 100 delayed draws from seed 2025,
     each solved to the ADM series of ``ADM_K_MAX + 1`` components and the
-    transformed coefficients ``0..ADM_K_MAX``.  The series is a
-    :class:`SolutionPair` for the coupled draws.
+    DTM series of order ``ADM_K_MAX``.  Both are a :class:`SolutionPair` for
+    the coupled draws.
     """
     out = []
     for seed, draw, adm, dtm in (
-        (2024, draw_coupled, adm_solve_coupled, transform_coupled),
-        (2025, draw_delayed, adm_solve_delayed, transform_delayed),
+        (2024, draw_coupled, adm_solve_coupled, solve_coupled),
+        (2025, draw_delayed, adm_solve_delayed, solve_delayed),
     ):
         rng = random.Random(seed)
         for _ in range(100):

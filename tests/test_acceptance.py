@@ -30,7 +30,6 @@ from ensoseries import (
     vim_solve,
 )
 from ensoseries.cli import main as cli_main
-from ensoseries.dtm import transform_coupled, transform_delayed
 from ensoseries.reference import load_table
 from ensoseries.vim import vim_iterates
 from conftest import ADM_K_MAX, adm_dtm_draws, draw_coupled, draw_delayed, draw_until
@@ -257,11 +256,11 @@ def _bits(coeffs):
 
 def test_criterion_4_adm_equals_dtm():
     # ADM component k is the monomial w_k * t**k, so the n-term series' coefficient k is its weight
-    for p, (adm, r) in adm_dtm_draws():
-        if r.V is None:
-            assert _bits(adm.coeffs) == _bits(r.W)
+    for p, (adm, dtm) in adm_dtm_draws():
+        if isinstance(dtm, SeriesPoly):
+            assert _bits(adm.coeffs) == _bits(dtm.coeffs)
         else:
-            assert _bits(adm.H.coeffs) == _bits(r.W) and _bits(adm.h.coeffs) == _bits(r.V)
+            assert _bits(adm.H.coeffs) == _bits(dtm.H.coeffs) and _bits(adm.h.coeffs) == _bits(dtm.h.coeffs)
 
     # consequence: the bundled adm and dtm columns agree entry by entry
     worst_bundle = 0.0
@@ -290,10 +289,15 @@ def test_criterion_4_adm_equals_dtm():
 
 
 def _iterates(params, steps, order):
-    """The transform to ``order`` and iterates 1..steps as ``(H, h)`` pairs, h None for the delayed model."""
+    """The DTM coefficients to ``order`` as ``(W, V)`` and iterates 1..steps as ``(H, h)`` pairs.
+
+    V and each h are None for the delayed model.
+    """
     if isinstance(params, DelayedParams):
-        return transform_delayed(params, order), [(H, None) for H in vim_iterates(params, steps, 64)[1:]]
-    return transform_coupled(params, order), [(s.H, s.h) for s in vim_iterates(params, steps, 64)[1:]]
+        return ((solve_delayed(params, order).coeffs, None),
+                [(H, None) for H in vim_iterates(params, steps, 64)[1:]])
+    pair = solve_coupled(params, order)
+    return (pair.H.coeffs, pair.h.coeffs), [(s.H, s.h) for s in vim_iterates(params, steps, 64)[1:]]
 
 
 def test_criterion_5_vim_picard_matching_and_sweeps(tmp_path):
@@ -301,16 +305,16 @@ def test_criterion_5_vim_picard_matching_and_sweeps(tmp_path):
     for seed, draw in ((31337, draw_coupled), (31338, draw_delayed)):
         rng = random.Random(seed)
         for _ in range(50):
-            p, (r, states) = draw_until(draw, rng, lambda q: _iterates(q, n_max, n_max))
+            p, ((W, V), states) = draw_until(draw, rng, lambda q: _iterates(q, n_max, n_max))
             assert len(states) == n_max
             for n, (H, h) in enumerate(states, start=1):
                 for k in range(n + 1):
-                    gap = abs(H.coeffs[k] - r.W[k])
-                    assert gap <= 1e-12 * max(1.0, abs(r.W[k]))
+                    gap = abs(H.coeffs[k] - W[k])
+                    assert gap <= 1e-12 * max(1.0, abs(W[k]))
                 if h is not None:
                     for k in range(n + 1):
-                        gap = abs(h.coeffs[k] - r.V[k])
-                        assert gap <= 1e-12 * max(1.0, abs(r.V[k]))
+                        gap = abs(h.coeffs[k] - V[k])
+                        assert gap <= 1e-12 * max(1.0, abs(V[k]))
 
     devs1, best1 = run_sweep(tmp_path, 1, "vim", 0.1, 1, 30)
     assert devs1[best1] <= 5e-4, f"table 1 vim sweep best {devs1[best1]}"
@@ -359,19 +363,20 @@ def test_criterion_6_closed_form_coefficients():
     rng = random.Random(99)
     for _ in range(200):
         p = draw_coupled(rng)
-        r = transform_coupled(p, 3)
+        pair = solve_coupled(p, 3)
+        W, V = pair.H.coeffs, pair.h.coeffs
         w1, v1, w2, v2, w3, v3 = coupled_low_order(p)
-        for got, want in ((r.W[1], w1), (r.V[1], v1), (r.W[2], w2),
-                          (r.V[2], v2), (r.W[3], w3), (r.V[3], v3)):
+        for got, want in ((W[1], w1), (V[1], v1), (W[2], w2),
+                          (V[2], v2), (W[3], w3), (V[3], v3)):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     rng = random.Random(98)
     for _ in range(200):
         p = draw_delayed(rng, min_denom=0.1)
-        r = transform_delayed(p, 2)
+        W = solve_delayed(p, 2).coeffs
         w1, w2 = delayed_low_order(p)
-        assert abs(r.W[1] - w1) <= 1e-12 * max(1.0, abs(w1))
-        assert abs(r.W[2] - w2) <= 1e-12 * max(1.0, abs(w2))
+        assert abs(W[1] - w1) <= 1e-12 * max(1.0, abs(w1))
+        assert abs(W[2] - w2) <= 1e-12 * max(1.0, abs(w2))
 
     report(6, "400 random draws: recurrence output equals the hand-expanded "
               "low-order closed forms to 1e-12")

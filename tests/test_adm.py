@@ -13,7 +13,7 @@ from ensoseries import (
     adm_solve_delayed,
 )
 from ensoseries import adm
-from ensoseries.dtm import transform_coupled
+from ensoseries.dtm import solve_coupled
 from ensoseries.models import reduced_delayed_coeffs
 from conftest import adm_dtm_draws, draw_coupled
 
@@ -144,9 +144,9 @@ def test_each_component_is_the_matching_taylor_monomial():
         p = draw_coupled(rng)
         n = 10
         sol = adm_solve_coupled(p, n)
-        r = transform_coupled(p, n - 1)
-        assert sol.H.coeffs == r.W
-        assert sol.h.coeffs == r.V
+        r = solve_coupled(p, n - 1)
+        assert sol.H.coeffs == r.H.coeffs
+        assert sol.h.coeffs == r.h.coeffs
 
 
 def _dense_recursion_gap(p, sol, n_terms):

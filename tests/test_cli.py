@@ -1,8 +1,10 @@
 """CLI subcommands: output shape, determinism, exit codes, bundled tables."""
 
 import contextlib
+import errno
 import io
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -230,7 +232,7 @@ def test_errors_oracle_failure_marks_only_its_eps(tmp_path, capsys, monkeypatch,
     assert all(float(cell) <= 1e-8 for row in rows for cell in row[3:])
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"{oracle} eps=-500: ")
-    assert calls.count("transform_delayed") == 1  # dtm and adm share one at eps = 0.1: the failed eps solves nothing
+    assert calls.count("solve_delayed") == 1  # dtm and adm share one at eps = 0.1: the failed eps solves nothing
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
@@ -567,46 +569,46 @@ def test_grid_rows_are_counted_against_the_limit(monkeypatch, capsys):
 def watch_solves(monkeypatch):
     """Record the name of each solve the CLI starts, in the list returned.
 
-    The solves are the DTM transforms (every dtm and adm column or sweep reads one), RK4, the closed form and VIM.
+    The solves are the DTM solves (every dtm and adm column or sweep reads one), RK4, the closed form and VIM.
     """
     calls = []
-    for name in ["transform_coupled", "transform_delayed", "rk4_values", "exact_delayed", "vim_iterates", "vim_solve"]:
+    for name in ["solve_coupled", "solve_delayed", "rk4_values", "exact_delayed", "vim_iterates", "vim_solve"]:
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     return calls
 
 
-@pytest.mark.parametrize("table, method, eps, transform", [
-    (4, "adm", "0.05", "transform_delayed"), (1, "adm", "0.1", "transform_coupled"),
-    (4, "dtm", "0.05", "transform_delayed"),
+@pytest.mark.parametrize("table, method, eps, solve", [
+    (4, "adm", "0.05", "solve_delayed"), (1, "adm", "0.1", "solve_coupled"),
+    (4, "dtm", "0.05", "solve_delayed"),
 ])
-def test_a_series_sweep_runs_one_transform(capsys, monkeypatch, table, method, eps, transform):
-    # each n is a prefix of one DTM transform, read as ADM component weights for adm
+def test_a_series_sweep_runs_one_transform(capsys, monkeypatch, table, method, eps, solve):
+    # each n is a prefix of one DTM solve, read as ADM component weights for adm
     calls = watch_solves(monkeypatch)
     assert main(["sweep", "--table", str(table), "--method", method, "--eps", eps, "--max", "20"]) == 0
-    assert calls == [transform]
+    assert calls == [solve]
 
 
-@pytest.mark.parametrize("args, transform, per_eps", [
-    # --terms defaults to --order + 1, so the dtm and adm columns of an eps read one transform at order 60
-    (["table", "--model", "coupled"], "transform_coupled", 1),
+@pytest.mark.parametrize("args, solve, per_eps", [
+    # --terms defaults to --order + 1, so the dtm and adm columns of an eps read one solve at order 60
+    (["table", "--model", "coupled"], "solve_coupled", 1),
     # dtm at order 25 runs first, and adm at 20 terms reads its prefix to order 19
-    (["errors", "--model", "delayed", "--order", "25", "--terms", "20"], "transform_delayed", 1),
+    (["errors", "--model", "delayed", "--order", "25", "--terms", "20"], "solve_delayed", 1),
     # adm at 61 terms runs order 60 first, and dtm at order 25 reads its prefix
     (["table", "--model", "delayed", "--methods", "adm,dtm", "--order", "25", "--terms", "61"],
-     "transform_delayed", 1),
-    # dtm at order 25 runs first, and adm at 61 terms needs the longer transform to order 60
+     "solve_delayed", 1),
+    # dtm at order 25 runs first, and adm at 61 terms needs the longer solve to order 60
     (["table", "--model", "delayed", "--methods", "dtm,adm", "--order", "25", "--terms", "61"],
-     "transform_delayed", 2),
-    # eps 0 and -0 are equal parameter sets but separate columns, each with its own transform
-    (["table", "--model", "delayed", "--eps", "0", "--eps", "-0", "--methods", "dtm,adm"], "transform_delayed", 1),
+     "solve_delayed", 2),
+    # eps 0 and -0 are equal parameter sets but separate columns, each with its own solve
+    (["table", "--model", "delayed", "--eps", "0", "--eps", "-0", "--methods", "dtm,adm"], "solve_delayed", 1),
 ])
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
-def test_every_series_column_is_a_prefix_of_its_eps_longest_transform(tmp_path, monkeypatch, args, transform, per_eps):
+def test_every_series_column_is_a_prefix_of_its_eps_longest_transform(tmp_path, monkeypatch, args, solve, per_eps):
     calls = watch_solves(monkeypatch)
     code, text = run_cli(args, tmp_path)
     assert code == 0
-    assert calls.count(transform) == per_eps * 2  # two eps values in each case
+    assert calls.count(solve) == per_eps * 2  # two eps values in each case
     monkeypatch.undo()
     header, rows = parse_csv(text)
     for m in {name.split("_")[-2] for name in header[1:]}:  # dtm_eps0.1, err_dtm_eps0.1
@@ -622,15 +624,20 @@ def test_every_series_column_is_a_prefix_of_its_eps_longest_transform(tmp_path, 
     ["sweep", "--table", "4", "--method", "dtm", "--eps", "0.05", "--max", "5"],
     ["trajectory", "--model", "coupled"],
 ])
-@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "empty", "trailing separator", "file parent"])
 def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, args, where):
-    calls = watch_solves(monkeypatch)  # refused before any solve
-    out = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
-    assert main(args + ["--out", str(out)]) == 2
+    calls = watch_solves(monkeypatch)  # refused before any solve, with the reason open gives
+    out, reason = {
+        "missing directory": (str(tmp_path / "missing" / "x.csv"), errno.ENOENT),
+        "directory": (str(tmp_path), errno.EISDIR),
+        "empty": ("", errno.ENOENT),
+        "trailing separator": (str(tmp_path / "new") + os.sep, errno.EISDIR),
+        "file parent": (str(Path(__file__) / "x.csv"), errno.ENOTDIR),
+    }[where]
+    assert main(args + ["--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+    assert captured.err.splitlines() == [f"error: cannot write {out}: {os.strerror(reason)}"]
     assert list(tmp_path.iterdir()) == []
     assert calls == []
 

@@ -18,7 +18,6 @@ from ensoseries import (
     solve_delayed,
 )
 from ensoseries import dtm
-from ensoseries.dtm import assemble, transform_coupled, transform_delayed
 from ensoseries.errors import MAX_ORDER, check_coeffs
 from ensoseries.models import reduced_delayed_coeffs
 from ensoseries.reference import load_table
@@ -30,18 +29,19 @@ TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_zero_rhs_keeps_constants():
-    r = transform_coupled(CoupledParams(0, 0, 0, 0, 0.0), 4)
-    assert r.W == (1.0, 0.0, 0.0, 0.0, 0.0)
-    assert r.V == (1.0, 0.0, 0.0, 0.0, 0.0)
+    pair = solve_coupled(CoupledParams(0, 0, 0, 0, 0.0), 4)
+    assert pair.H.coeffs == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert pair.h.coeffs == (1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_first_coefficients_match_hand_substitution():
     # W1 = c + eta - eps, V1 = -theta - gamma, then one more recurrence turn
-    r = transform_coupled(TABLE1, 2)
-    assert r.W[1] == pytest.approx(1.9, abs=1e-15)
-    assert r.V[1] == pytest.approx(-2.0, abs=1e-15)
-    assert r.W[2] == pytest.approx(-0.335, abs=1e-14)
-    assert r.V[2] == pytest.approx(0.05, abs=1e-14)
+    pair = solve_coupled(TABLE1, 2)
+    W, V = pair.H.coeffs, pair.h.coeffs
+    assert W[1] == pytest.approx(1.9, abs=1e-15)
+    assert V[1] == pytest.approx(-2.0, abs=1e-15)
+    assert W[2] == pytest.approx(-0.335, abs=1e-14)
+    assert V[2] == pytest.approx(0.05, abs=1e-14)
 
 
 def test_coupled_series_value_from_table1():
@@ -52,14 +52,14 @@ def test_coupled_series_value_from_table1():
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_delayed_zero_rhs():
-    r = transform_delayed(DelayedParams(0.7, 0.7, 0.5, 0.0), 4)
-    assert r.W == (1.0, 0.0, 0.0, 0.0, 0.0)
-    assert r.V is None
+    series = solve_delayed(DelayedParams(0.7, 0.7, 0.5, 0.0), 4)
+    assert type(series) is SeriesPoly
+    assert series.coeffs == (1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_delayed_first_coefficient():
-    r = transform_delayed(TABLE3, 1)
-    assert r.W[1] == pytest.approx(0.15 / 0.925, rel=1e-14)
+    series = solve_delayed(TABLE3, 1)
+    assert series.coeffs[1] == pytest.approx(0.15 / 0.925, rel=1e-14)
 
 
 def test_delayed_series_value_from_table3():
@@ -70,20 +70,20 @@ def test_delayed_series_value_from_table3():
 
 def test_negative_order_rejected():
     with pytest.raises(UsageError):
-        transform_coupled(TABLE1, -1)
+        solve_coupled(TABLE1, -1)
     with pytest.raises(UsageError):
-        transform_delayed(TABLE3, -2)
+        solve_delayed(TABLE3, -2)
 
 
 def test_overflow_aborts_with_index():
     with pytest.raises(SeriesOverflowError) as err:
-        transform_coupled(CoupledParams(1e9, 0, 0, 0, 0.5), 5)
+        solve_coupled(CoupledParams(1e9, 0, 0, 0, 0.5), 5)
     assert err.value.index >= 1
 
 
 @pytest.mark.parametrize("solve, coupled", [
-    (transform_coupled, True),
-    (transform_delayed, False),
+    (solve_coupled, True),
+    (solve_delayed, False),
     (lambda p, n: adm_solve_coupled(p, n + 1), True),
     (lambda p, n: adm_solve_delayed(p, n + 1), False),
 ])
@@ -101,8 +101,8 @@ def test_overflow_stops_at_the_first_bad_coefficient(solve, coupled, monkeypatch
 
 
 @pytest.mark.parametrize("solve, p", [
-    (transform_coupled, TABLE1),
-    (transform_delayed, TABLE3),
+    (solve_coupled, TABLE1),
+    (solve_delayed, TABLE3),
     (lambda p, n: adm_solve_coupled(p, n + 1), TABLE1),
     (lambda p, n: adm_solve_delayed(p, n + 1), TABLE3),
 ])
@@ -114,7 +114,7 @@ def test_an_order_above_the_limit_is_refused_before_any_work(solve, p, monkeypat
             solve(p, order)
 
 
-@pytest.mark.parametrize("solve", [transform_coupled, lambda p, n: adm_solve_coupled(p, n + 1)])
+@pytest.mark.parametrize("solve", [solve_coupled, lambda p, n: adm_solve_coupled(p, n + 1)])
 def test_overflow_in_h_reports_its_lower_index(solve):
     # h leaves the range at index 1, H only at index 2
     with pytest.raises(SeriesOverflowError) as err:
@@ -131,40 +131,34 @@ def test_overflow_guard_names_the_first_bad_coefficient(bad):
     assert check_coeffs((1e15, -1e15, 0.5)) == (1e15, -1e15, 0.5)
 
 
-def test_assemble_shapes():
-    pair = assemble(transform_coupled(TABLE1, 3))
-    assert isinstance(pair, SolutionPair)
+def test_solve_shapes():
+    pair = solve_coupled(TABLE1, 3)
+    assert type(pair) is SolutionPair
     assert pair.H.cap == 3 and pair.h.cap == 3
     assert pair.H.coeffs[0] == TABLE1.H0 and pair.h.coeffs[0] == TABLE1.h0
-    scalar = assemble(transform_delayed(TABLE3, 3))
-    assert isinstance(scalar, SeriesPoly)
+    scalar = solve_delayed(TABLE3, 3)
+    assert type(scalar) is SeriesPoly
 
 
-def test_assemble_takes_each_prefix_of_one_transform():
-    res_c, res_d = transform_coupled(TABLE1, 12), transform_delayed(TABLE3, 12)
-    assert assemble(res_c) == assemble(res_c, 12)
-    assert assemble(res_d) == assemble(res_d, 12)
+def test_each_lower_order_is_a_prefix_of_one_solve():
+    long_c, long_d = solve_coupled(TABLE1, 12), solve_delayed(TABLE3, 12)
     for n in range(13):
-        assert assemble(res_c, n) == solve_coupled(TABLE1, n)
-        assert assemble(res_d, n) == solve_delayed(TABLE3, n)
-    for bad in (-1, 13):
-        with pytest.raises(UsageError, match="0 <= n <= 12"):
-            assemble(res_c, bad)
+        pair = solve_coupled(TABLE1, n)
+        assert pair == SolutionPair(SeriesPoly(long_c.H.coeffs[: n + 1]), SeriesPoly(long_c.h.coeffs[: n + 1]))
+        assert solve_delayed(TABLE3, n) == SeriesPoly(long_d.coeffs[: n + 1])
 
 
 def test_a_result_takes_its_order_from_w():
-    assert assemble(dtm.DtmResult((1.0, 2.0), None)).cap == 1
-    with pytest.raises(UsageError, match="0 <= n <= 1"):
-        assemble(dtm.DtmResult((1.0, 2.0), (3.0, 4.0)), 2)
-    with pytest.raises(UsageError, match="at least one coefficient"):
-        dtm.DtmResult((), None)
-    with pytest.raises(UsageError, match="as long as W"):
-        dtm.DtmResult((1.0, 2.0), (3.0,))
+    # the cap of a solve is its order: order 0 is the initial value alone
+    for n in (0, 1, 7):
+        pair = solve_coupled(TABLE1, n)
+        assert pair.H.cap == pair.h.cap == solve_delayed(TABLE3, n).cap == n
+    assert solve_delayed(TABLE3, 0).coeffs == (TABLE3.H0,)
 
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
-def test_assemble_constant_result():
-    pair = assemble(transform_coupled(CoupledParams(0, 0, 0, 0, 0.0), 1))
+def test_constant_solve():
+    pair = solve_coupled(CoupledParams(0, 0, 0, 0, 0.0), 1)
     assert pair.H.eval(5.0) == 1.0 and pair.h.eval(5.0) == 1.0
 
 
@@ -180,13 +174,13 @@ def test_delayed_grid_matches_bundled_table():
 
 
 def test_order_monotonicity_bit_for_bit():
-    small = transform_coupled(TABLE1, 30)
-    large = transform_coupled(TABLE1, 55)
-    assert large.W[:31] == small.W
-    assert large.V[:31] == small.V
-    d_small = transform_delayed(TABLE3, 20)
-    d_large = transform_delayed(TABLE3, 45)
-    assert d_large.W[:21] == d_small.W
+    small = solve_coupled(TABLE1, 30)
+    large = solve_coupled(TABLE1, 55)
+    assert large.H.coeffs[:31] == small.H.coeffs
+    assert large.h.coeffs[:31] == small.h.coeffs
+    d_small = solve_delayed(TABLE3, 20)
+    d_large = solve_delayed(TABLE3, 45)
+    assert d_large.coeffs[:21] == d_small.coeffs
 
 
 def test_incremental_cube_agrees_with_series_cube():
@@ -194,11 +188,12 @@ def test_incremental_cube_agrees_with_series_cube():
     rng = random.Random(101)
     for _ in range(20):
         p = draw_coupled(rng)
-        r = transform_coupled(p, 12)
-        cubed = SeriesPoly(r.W).cube()
+        pair = solve_coupled(p, 12)
+        W, V = pair.H.coeffs, pair.h.coeffs
+        cubed = pair.H.cube()
         for k in range(12):
-            lhs = (k + 1) * r.W[k + 1]
-            rhs = p.c * r.W[k] + p.eta * r.V[k] - p.eps * cubed.coeffs[k]
+            lhs = (k + 1) * W[k + 1]
+            rhs = p.c * W[k] + p.eta * V[k] - p.eps * cubed.coeffs[k]
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -208,11 +203,11 @@ def test_delayed_recurrence_against_series_cube():
         p = draw_delayed(rng)
         a, b = reduced_delayed_coeffs(p)
         try:
-            r = transform_delayed(p, 10)
+            series = solve_delayed(p, 10)
         except SeriesOverflowError:
             continue
-        cubed = SeriesPoly(r.W).cube()
+        W, cubed = series.coeffs, series.cube()
         for k in range(10):
-            lhs = (k + 1) * r.W[k + 1]
-            rhs = a * r.W[k] - b * cubed.coeffs[k]
+            lhs = (k + 1) * W[k + 1]
+            rhs = a * W[k] - b * cubed.coeffs[k]
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

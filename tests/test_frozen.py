@@ -1,8 +1,9 @@
-"""The six record types behave as the frozen dataclasses they replaced.
+"""The five record types behave as the frozen dataclasses they replaced.
 
 The expected reprs were recorded from the ``@dataclass(frozen=True)``
-versions of these classes.  The ``vim`` and ``adm`` cases are records a
-solve returns, whose series are built without the public constructor.
+versions of these classes.  The ``vim``, ``adm`` and ``dtm`` cases are
+records a solve returns, whose series are built without the public
+constructor.
 """
 
 import copy
@@ -10,8 +11,16 @@ import pickle
 
 import pytest
 
-from ensoseries import CoupledParams, DelayedParams, SeriesPoly, SolutionPair, adm_solve_delayed, vim_solve
-from ensoseries.dtm import DtmResult
+from ensoseries import (
+    CoupledParams,
+    DelayedParams,
+    SeriesPoly,
+    SolutionPair,
+    adm_solve_delayed,
+    solve_coupled,
+    solve_delayed,
+    vim_solve,
+)
 from ensoseries.models import reduced_delayed_coeffs
 from ensoseries.reference import ReferenceTable
 
@@ -73,14 +82,14 @@ RECORDS = {
         "SeriesPoly(coeffs=(1.0, 0.16216216216216217))",
     ),
     "dtm": (
-        lambda: DtmResult((1.0, 2.0), None),
-        ((1.0, 2.0), None),
-        "DtmResult(W=(1.0, 2.0), V=None)",
+        lambda: solve_delayed(DelayedParams(0.5, 0.3, 0.25, 0.05), 2),
+        ((1.0, 0.16216216216216217, 0.004382761139517898),),
+        "SeriesPoly(coeffs=(1.0, 0.16216216216216217, 0.004382761139517898))",
     ),
     "dtm-coupled": (
-        lambda: DtmResult((1.0,), (0.5,)),
-        ((1.0,), (0.5,)),
-        "DtmResult(W=(1.0,), V=(0.5,))",
+        lambda: solve_coupled(CoupledParams(1.0, 1.0, 1.0, 1.0, 0.1, h0=0.5), 0),
+        (s(1.0), s(0.5)),
+        "SolutionPair(H=SeriesPoly(coeffs=(1.0,)), h=SeriesPoly(coeffs=(0.5,)))",
     ),
     "table": (
         lambda: ReferenceTable(1, "coupled", {"c": 1.0}, (0.0, 0.2), {("dtm", 0.1): (1.0, 1.3)}),
@@ -126,7 +135,7 @@ def test_equal_fields_in_another_class_are_not_equal():
     q = Params(0.5, 1.0, 2.0, 1.0, 0.1)
     assert q.H0 == 1.0 and q.h0 == 1.0
     assert p != q and q != p and not p == q
-    assert DtmResult((1.0,), None) != DtmResult((1.0,), (1.0,))
+    assert SolutionPair(s(1.0), s(0.5)) != (s(1.0), s(0.5))
     assert s(1.0, 2.0) != (1.0, 2.0) and s(1.0, 2.0) != ((1.0, 2.0),)
 
 
@@ -134,7 +143,8 @@ def test_fields_differing_in_one_value_are_not_equal():
     p = CoupledParams(0.5, 1.0, 2.0, 1.0, 0.1)
     assert p != CoupledParams(0.5, 1.0, 2.0, 1.0, 0.1, h0=0.5)
     assert s(1.0, 2.0) != s(1.0, 2.5)
-    assert DtmResult((1.0,), None) != DtmResult((2.0,), None)
+    assert SolutionPair(s(1.0), s(0.5)) != SolutionPair(s(1.0), s(-0.5))
+    assert SolutionPair(s(1.0), s(0.5)) != SolutionPair(s(2.0), s(0.5))
 
 
 @pytest.mark.parametrize("key", RECORDS)

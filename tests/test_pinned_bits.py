@@ -6,7 +6,7 @@ by a pure function instead of a stateful accumulator.  Both must hold on
 every supported Python: a reordered float operation, or an interpreter whose
 sums round differently, changes some result's bits.  Each value enters the
 hash as ``float.hex``; a :class:`SeriesOverflowError` enters as its type and
-index (and, for the DTM transforms, its value).
+index (and, for the DTM solves, its value).
 """
 
 import hashlib
@@ -23,7 +23,7 @@ from ensoseries import (
     residual_check,
     vim_solve,
 )
-from ensoseries.dtm import transform_coupled, transform_delayed
+from ensoseries.dtm import solve_coupled, solve_delayed
 
 PINNED_SHA256 = "9758786f44cf7a31e14a8a4a9024a27b7531847fd1b4aec3b8b0ce5a3d1bf46d"
 DTM_SHA256 = "072abc0f4d6f1890a346d264e098b94eafc797777a012ecfc05b7179da6de647"
@@ -95,17 +95,18 @@ def results():
 
 
 def transform_bits(p, order):
-    """Every transformed coefficient's hex, or the overflow's type, index and value."""
-    transform = transform_coupled if isinstance(p, CoupledParams) else transform_delayed
+    """Every coefficient's hex of the DTM solve, H's then h's, or the overflow's type, index and value."""
+    solve = solve_coupled if isinstance(p, CoupledParams) else solve_delayed
     try:
-        res = transform(p, order)
+        sol = solve(p, order)
     except SeriesOverflowError as exc:
         return f"{type(exc).__name__}:{exc.index}:{exc.value.hex()}"
-    return ",".join(x.hex() for x in res.W + (res.V or ()))
+    coeffs = sol.H.coeffs + sol.h.coeffs if isinstance(p, CoupledParams) else sol.coeffs
+    return ",".join(x.hex() for x in coeffs)
 
 
 def dtm_results():
-    """1,212 seeded DTM transforms: eight at every order 0..150, then four at order 2000."""
+    """1,212 seeded DTM solves: eight at every order 0..150, then four at order 2000."""
     rng = random.Random(30713)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterRangeWarning)

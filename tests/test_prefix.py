@@ -22,7 +22,7 @@ from ensoseries import (
     adm_solve_delayed,
     vim_solve,
 )
-from ensoseries.dtm import assemble, transform_coupled, transform_delayed
+from ensoseries.dtm import solve_coupled, solve_delayed
 from ensoseries.vim import vim_iterates
 from conftest import draw_coupled, draw_delayed, draw_until
 
@@ -45,8 +45,8 @@ orders = st.integers(0, 30)
 examples = settings(max_examples=60, deadline=None)
 
 
-def transform(p, order):
-    return (transform_coupled if isinstance(p, CoupledParams) else transform_delayed)(p, order)
+def solve(p, order):
+    return (solve_coupled if isinstance(p, CoupledParams) else solve_delayed)(p, order)
 
 
 def adm_solve(p, n_terms):
@@ -56,6 +56,12 @@ def adm_solve(p, n_terms):
 def parts(solution):
     """The series of a solve: H alone for the delayed model, H and h for the coupled one."""
     return (solution,) if isinstance(solution, SeriesPoly) else (solution.H, solution.h)
+
+
+def packed(solution, order=None):
+    """The bits of every coefficient of orders 0..order (default all) of a solve, one bytes per series."""
+    cut = [x.coeffs[: None if order is None else order + 1] for x in parts(solution)]
+    return [struct.pack(f"<{len(c)}d", *c) for c in cut]
 
 
 def no_overflow(fn, *args):
@@ -69,11 +75,11 @@ def no_overflow(fn, *args):
 @given(params, orders, orders)
 def test_transform_prefix_is_stable(p, n, m):
     n, m = sorted((n, m))
-    long = no_overflow(transform, p, m)
-    short = transform(p, n)
-    assert long.W[: n + 1] == short.W
-    if long.V is not None:
-        assert long.V[: n + 1] == short.V
+    long = no_overflow(solve, p, m)
+    short = solve(p, n)
+    for x, y in zip(parts(long), parts(short), strict=True):
+        assert x.coeffs[: n + 1] == y.coeffs
+    assert packed(long, n) == packed(short)
 
 
 @examples
@@ -82,23 +88,63 @@ def test_adm_weights_are_the_transform_and_prefixes_are_the_short_solve(p, n, m)
     n, m = sorted((n + 1, m + 1))
     long = no_overflow(adm_solve, p, m)
     short = adm_solve(p, n)
-    assert short == assemble(transform(p, n - 1))
+    assert short == solve(p, n - 1)
+    assert packed(short) == packed(solve(p, n - 1))
     for x, y in zip(parts(long), parts(short), strict=True):
         assert x.coeffs[:n] == y.coeffs
 
 
 @pytest.mark.parametrize("seed, draw", [(31, draw_coupled), (32, draw_delayed)])
 def test_an_adm_partial_sum_evaluates_bit_for_bit_as_its_transform_prefix(seed, draw):
-    # the CLI prints the adm series of n terms as assemble(r, n - 1); the library's n-term series is
-    # that series, coefficient bits included, so every value it evaluates to keeps its bits
+    # the CLI prints the adm series of n terms as the order n - 1 prefix of one longer dtm series; the
+    # library's n-term series is that prefix and the solve at order n - 1, coefficient bits included,
+    # so every value it evaluates to keeps its bits
     rng = random.Random(seed)
     for _ in range(30):
-        p, r = draw_until(draw, rng, lambda q: transform(q, 39))
+        p, long = draw_until(draw, rng, lambda q: solve(q, 39))
         for n in range(1, 41):
-            adm, dtm = adm_solve(p, n), assemble(r, n - 1)
+            adm, dtm = adm_solve(p, n), solve(p, n - 1)
             assert adm == dtm
-            for x, y in zip(parts(adm), parts(dtm), strict=True):
-                assert struct.pack(f"<{len(x.coeffs)}d", *x.coeffs) == struct.pack(f"<{len(y.coeffs)}d", *y.coeffs)
+            assert packed(adm) == packed(dtm) == packed(long, n - 1)
+
+
+def overflow_of(fn, *args):
+    """``(index, value bits)`` of the overflow ``fn`` raises, or None if it returns."""
+    try:
+        fn(*args)
+    except SeriesOverflowError as exc:
+        return exc.index, exc.value.hex()
+    return None
+
+
+@pytest.mark.parametrize("seed, draw", [(33, draw_coupled), (34, draw_delayed)])
+def test_an_overflow_does_not_depend_on_the_order_asked(seed, draw):
+    # the CLI keeps one series per eps and cuts it: a solve at order m that overflows at index j must
+    # overflow the same way at every order n >= j and succeed, as a prefix, below j
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(40):
+        base, scale = draw(rng), 10.0 ** rng.uniform(0.5, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParameterRangeWarning)
+            if isinstance(base, CoupledParams):
+                p = CoupledParams(base.c * scale, base.eta * scale, base.gamma, base.theta, base.eps * scale)
+            else:
+                p = DelayedParams(base.alpha * scale, base.beta, base.sigma, base.eps * scale)
+        m = rng.randint(0, 40)
+        top = overflow_of(solve, p, m)
+        if top is None:
+            continue
+        j = top[0]
+        assert 1 <= j <= m
+        seen.add(j)
+        below = solve(p, j - 1)
+        for n in range(m + 1):
+            if n >= j:
+                assert overflow_of(solve, p, n) == top
+            else:
+                assert packed(solve(p, n)) == packed(below, n)
+    assert len(seen) >= 3  # the draws overflow at several indices, not one
 
 
 @examples

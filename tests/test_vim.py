@@ -19,7 +19,7 @@ from ensoseries import (
     UsageError,
     vim_solve,
 )
-from ensoseries.dtm import transform_coupled, transform_delayed
+from ensoseries.dtm import solve_coupled, solve_delayed
 from ensoseries.errors import MAX_ITERATIONS, MAX_ORDER, MAX_VIM_WORK, check_coeffs
 from ensoseries.models import reduced_delayed_coeffs
 from ensoseries.reference import load_table
@@ -102,13 +102,14 @@ def test_initial_condition_preserved_every_iteration():
 def test_picard_order_matching_sample():
     rng = random.Random(71)
     for _ in range(10):
-        p, r = draw_until(draw_coupled, rng, lambda q: transform_coupled(q, 8))
+        p, r = draw_until(draw_coupled, rng, lambda q: solve_coupled(q, 8))
+        W = r.H.coeffs
         try:  # each iterate up to the first that overflows
             for n in range(1, 9):
                 H = vim_solve(p, n, 64).H
                 for k in range(n + 1):
-                    gap = abs(H.coeffs[k] - r.W[k])
-                    assert gap <= 1e-12 * max(1.0, abs(r.W[k]))
+                    gap = abs(H.coeffs[k] - W[k])
+                    assert gap <= 1e-12 * max(1.0, abs(W[k]))
         except SeriesOverflowError:
             continue
 
@@ -116,30 +117,31 @@ def test_picard_order_matching_sample():
 def test_picard_order_matching_delayed_sample():
     rng = random.Random(72)
     for _ in range(10):
-        p, r = draw_until(draw_delayed, rng, lambda q: transform_delayed(q, 6))
+        p, r = draw_until(draw_delayed, rng, lambda q: solve_delayed(q, 6))
+        W = r.coeffs
         try:  # each iterate up to the first that overflows
             for n in range(1, 7):
                 H = vim_solve(p, n, 64)
                 for k in range(n + 1):
-                    gap = abs(H.coeffs[k] - r.W[k])
-                    assert gap <= 1e-12 * max(1.0, abs(r.W[k]))
+                    gap = abs(H.coeffs[k] - W[k])
+                    assert gap <= 1e-12 * max(1.0, abs(W[k]))
         except SeriesOverflowError:
             continue
 
 
 def test_picard_order_matching_on_the_bundled_sets_holds_to_rounding():
     # iterate n reproduces the Taylor coefficients through degree n only to rounding: on these
-    # eight sets hundreds of them differ from the transform in their last bits, by at most 2.5e-15
+    # eight sets hundreds of them differ from the DTM series in their last bits, by at most 2.5e-15
     for number in (1, 2, 3, 4):
         table = load_table(number)
         for eps in table.eps_values:
             p = table.params(eps)
             if table.model == "coupled":
-                r = transform_coupled(p, 12)
-                pairs = [((s.H, r.W), (s.h, r.V)) for s in vim_iterates(p, 12, 64)]
+                r = solve_coupled(p, 12)
+                pairs = [((s.H, r.H.coeffs), (s.h, r.h.coeffs)) for s in vim_iterates(p, 12, 64)]
             else:
-                r = transform_delayed(p, 12)
-                pairs = [((s, r.W),) for s in vim_iterates(p, 12, 64)]
+                r = solve_delayed(p, 12)
+                pairs = [((s, r.coeffs),) for s in vim_iterates(p, 12, 64)]
             assert len(pairs) == 13
             for n, iterate in enumerate(pairs):
                 for series, W in iterate:
