@@ -23,13 +23,13 @@ from .dtm import solve_coupled, solve_delayed
 from .errors import NumericError, UsageError, check_count, check_step, check_steps, step_ratio
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .oracle import _rk4_gaps, exact_delayed, rk4_values
-from .reference import load_table
+from .reference import TABLE_INFO, load_table
 from .series import _wrap
 from .vim import vim_iterates, vim_solve
 
-_COUPLED_DEFAULTS = {"c": 1.0, "eta": 1.0, "gamma": 1.0, "theta": 1.0}
-_DELAYED_DEFAULTS = {"alpha": 0.5, "beta": 0.3, "sigma": 0.25}
 ERROR_CELL = "ERROR"
+# Each series method's count by the name its solver checks it under in errors.COUNT_LIMITS.
+_COUNT_NAME = {"dtm": "order", "adm": "n_terms", "vim": "iterations"}
 
 
 def _fmt(value: float) -> str:
@@ -51,9 +51,9 @@ def _grid(t_max: float, t_step: float) -> list[float]:
 
 
 def _params_from_args(args) -> list:
-    """Build one parameter object per requested eps value."""
-    own = _COUPLED_DEFAULTS if args.model == "coupled" else _DELAYED_DEFAULTS
-    other = _DELAYED_DEFAULTS if args.model == "coupled" else _COUPLED_DEFAULTS
+    """Build one parameter object per requested eps value; the defaults are the constants of tables 1 and 3."""
+    coupled, delayed = TABLE_INFO[1][1], TABLE_INFO[3][1]
+    own, other = (coupled, delayed) if args.model == "coupled" else (delayed, coupled)
     stray = [k for k in other if getattr(args, k) is not None]
     if stray:
         raise UsageError(f"--{stray[0]} does not apply to the {args.model} model")
@@ -138,23 +138,21 @@ def _column_setup(args, methods):
     grid = _grid(t_max, t_step)
     order = args.order if args.order is not None else (40 if t_max >= 2.0 else 25)
     terms = args.terms if args.terms is not None else order + 1
-    # each series method's option and count, then the solver's own name for that count
-    counts = {"dtm": ("order", order, "order"), "adm": ("terms", terms, "n_terms"),
-              "vim": ("iters", args.iters, "iterations")}
+    counts = {"dtm": ("order", order), "adm": ("terms", terms), "vim": ("iters", args.iters)}  # option and count
     for method in methods:  # in the order the command solves them, so the first bad one is named
         if method not in ("exact", "rk4", "dtm", "adm", "vim"):
             raise UsageError(f"unknown method {method!r}")
         if method == "exact" and coupled:
             raise UsageError("no closed form for the coupled model; use rk4")
         if method in counts:
-            check_count(*counts[method][1:])
+            check_count(counts[method][1], _COUNT_NAME[method])
         if method == "rk4":  # every eps shares the grid, so one check covers each rk4 column
             _rk4_gaps(grid, args.oracle_step)
     _refuse_unwritable(args.out)
     series = _series_reader()
 
     def solve(method, params):
-        option, n = counts[method][:2] if method in counts else (None, None)
+        option, n = counts.get(method, (None, None))
         label = f"{method} eps={params.eps:g}" + (f" {option}={n}" if option else "")
         try:
             if method == "exact":
@@ -213,12 +211,11 @@ def cmd_sweep(args) -> int:
     params = table.params(args.eps)
     if args.min < (1 if args.method != "dtm" else 0) or args.max < args.min:
         raise UsageError("need min <= max (and a positive count for adm/vim)")
+    check_count(args.max, _COUNT_NAME[args.method])
     _refuse_unwritable(args.out)
     if args.method == "vim":
         solutions = vim_iterates(params, args.max)[args.min:]
-    else:  # one DTM solve at --max, so each lower n is a prefix; an adm count is checked as one first
-        if args.method == "adm":
-            check_count(args.max, "n_terms")
+    else:  # one DTM solve at --max, so each lower n is a prefix
         series = _series_reader()
         series(args.method, params, args.max)
         solutions = (series(args.method, params, n) for n in range(args.min, args.max + 1))

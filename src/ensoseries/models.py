@@ -40,7 +40,7 @@ class CoupledParams(Frozen):
     _defaults = {"H0": 1.0, "h0": 1.0}
 
     def __post_init__(self):
-        for name in ("c", "eta", "gamma", "theta", "eps", "H0", "h0"):
+        for name in self._fields:
             object.__setattr__(self, name, require_finite(getattr(self, name), name))
         _warn_eps_range(self.eps)
 
@@ -62,7 +62,7 @@ class DelayedParams(Frozen):
     _defaults = {"H0": 1.0}
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "sigma", "eps", "H0"):
+        for name in self._fields:
             object.__setattr__(self, name, require_finite(getattr(self, name), name))
         denom = 1.0 - self.beta * self.sigma
         if denom == 0.0:

@@ -24,7 +24,7 @@ from ensoseries import (
     adm_solve_coupled,
     adm_solve_delayed,
 )
-from ensoseries.dtm import solve_coupled, solve_delayed
+from ensoseries.models import reduced_delayed_coeffs
 
 ADM_K_MAX = 20
 
@@ -62,25 +62,46 @@ def draw_until(draw, rng: random.Random, compute, max_tries: int = 400):
     pytest.fail("could not draw enough non-overflowing parameter sets")
 
 
-def adm_dtm_draws():
-    """Acceptance criterion 4's draws: ``(params, (adm series, dtm series))`` each.
+def adm_draws():
+    """Acceptance criterion 4's draws: ``(params, adm series)`` each.
 
     100 coupled draws from seed 2024, then 100 delayed draws from seed 2025,
-    each solved to the ADM series of ``ADM_K_MAX + 1`` components and the
-    DTM series of order ``ADM_K_MAX``.  Both are a :class:`SolutionPair` for
-    the coupled draws.
+    each solved to the ADM series of ``ADM_K_MAX + 1`` components, a
+    :class:`SolutionPair` for the coupled draws.
     """
     out = []
-    for seed, draw, adm, dtm in (
-        (2024, draw_coupled, adm_solve_coupled, solve_coupled),
-        (2025, draw_delayed, adm_solve_delayed, solve_delayed),
-    ):
+    for seed, draw, adm in ((2024, draw_coupled, adm_solve_coupled), (2025, draw_delayed, adm_solve_delayed)):
         rng = random.Random(seed)
         for _ in range(100):
-            out.append(draw_until(
-                draw, rng, lambda q: (adm(q, ADM_K_MAX + 1), dtm(q, ADM_K_MAX)),
-            ))
+            out.append(draw_until(draw, rng, lambda q: adm(q, ADM_K_MAX + 1)))
     return out
+
+
+def scalar_recursion_gap(p, sol):
+    """Largest relative gap between every component weight and its rebuild.
+
+    Weight k+1 is rebuilt from the solver's weights 0..k, with the weight of
+    ``A_k`` a plain triple sum over ``i+j+l = k``: cheap enough for every
+    component, and it shares no code with the solver's cube accumulator.
+    """
+    if isinstance(sol, SeriesPoly):
+        u, v = sol.coeffs, None
+    else:
+        u, v = sol.H.coeffs, sol.h.coeffs
+    worst = 0.0
+    for k in range(len(u) - 1):
+        a_k = sum(u[i] * u[j] * u[k - i - j] for i in range(k + 1) for j in range(k - i + 1))
+        if v is None:
+            a, b = reduced_delayed_coeffs(p)
+            pairs = [(u[k + 1], (a * u[k] - b * a_k) / (k + 1))]
+        else:
+            pairs = [
+                (u[k + 1], (p.c * u[k] + p.eta * v[k] - p.eps * a_k) / (k + 1)),
+                (v[k + 1], (-p.theta * u[k] - p.gamma * v[k]) / (k + 1)),
+            ]
+        for got, want in pairs:
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    return worst
 
 
 # -- plain-loop references for the series products -------------------------

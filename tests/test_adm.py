@@ -15,7 +15,7 @@ from ensoseries import (
 from ensoseries import adm
 from ensoseries.dtm import solve_coupled
 from ensoseries.models import reduced_delayed_coeffs
-from conftest import adm_dtm_draws, draw_coupled
+from conftest import adm_draws, draw_coupled, scalar_recursion_gap
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
@@ -180,33 +180,6 @@ def _dense_recursion_gap(p, sol, n_terms):
     return worst
 
 
-def _scalar_recursion_gap(p, sol):
-    """Largest relative gap between every component weight and its rebuild.
-
-    Weight k+1 is rebuilt from the solver's weights 0..k, with the weight of
-    ``A_k`` a plain triple sum over ``i+j+l = k``: cheap enough for every
-    component, and it shares no code with the solver's cube accumulator.
-    """
-    if isinstance(sol, SeriesPoly):
-        u, v = sol.coeffs, None
-    else:
-        u, v = sol.H.coeffs, sol.h.coeffs
-    worst = 0.0
-    for k in range(len(u) - 1):
-        a_k = sum(u[i] * u[j] * u[k - i - j] for i in range(k + 1) for j in range(k - i + 1))
-        if v is None:
-            a, b = reduced_delayed_coeffs(p)
-            pairs = [(u[k + 1], (a * u[k] - b * a_k) / (k + 1))]
-        else:
-            pairs = [
-                (u[k + 1], (p.c * u[k] + p.eta * v[k] - p.eps * a_k) / (k + 1)),
-                (v[k + 1], (-p.theta * u[k] - p.gamma * v[k]) / (k + 1)),
-            ]
-        for got, want in pairs:
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    return worst
-
-
 def test_solver_recursion_reproducible_with_standalone_polynomials():
     # recompute every component from the previous ones via adomian_cubic
     p = CoupledParams(0.8, -0.4, 0.3, 1.2, 0.25)
@@ -222,9 +195,9 @@ def test_solver_recursion_reproducible_with_standalone_polynomials():
         assert v[k + 1].coeffs == pytest.approx(expect_v.coeffs, rel=1e-13, abs=1e-13)
     # criterion 4's draws: the dense oracle costs O(k**2) series products per
     # component, so it stops at component 11; the scalar one covers all 0..ADM_K_MAX
-    for q, (sol, _) in adm_dtm_draws():
+    for q, sol in adm_draws():
         assert _dense_recursion_gap(q, sol, 12) <= 1e-13
-        assert _scalar_recursion_gap(q, sol) <= 1e-13
+        assert scalar_recursion_gap(q, sol) <= 1e-13
 
 
 def test_solve_preconditions(monkeypatch):

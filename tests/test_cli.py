@@ -543,15 +543,21 @@ def test_a_huge_solve_count_is_a_usage_error(tmp_path, capsys, monkeypatch, args
     assert len(err) == 1 and err[0] in (
         "error: order must be in 0..2000", "error: n_terms must be in 1..2001", "error: iterations must be in 0..1000")
     assert not (tmp_path / "x.csv").exists()
-    # a VIM sweep's count is checked by its one solve, every other count before any solve
-    assert calls == (["vim_iterates"] if args[0] == "sweep" and "vim" in args else [])
-
-
-def test_a_count_error_comes_before_an_out_error(tmp_path, capsys, monkeypatch):
-    calls = watch_solves(monkeypatch)
-    assert main(["table", "--model", "delayed", "--iters", "1001", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
-    assert capsys.readouterr().err == "error: iterations must be in 0..1000\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (["table", "--model", "delayed", "--iters", "1001"], "iterations must be in 0..1000"),
+    (["sweep", "--table", "4", "--method", "dtm", "--eps", "0.05", "--max", "5000"], "order must be in 0..2000"),
+    (["sweep", "--table", "4", "--method", "adm", "--eps", "0.05", "--max", "2002"], "n_terms must be in 1..2001"),
+    (["sweep", "--table", "1", "--method", "vim", "--eps", "0.1", "--max", "1001"], "iterations must be in 0..1000"),
+], ids=["table-vim", "sweep-dtm", "sweep-adm", "sweep-vim"])
+def test_a_count_error_comes_before_an_out_error(tmp_path, capsys, monkeypatch, args, message):
+    calls = watch_solves(monkeypatch)
+    assert main(args + ["--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_the_count_of_a_method_not_requested_is_not_checked(capsys):
