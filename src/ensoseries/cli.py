@@ -14,9 +14,8 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import errno
+import contextlib
 import math
-import os
 import sys
 
 from .dtm import solve_coupled, solve_delayed
@@ -64,34 +63,31 @@ def _params_from_args(args) -> list:
     return [DelayedParams(eps=e, **base) for e in (args.eps or [0.05, 0.1])]
 
 
-def _refuse_unwritable(out_path) -> None:
-    """Refuse an ``--out`` that ``open`` refuses by its path alone, before any solve.
+def _open_out(out_path):
+    """``--out`` opened for writing, emptied as ``> FILE`` empties it, or a no-op context for stdout.
 
-    That is an empty path, a directory, a path with a trailing separator, and one whose parent is missing
-    or not a directory.  The reason is the one ``open`` would give, and no file is created.  Whatever else
-    keeps the file from being written, :func:`_write` reports.
+    Each command calls this after its other checks and before any solve, and writes and closes through the
+    handle in a ``with``, so an ``--out`` that ``open`` refuses, for any reason, starts no solve.
     """
     if out_path is None:
-        return
-    head = out_path.rstrip(os.sep)
+        return contextlib.nullcontext()
     try:
-        os.stat(os.path.join(os.path.dirname(head) or ".", ""))  # the parent, as a directory: a file is ENOTDIR
+        return open(out_path, "w")
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
-    if not out_path or head != out_path or os.path.isdir(out_path):  # a trailing separator names a directory
-        raise UsageError(f"cannot write {out_path}: {os.strerror(errno.EISDIR if out_path else errno.ENOENT)}")
 
 
-def _write(out_path, lines) -> None:
+def _write(out, lines) -> None:
+    """Write ``lines`` to ``out``, an ``--out`` file from :func:`_open_out` that this closes, or stdout if None."""
     text = "\n".join(lines) + "\n"
-    if out_path is None:
+    if out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        with out:
+            out.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
+        raise UsageError(f"cannot write {out.name}: {exc.strerror}") from None
 
 
 def _prefix(sol, order):
@@ -122,9 +118,11 @@ def _series_reader():
 
 
 def _column_setup(args, methods):
-    """Parameter sets, grid, and ``solve(method, params)``: the columns H (and h where the model has one) on the grid.
+    """Parameter sets, grid, ``solve(method, params)``: the columns H (and h where the model has one) on the grid,
+    and the ``--out`` handle of :func:`_open_out`, which the caller enters around its solves.
 
-    Every argument, each of ``methods`` with its count or RK4 step count, and ``--out`` is checked before any solve.
+    Every argument and each of ``methods`` with its count or RK4 step count is checked, and then ``--out`` opened,
+    before any solve.
     A numeric failure of a solve is reported on stderr under the method, the eps and, for a series
     method, its count (``dtm eps=0.1 order=25: ...``), and each of its columns is None.  A value that is
     not finite is reported under the same label at its first grid time, and its cell prints as an error.
@@ -148,7 +146,6 @@ def _column_setup(args, methods):
             check_count(counts[method][1], _COUNT_NAME[method])
         if method == "rk4":  # every eps shares the grid, so one check covers each rk4 column
             _rk4_gaps(grid, args.oracle_step)
-    _refuse_unwritable(args.out)
     series = _series_reader()
 
     def solve(method, params):
@@ -170,10 +167,10 @@ def _column_setup(args, methods):
             print(f"{label}: not finite at t={bad:g}", file=sys.stderr)
         return tuple(zip(*rows))
 
-    return params_list, grid, solve
+    return params_list, grid, solve, _open_out(args.out)
 
 
-def _emit(out_path, grid, columns) -> int:
+def _emit(out, grid, columns) -> int:
     """Write ``t`` and each ``(name, values)`` of ``columns``; exit code 3 if any cell is an error.
 
     Values of None, from a solve that failed and has said so, print as a column of error cells.
@@ -181,28 +178,30 @@ def _emit(out_path, grid, columns) -> int:
     cells = [[ERROR_CELL] * len(grid) if values is None else [_fmt(v) for v in values] for _, values in columns]
     lines = [",".join(["t"] + [name for name, _ in columns])]
     lines += [",".join([f"{t:.9f}", *row]) for t, *row in zip(grid, *cells)]
-    _write(out_path, lines)
+    _write(out, lines)
     return 3 if any(ERROR_CELL in col for col in cells) else 0
 
 
 def cmd_table(args) -> int:
     default_methods = "dtm,adm,vim" if args.model == "coupled" else "exact,dtm,adm,vim"
     methods = (default_methods if args.methods is None else args.methods).split(",")
-    params_list, grid, solve = _column_setup(args, methods)
-    return _emit(args.out, grid, [(f"{m}_eps{p.eps:g}", solve(m, p)[0]) for m in methods for p in params_list])
+    params_list, grid, solve, out = _column_setup(args, methods)
+    with out as fh:
+        return _emit(fh, grid, [(f"{m}_eps{p.eps:g}", solve(m, p)[0]) for m in methods for p in params_list])
 
 
 def cmd_errors(args) -> int:
     oracle = args.oracle or ("exact" if args.model == "delayed" else "rk4")
     methods = ("dtm,adm,vim" if args.methods is None else args.methods).split(",")
-    params_list, grid, solve = _column_setup(args, [oracle] + methods)
-    truth = {p: solve(oracle, p)[0] for p in params_list}
-    columns = []
-    for p in params_list:
-        for m in methods:
-            H = None if truth[p] is None else solve(m, p)[0]  # an eps with no reference solves nothing
-            columns.append((f"err_{m}_eps{p.eps:g}", None if H is None else [abs(v - w) for v, w in zip(H, truth[p])]))
-    return _emit(args.out, grid, columns)
+    params_list, grid, solve, out = _column_setup(args, [oracle] + methods)
+    with out as fh:
+        truths = [solve(oracle, p)[0] for p in params_list]  # by position: eps 0.0 and -0.0 are equal sets
+        columns = []
+        for p, truth in zip(params_list, truths):
+            for m in methods:
+                H = None if truth is None else solve(m, p)[0]  # an eps with no reference solves nothing
+                columns.append((f"err_{m}_eps{p.eps:g}", None if H is None else [abs(v - w) for v, w in zip(H, truth)]))
+        return _emit(fh, grid, columns)
 
 
 def cmd_sweep(args) -> int:
@@ -212,32 +211,33 @@ def cmd_sweep(args) -> int:
     if args.min < (1 if args.method != "dtm" else 0) or args.max < args.min:
         raise UsageError("need min <= max (and a positive count for adm/vim)")
     check_count(args.max, _COUNT_NAME[args.method])
-    _refuse_unwritable(args.out)
-    if args.method == "vim":
-        solutions = vim_iterates(params, args.max)[args.min:]
-    else:  # one DTM solve at --max, so each lower n is a prefix
-        series = _series_reader()
-        series(args.method, params, args.max)
-        solutions = (series(args.method, params, n) for n in range(args.min, args.max + 1))
-    rows = []
-    for n, sol in enumerate(solutions, args.min):
-        H = sol.H if isinstance(sol, SolutionPair) else sol
-        rows.append((n, max(abs(H.eval(t) - w) for t, w in zip(table.grid, target))))
-    best_n = min(rows, key=lambda r: r[1])[0]
-    lines = [f"{args.method}_n,max_abs_dev,best"]
-    for n, dev in rows:
-        lines.append(f"{n},{dev:.9e},{1 if n == best_n else 0}")
-    _write(args.out, lines)
+    with _open_out(args.out) as fh:
+        if args.method == "vim":
+            solutions = vim_iterates(params, args.max)[args.min:]
+        else:  # one DTM solve at --max, so each lower n is a prefix
+            series = _series_reader()
+            series(args.method, params, args.max)
+            solutions = (series(args.method, params, n) for n in range(args.min, args.max + 1))
+        rows = []
+        for n, sol in enumerate(solutions, args.min):
+            H = sol.H if isinstance(sol, SolutionPair) else sol
+            rows.append((n, max(abs(H.eval(t) - w) for t, w in zip(table.grid, target))))
+        best_n = min(rows, key=lambda r: r[1])[0]
+        lines = [f"{args.method}_n,max_abs_dev,best"]
+        for n, dev in rows:
+            lines.append(f"{n},{dev:.9e},{1 if n == best_n else 0}")
+        _write(fh, lines)
     return 0
 
 
 def cmd_trajectory(args) -> int:
     default_methods = "dtm,adm,vim,rk4" if args.model == "coupled" else "dtm,adm,vim,exact"
     methods = (default_methods if args.methods is None else args.methods).split(",")
-    params_list, grid, solve = _column_setup(args, methods)
     names = "Hh" if args.model == "coupled" else "H"
-    return _emit(args.out, grid, [(f"{x}_{m}_eps{p.eps:g}", col) for m in methods for p in params_list
-                                  for x, col in zip(names, solve(m, p))])
+    params_list, grid, solve, out = _column_setup(args, methods)
+    with out as fh:
+        return _emit(fh, grid, [(f"{x}_{m}_eps{p.eps:g}", col) for m in methods for p in params_list
+                                for x, col in zip(names, solve(m, p))])
 
 
 def _add_common(sub, model_required=True):

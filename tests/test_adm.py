@@ -13,9 +13,8 @@ from ensoseries import (
     adm_solve_delayed,
 )
 from ensoseries import adm
-from ensoseries.dtm import solve_coupled
 from ensoseries.models import reduced_delayed_coeffs
-from conftest import adm_draws, draw_coupled, scalar_recursion_gap
+from conftest import adm_draws, scalar_recursion_gap
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
@@ -136,17 +135,6 @@ def test_partial_sum_reaches_table3_value():
     p = DelayedParams(0.5, 0.3, 0.25, 0.1)
     series = adm_solve_delayed(p, 20)
     assert series.eval(0.4) == pytest.approx(1.042243491, abs=1e-7)
-
-
-def test_each_component_is_the_matching_taylor_monomial():
-    rng = random.Random(53)
-    for _ in range(10):
-        p = draw_coupled(rng)
-        n = 10
-        sol = adm_solve_coupled(p, n)
-        r = solve_coupled(p, n - 1)
-        assert sol.H.coeffs == r.H.coeffs
-        assert sol.h.coeffs == r.h.coeffs
 
 
 def _dense_recursion_gap(p, sol, n_terms):

@@ -2,11 +2,13 @@
 
 import contextlib
 import errno
+import gc
 import io
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -630,7 +632,11 @@ def test_every_series_column_is_a_prefix_of_its_eps_longest_transform(tmp_path, 
     ["sweep", "--table", "4", "--method", "dtm", "--eps", "0.05", "--max", "5"],
     ["trajectory", "--model", "coupled"],
 ])
-@pytest.mark.parametrize("where", ["missing directory", "directory", "empty", "trailing separator", "file parent"])
+@pytest.mark.parametrize("where", [
+    "missing directory", "directory", "empty", "trailing separator", "file parent",
+    # a path whose parent exists but where open cannot create a file
+    pytest.param("procfs", marks=pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc")),
+])
 def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, args, where):
     calls = watch_solves(monkeypatch)  # refused before any solve, with the reason open gives
     out, reason = {
@@ -639,6 +645,7 @@ def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, args,
         "empty": ("", errno.ENOENT),
         "trailing separator": (str(tmp_path / "new") + os.sep, errno.EISDIR),
         "file parent": (str(Path(__file__) / "x.csv"), errno.ENOTDIR),
+        "procfs": ("/proc/x.csv", errno.ENOENT),
     }[where]
     assert main(args + ["--out", out]) == 2
     captured = capsys.readouterr()
@@ -646,6 +653,28 @@ def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, args,
     assert captured.err.splitlines() == [f"error: cannot write {out}: {os.strerror(reason)}"]
     assert list(tmp_path.iterdir()) == []
     assert calls == []
+
+
+def test_a_table_out_replaces_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    out.write_text("older and longer content\n" * 100)
+    assert main(["table", "--model", "delayed", "--out", str(out)]) == 0
+    assert main(["table", "--model", "delayed"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+def test_a_sweep_that_fails_leaves_its_out_empty_and_closed(tmp_path, capsys):
+    # --out is opened, and so emptied as > FILE empties it, before the solve that overflows
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+    args = ["sweep", "--table", "2", "--method", "dtm", "--eps", "0.2", "--max", "180", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 3
+        gc.collect()
+    assert capsys.readouterr().err.startswith("numeric failure: coefficient 172 overflowed")
+    assert out.read_text() == ""
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 NO_CLOSED_FORM = "no closed form for the coupled model; use rk4"
