@@ -5,10 +5,13 @@ The CLI maps these onto exit codes: ``UsageError`` exits with 2, any
 """
 
 import math
+import sys
 
-# Coefficients beyond this magnitude mean the evaluation left the trusted
-# region (typically a point outside the series' convergence disc).
+# Coefficients beyond COEFF_LIMIT mean the evaluation left the trusted region
+# (typically a point outside the series' convergence disc).  Every finite
+# float is within FINITE_LIMIT, so only NaN and infinities fail that one.
 COEFF_LIMIT = 1e15
+FINITE_LIMIT = sys.float_info.max
 
 # The most work one solve takes.  MAX_ORDER bounds every truncation order: a
 # DTM order, the order n_terms - 1 of an ADM solve (so n_terms reaches
@@ -94,34 +97,20 @@ def check_steps(count: int, what: str) -> int:
     return count
 
 
-def check_coeffs(coeffs):
-    """Return ``coeffs`` if all are finite and within ``COEFF_LIMIT`` in magnitude.
+def check_coeffs(coeffs, limit=COEFF_LIMIT):
+    """Return ``coeffs`` if all are finite and within ``limit`` in magnitude.
 
     Otherwise raise :class:`SeriesOverflowError` naming the first offender.
     A passing check takes one pass in C: if the magnitudes sum to at most
     the limit, each is within it (NaN and infinities fail that comparison).
-    Only otherwise are the coefficients inspected one by one.
+    Only otherwise, as when finite magnitudes sum past ``FINITE_LIMIT``, are
+    the coefficients inspected one by one.
     """
-    if sum(map(abs, coeffs)) <= COEFF_LIMIT:
+    if sum(map(abs, coeffs)) <= limit:
         return coeffs
     for k, c in enumerate(coeffs):
-        if not -COEFF_LIMIT <= c <= COEFF_LIMIT:
+        if not -limit <= c <= limit:
             raise SeriesOverflowError(k, c)
-    return coeffs
-
-
-def check_finite(coeffs):
-    """Return ``coeffs`` if all are finite, else raise :class:`SeriesOverflowError`.
-
-    The error names the first coefficient that is not finite.  A passing
-    check takes one pass in C: NaN and infinities make the sum of magnitudes
-    non-finite.  Only if that sum is not finite (a sum of finite magnitudes
-    may overflow too) are the coefficients inspected one by one.
-    """
-    if not sum(map(abs, coeffs)) < math.inf:
-        for k, c in enumerate(coeffs):
-            if not math.isfinite(c):
-                raise SeriesOverflowError(k, c)
     return coeffs
 
 

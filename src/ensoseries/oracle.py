@@ -20,7 +20,7 @@ import math
 import sys
 from math import isfinite
 
-from .errors import DomainError, UsageError, check_finite, check_step, check_steps, step_ratio
+from .errors import FINITE_LIMIT, DomainError, UsageError, check_coeffs, check_step, check_steps, step_ratio
 from .models import (
     CoupledParams,
     DelayedParams,
@@ -219,7 +219,7 @@ def residual_check(
                 for k, dH, x, y, z in zip(range(len(H)), H[1:] + (0.0,), H, h, C)]
         res2 = [(k + 1) * dh - (minus_theta * x - gamma * y)
                 for k, dh, x, y in zip(range(len(h)), h[1:] + (0.0,), H, h)]
-        residuals = (check_finite(res1), check_finite(res2))
+        residuals = (check_coeffs(res1, FINITE_LIMIT), check_coeffs(res2, FINITE_LIMIT))
     else:
         if not isinstance(params, DelayedParams):
             raise UsageError("a scalar series needs delayed parameters")
@@ -228,5 +228,5 @@ def residual_check(
         C = solution.cube().coeffs
         res = [(k + 1) * dH - (a * x - b * z)
                for k, dH, x, z in zip(range(len(H)), H[1:] + (0.0,), H, C)]
-        residuals = (check_finite(res),)
+        residuals = (check_coeffs(res, FINITE_LIMIT),)
     return max(max(map(abs, res[:-1]), default=0.0) for res in residuals)

@@ -21,6 +21,7 @@ Coefficients are checked where they come in: the public constructor converts
 each one to float and refuses NaN and infinities.  An operation's result is
 computed from series that were already checked, so it is wrapped by
 :func:`_trusted`, which only confirms in one pass that nothing overflowed;
+both run the solvers' guard, :func:`errors.check_coeffs`, at ``FINITE_LIMIT``.
 :func:`_wrap` wraps a tuple that its caller has checked already.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from math import copysign
 
 from ._frozen import Frozen
-from .errors import SeriesOverflowError, UsageError, check_finite, require_finite
+from .errors import FINITE_LIMIT, SeriesOverflowError, UsageError, check_coeffs, require_finite
 
 
 class SeriesPoly(Frozen):
@@ -42,7 +43,7 @@ class SeriesPoly(Frozen):
         if not coeffs:
             raise UsageError("a series needs at least the degree-0 coefficient")
         try:
-            check_finite(coeffs)
+            check_coeffs(coeffs, FINITE_LIMIT)
         except SeriesOverflowError as exc:  # the caller's value, not an overflow
             raise UsageError(f"coefficient {exc.index} is not finite: {exc.value!r}") from None
         object.__setattr__(self, "coeffs", coeffs)
@@ -217,8 +218,8 @@ def _cube(H: tuple[float, ...], d: int) -> tuple[float, ...]:
     is multiplied by ``H``, as that chain checks it, so an overflow names the
     same index.
     """
-    S = check_finite(_product(H, H, d, d))
-    return check_finite(_product(S, H, min(len(H) - 1, 2 * d), d))
+    S = check_coeffs(_product(H, H, d, d), FINITE_LIMIT)
+    return check_coeffs(_product(S, H, min(len(H) - 1, 2 * d), d), FINITE_LIMIT)
 
 
 def _wrap(coeffs: tuple[float, ...]) -> SeriesPoly:
@@ -232,8 +233,8 @@ def _trusted(coeffs: tuple[float, ...]) -> SeriesPoly:
     """Wrap a non-empty tuple of floats computed from already checked series.
 
     Skips the public constructor and its per-coefficient conversion and
-    check; :func:`errors.check_finite` confirms in one pass that nothing
-    overflowed, or raises :class:`SeriesOverflowError` naming the first
-    non-finite coefficient.
+    check; :func:`errors.check_coeffs` at ``FINITE_LIMIT`` confirms in one
+    pass that nothing overflowed, or raises :class:`SeriesOverflowError`
+    naming the first non-finite coefficient.
     """
-    return _wrap(check_finite(coeffs))
+    return _wrap(check_coeffs(coeffs, FINITE_LIMIT))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -24,6 +25,7 @@ from ensoseries import (
     adm_solve_coupled,
     adm_solve_delayed,
 )
+from ensoseries import dtm
 from ensoseries.models import reduced_delayed_coeffs
 
 ADM_K_MAX = 20
@@ -102,6 +104,42 @@ def scalar_recursion_gap(p, sol):
         for got, want in pairs:
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     return worst
+
+
+def decimal_taylor_states(p, ts):
+    """The states at the times ``ts``, as ``rk4_values`` gives them, by multistage Taylor in ``Decimal``.
+
+    At 60 digits, each stage of 0.05 runs the package's own DTM core at
+    order 40 from the last state and sums it at 0.05 by Horner.  Each time
+    must be a whole number of stages; the inputs are the exact values of the
+    floats (for the delayed model, of ``reduced_delayed_coeffs``).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        stage = Decimal("0.05")
+        coupled = isinstance(p, CoupledParams)
+        if coupled:
+            rates = [Decimal(x) for x in (p.c, p.eta, p.eps, p.theta, p.gamma)]
+            state = (Decimal(p.H0), Decimal(p.h0))
+        else:
+            rates = [Decimal(x) for x in reduced_delayed_coeffs(p)]
+            state = (Decimal(p.H0),)
+        out, done = [], 0
+        for t in ts:
+            n = round(t / 0.05)
+            assert abs(n * 0.05 - t) <= 1e-12, f"{t} is not a whole number of stages"
+            for _ in range(n - done):
+                sums = []
+                series = dtm._taylor_coupled(*state, *rates, 40) if coupled else (dtm._taylor_delayed(*state, *rates, 40),)
+                for coeffs in series:
+                    acc = Decimal(0)
+                    for c in reversed(coeffs):
+                        acc = acc * stage + c
+                    sums.append(acc)
+                state = tuple(sums)
+            done = n
+            out.append(tuple(map(float, state)))
+    return out
 
 
 # -- plain-loop references for the series products -------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from ensoseries import (
     solve_delayed,
 )
 from ensoseries import dtm
-from ensoseries.errors import MAX_ORDER, check_coeffs
+from ensoseries.errors import COEFF_LIMIT, FINITE_LIMIT, MAX_ORDER, check_coeffs
 from ensoseries.models import reduced_delayed_coeffs
 from ensoseries.reference import load_table
 from conftest import draw_coupled, draw_delayed
@@ -129,6 +130,15 @@ def test_overflow_guard_names_the_first_bad_coefficient(bad):
     assert err.value.index == 2
     # magnitudes summing past the limit, each within it, still pass
     assert check_coeffs((1e15, -1e15, 0.5)) == (1e15, -1e15, 0.5)
+    # at the float-range limit only NaN and infinities fail
+    for coeffs, index in (((1.0, 1e300, math.nan), 2), ((1.0, -math.inf), 1)):
+        with pytest.raises(SeriesOverflowError) as err:
+            check_coeffs(coeffs, FINITE_LIMIT)
+        assert err.value.index == index
+    assert check_coeffs((1e308, 1e308, -0.0), FINITE_LIMIT) == (1e308, 1e308, -0.0)  # the sum overflows
+    assert check_coeffs((1e300,), FINITE_LIMIT) == (1e300,)
+    with pytest.raises(SeriesOverflowError):
+        check_coeffs((1e300,), COEFF_LIMIT)
 
 
 def test_solve_shapes():
@@ -211,3 +221,41 @@ def test_delayed_recurrence_against_series_cube():
             lhs = (k + 1) * W[k + 1]
             rhs = a * W[k] - b * cubed.coeffs[k]
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_float_coefficients_are_within_a_rounding_bound_of_exact():
+    # The core in Fraction on the exact values of the same floats is the exact
+    # recurrence.  The core on the inputs' magnitudes, with the signs of the
+    # subtracted terms flipped so that nothing cancels, gives M_k, the size of
+    # the terms behind coefficient k.  Rounding grows about linearly with the
+    # step count, so float coefficient k lies within 2 * (k + 1) * 2**-53 * M_k
+    # of the exact one (worst factor measured: 0.38).
+    sets = [(load_table(n).params(eps), 40) for n in range(1, 5) for eps in load_table(n).eps_values]
+    for seed, draw in ((31, draw_coupled), (32, draw_delayed)):
+        rng = random.Random(seed)
+        sets += [(draw(rng), 30) for _ in range(25)]
+    compared = 0
+    for p, order in sets:
+        if isinstance(p, CoupledParams):
+            try:
+                pair = solve_coupled(p, order)
+            except SeriesOverflowError:
+                continue
+            inputs = (p.H0, p.h0, p.c, p.eta, p.eps, p.theta, p.gamma)
+            exact = dtm._taylor_coupled(*map(Fraction, inputs), order)
+            M = dtm._taylor_coupled(*map(abs, inputs[:4]), *(-abs(x) for x in inputs[4:]), order)
+            got = (pair.H.coeffs, pair.h.coeffs)
+        else:
+            try:
+                series = solve_delayed(p, order)
+            except SeriesOverflowError:
+                continue
+            a, b = reduced_delayed_coeffs(p)
+            exact = (dtm._taylor_delayed(Fraction(p.H0), Fraction(a), Fraction(b), order),)
+            M = (dtm._taylor_delayed(abs(p.H0), abs(a), -abs(b), order),)
+            got = (series.coeffs,)
+        for g, e, m in zip(got, exact, M):
+            for k, (gk, ek, mk) in enumerate(zip(g, e, m)):  # M may stop early at COEFF_LIMIT
+                assert abs(Fraction(gk) - ek) <= 2 * (k + 1) * Fraction(mk) / 2**53, (p, k)
+        compared += 1
+    assert compared >= 40

@@ -27,7 +27,7 @@ from ensoseries import (
 )
 from ensoseries import errors, oracle
 from ensoseries.models import coupled_rhs, delayed_rhs, reduced_delayed_coeffs
-from conftest import draw_delayed, plain_cube
+from conftest import decimal_taylor_states, draw_delayed, plain_cube
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
@@ -378,6 +378,21 @@ def test_rk4_agrees_with_converged_series_coupled():
     truth = rk4_values(TABLE1, [1.0], step=1e-4)[0][0]
     series_value = solve_coupled(TABLE1, 60).H.eval(1.0)
     assert series_value == pytest.approx(truth, abs=1e-6)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.2])
+def test_decimal_taylor_reference_agrees_with_rk4_on_table1(eps):
+    p = CoupledParams(1, 1, 1, 1, eps)
+    ts = [0.2 * i for i in range(6)]
+    for ref, rk4 in zip(decimal_taylor_states(p, ts), rk4_values(p, ts, 1e-4)):
+        assert max(abs(x - y) for x, y in zip(ref, rk4)) <= 1e-12
+
+
+def test_decimal_taylor_reference_agrees_with_exact_on_table3():
+    p = DelayedParams(0.5, 0.3, 0.25, 0.1)
+    ts = [0.4 * i for i in range(6)]
+    for t, (H,) in zip(ts, decimal_taylor_states(p, ts)):
+        assert abs(H - exact_delayed(p, t)) <= 1e-15
 
 
 def test_rk4_halving_reduces_error_fourth_order():
