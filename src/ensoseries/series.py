@@ -10,8 +10,10 @@ product is entirely adequate.  A product skips the zero tails of its
 operands: its sums run only over the terms below both operands' live degrees
 (see :func:`_product`), and give the same bits as the full sums.
 Where four sums start at the same term, one loop feeds all four, each in
-its own order, so the bits are those of one sum at a time.  No sum uses
-``sum``, ``math.fsum`` or ``math.sumprod``, which round otherwise from 3.12.
+its own order, so the bits are those of one sum at a time.  Each step of
+that loop reads one new coefficient of the second operand and slides the
+three it read before down a window of locals.  No sum uses ``sum``,
+``math.fsum`` or ``math.sumprod``, which round otherwise from 3.12.
 :func:`_product` and :func:`_cube` work on plain coefficient tuples, so
 :mod:`vim` steps call them without building a series per product;
 :meth:`SeriesPoly.cauchy_mul` and :meth:`SeriesPoly.cube` run the same
@@ -173,9 +175,12 @@ def _product(a: tuple[float, ...], b: tuple[float, ...], da: int, db: int) -> tu
 
     While ``k + 3 <= min(top, da, db)`` (``top = min(cap, da + db)``), the
     sums of coefficients k..k+3 all start at r = 0: one sweep over
-    ``a[0..k]`` feeds all four, then the terms with r > k follow in
-    ascending r (``a[k+1]*b[0]`` to k+1, ``a[k+1]*b[1]`` and ``a[k+2]*b[0]``
-    to k+2, ``a[k+1]*b[2]``, ``a[k+2]*b[1]`` and ``a[k+3]*b[0]`` to k+3).
+    ``a[0..k]`` feeds all four.  Step r reads one new value, ``b[k-r]``;
+    the three others, ``b[k+1-r]`` to ``b[k+3-r]``, are the window of the
+    step before, moved down one place (seeded with ``b[k+1..k+3]``).  Then
+    the terms with r > k follow in ascending r (``a[k+1]*b[0]`` to k+1,
+    ``a[k+1]*b[1]`` and ``a[k+2]*b[0]`` to k+2, ``a[k+1]*b[2]``,
+    ``a[k+2]*b[1]`` and ``a[k+3]*b[0]`` to k+3).
     Each sum keeps its terms, their order and its +0.0 start, so the bits
     are those of one coefficient per sweep.  The result is not checked.
     """
@@ -188,11 +193,13 @@ def _product(a: tuple[float, ...], b: tuple[float, ...], da: int, db: int) -> tu
         b0, b1, b2 = b[0], b[1], b[2]
     for k in range(0, blocked, 4):
         s0 = s1 = s2 = s3 = 0.0
-        for x, y0, y1, y2, y3 in zip(a, rb[db - k:], rb[db - k - 1:], rb[db - k - 2:], rb[db - k - 3:]):
+        y1, y2, y3 = b[k + 1], b[k + 2], b[k + 3]  # b[k+1-r], b[k+2-r], b[k+3-r] at r = 0
+        for x, y0 in zip(a, rb[db - k:]):  # a[r], b[k-r] for r = 0..k
             s0 += x * y0
             s1 += x * y1
             s2 += x * y2
             s3 += x * y3
+            y1, y2, y3 = y0, y1, y2
         a1, a2 = a[k + 1], a[k + 2]
         out += (s0, s1 + a1 * b0, s2 + a1 * b1 + a2 * b0, s3 + a1 * b2 + a2 * b1 + a[k + 3] * b0)
     for k in range(len(out), min(top, db) + 1):

@@ -8,7 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ensoseries import SeriesOverflowError, SeriesPoly, UsageError
-from ensoseries.series import _cube, _live_degree
+from ensoseries.series import _cube, _live_degree, _product
 from conftest import plain_convolution, plain_product
 from test_pinned_bits import SPECIAL
 
@@ -212,6 +212,33 @@ def test_zero_tails_are_skipped_bit_for_bit(ab):
     assert product_bits(lambda: B.cauchy_mul(A).coeffs) == product_bits(lambda: plain_product(b, a))
     assert product_bits(lambda: A.cauchy_mul(A).coeffs) == product_bits(lambda: plain_product(a, a))
     assert product_bits(lambda: A.cube().coeffs) == product_bits(lambda: plain_product(a, a, a))
+
+
+def test_every_block_start_and_window_seed_at_small_caps_bit_for_bit():
+    # at caps 0..11, every pair of live degrees and every da, db from them up
+    # to the cap runs each four-wide block start, window seed b[k+1..k+3] and
+    # head term.  Each operand's live prefix takes -0.0 and both 5e-324 at
+    # seeded places, and a takes one huge value, which the swapped product
+    # reads through the window; no product overflows.
+    rng = random.Random(32)
+
+    def operand(cap, live):
+        prefix = [rng.uniform(-4.0, 4.0) for _ in range(live + 1)]
+        for x in (-0.0, 5e-324, -5e-324):
+            prefix[rng.randint(0, live)] = x
+        return prefix + [0.0] * (cap - live)
+
+    for cap in range(12):
+        for la in range(cap + 1):
+            for lb in range(cap + 1):
+                a, b = operand(cap, la), operand(cap, lb)
+                a[rng.randint(0, la)] = rng.choice((1e200, -1e160))
+                a, b = tuple(a), tuple(b)
+                for x, y in ((a, b), (b, a)):
+                    want = [c.hex() for c in plain_product(x, y)]
+                    for dx in range(_live_degree(x), cap + 1):
+                        for dy in range(_live_degree(y), cap + 1):
+                            assert [c.hex() for c in _product(x, y, dx, dy)] == want, (cap, x, y, dx, dy)
 
 
 def cube_bits(op):
