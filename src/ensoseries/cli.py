@@ -63,31 +63,22 @@ def _params_from_args(args) -> list:
     return [DelayedParams(eps=e, **base) for e in (args.eps or [0.05, 0.1])]
 
 
-def _open_out(out_path):
-    """``--out`` opened for writing, emptied as ``> FILE`` empties it, or a no-op context for stdout.
+@contextlib.contextmanager
+def _output(path):
+    """The stream a command writes to: stdout, or ``--out`` opened for writing, emptied as ``> FILE`` empties it.
 
-    Each command calls this after its other checks and before any solve, and writes and closes through the
-    handle in a ``with``, so an ``--out`` that ``open`` refuses, for any reason, starts no solve.
+    Each command enters this after its other checks and before any solve, so an ``--out`` that ``open`` refuses,
+    for any reason, starts no solve.  The file is closed on every path, and an ``OSError`` from opening, writing
+    or closing it exits 2 as one ``cannot write`` line.
     """
-    if out_path is None:
-        return contextlib.nullcontext()
-    try:
-        return open(out_path, "w")
-    except OSError as exc:
-        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
-
-
-def _write(out, lines) -> None:
-    """Write ``lines`` to ``out``, an ``--out`` file from :func:`_open_out` that this closes, or stdout if None."""
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
+    if path is None:
+        yield sys.stdout
         return
     try:
-        with out:
-            out.write(text)
+        with open(path, "w") as fh:
+            yield fh
     except OSError as exc:
-        raise UsageError(f"cannot write {out.name}: {exc.strerror}") from None
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _prefix(sol, order):
@@ -118,11 +109,10 @@ def _series_reader():
 
 
 def _column_setup(args, methods):
-    """Parameter sets, grid, ``solve(method, params)``: the columns H (and h where the model has one) on the grid,
-    and the ``--out`` handle of :func:`_open_out`, which the caller enters around its solves.
+    """Parameter sets, grid, ``solve(method, params)``: the columns H (and h where the model has one) on the grid.
 
-    Every argument and each of ``methods`` with its count or RK4 step count is checked, and then ``--out`` opened,
-    before any solve.
+    Every argument and each of ``methods`` with its count or RK4 step count is checked here, before the caller
+    enters :func:`_output` and before any solve.
     A numeric failure of a solve is reported on stderr under the method, the eps and, for a series
     method, its count (``dtm eps=0.1 order=25: ...``), and each of its columns is None.  A value that is
     not finite is reported under the same label at its first grid time, and its cell prints as an error.
@@ -167,41 +157,41 @@ def _column_setup(args, methods):
             print(f"{label}: not finite at t={bad:g}", file=sys.stderr)
         return tuple(zip(*rows))
 
-    return params_list, grid, solve, _open_out(args.out)
+    return params_list, grid, solve
 
 
 def _emit(out, grid, columns) -> int:
-    """Write ``t`` and each ``(name, values)`` of ``columns``; exit code 3 if any cell is an error.
+    """Write ``t`` and each ``(name, values)`` of ``columns`` to ``out``; exit code 3 if any cell is an error.
 
     Values of None, from a solve that failed and has said so, print as a column of error cells.
     """
     cells = [[ERROR_CELL] * len(grid) if values is None else [_fmt(v) for v in values] for _, values in columns]
     lines = [",".join(["t"] + [name for name, _ in columns])]
     lines += [",".join([f"{t:.9f}", *row]) for t, *row in zip(grid, *cells)]
-    _write(out, lines)
+    out.write("\n".join(lines) + "\n")
     return 3 if any(ERROR_CELL in col for col in cells) else 0
 
 
 def cmd_table(args) -> int:
     default_methods = "dtm,adm,vim" if args.model == "coupled" else "exact,dtm,adm,vim"
     methods = (default_methods if args.methods is None else args.methods).split(",")
-    params_list, grid, solve, out = _column_setup(args, methods)
-    with out as fh:
-        return _emit(fh, grid, [(f"{m}_eps{p.eps:g}", solve(m, p)[0]) for m in methods for p in params_list])
+    params_list, grid, solve = _column_setup(args, methods)
+    with _output(args.out) as out:
+        return _emit(out, grid, [(f"{m}_eps{p.eps:g}", solve(m, p)[0]) for m in methods for p in params_list])
 
 
 def cmd_errors(args) -> int:
     oracle = args.oracle or ("exact" if args.model == "delayed" else "rk4")
     methods = ("dtm,adm,vim" if args.methods is None else args.methods).split(",")
-    params_list, grid, solve, out = _column_setup(args, [oracle] + methods)
-    with out as fh:
+    params_list, grid, solve = _column_setup(args, [oracle] + methods)
+    with _output(args.out) as out:
         truths = [solve(oracle, p)[0] for p in params_list]  # by position: eps 0.0 and -0.0 are equal sets
         columns = []
         for p, truth in zip(params_list, truths):
             for m in methods:
                 H = None if truth is None else solve(m, p)[0]  # an eps with no reference solves nothing
                 columns.append((f"err_{m}_eps{p.eps:g}", None if H is None else [abs(v - w) for v, w in zip(H, truth)]))
-        return _emit(fh, grid, columns)
+        return _emit(out, grid, columns)
 
 
 def cmd_sweep(args) -> int:
@@ -211,7 +201,7 @@ def cmd_sweep(args) -> int:
     if args.min < (1 if args.method != "dtm" else 0) or args.max < args.min:
         raise UsageError("need min <= max (and a positive count for adm/vim)")
     check_count(args.max, _COUNT_NAME[args.method])
-    with _open_out(args.out) as fh:
+    with _output(args.out) as out:
         if args.method == "vim":
             solutions = vim_iterates(params, args.max)[args.min:]
         else:  # one DTM solve at --max, so each lower n is a prefix
@@ -226,7 +216,7 @@ def cmd_sweep(args) -> int:
         lines = [f"{args.method}_n,max_abs_dev,best"]
         for n, dev in rows:
             lines.append(f"{n},{dev:.9e},{1 if n == best_n else 0}")
-        _write(fh, lines)
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -234,10 +224,10 @@ def cmd_trajectory(args) -> int:
     default_methods = "dtm,adm,vim,rk4" if args.model == "coupled" else "dtm,adm,vim,exact"
     methods = (default_methods if args.methods is None else args.methods).split(",")
     names = "Hh" if args.model == "coupled" else "H"
-    params_list, grid, solve, out = _column_setup(args, methods)
-    with out as fh:
-        return _emit(fh, grid, [(f"{x}_{m}_eps{p.eps:g}", col) for m in methods for p in params_list
-                                for x, col in zip(names, solve(m, p))])
+    params_list, grid, solve = _column_setup(args, methods)
+    with _output(args.out) as out:
+        return _emit(out, grid, [(f"{x}_{m}_eps{p.eps:g}", col) for m in methods for p in params_list
+                                 for x, col in zip(names, solve(m, p))])
 
 
 def _add_common(sub, model_required=True):

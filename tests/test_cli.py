@@ -24,7 +24,7 @@ from ensoseries import (
     solve_delayed,
     vim_solve,
 )
-from ensoseries import cli, errors
+from ensoseries import cli, errors, reference
 from ensoseries.cli import build_parser, main
 from ensoseries.reference import load_table
 
@@ -60,6 +60,13 @@ def test_bundled_table_lookup_errors():
         load_table(7)
     with pytest.raises(UsageError):
         load_table(3).column("dtm", 0.42)
+
+
+def test_a_table_whose_first_column_is_not_t_is_refused(tmp_path, monkeypatch):
+    (tmp_path / "table1.csv").write_text("x,dtm_eps0.1\n0.0,1.0\n", encoding="utf-8")
+    monkeypatch.setattr(reference, "_DATA_DIR", str(tmp_path))
+    with pytest.raises(UsageError, match=r"^table1.csv: first column must be t$"):
+        load_table(1)
 
 
 def test_bundled_table_params():
@@ -674,6 +681,25 @@ def test_a_sweep_that_fails_leaves_its_out_empty_and_closed(tmp_path, capsys):
         gc.collect()
     assert capsys.readouterr().err.startswith("numeric failure: coefficient 172 overflowed")
     assert out.read_text() == ""
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args", [
+    ["table", "--model", "delayed"],
+    ["errors", "--model", "delayed"],
+    ["trajectory", "--model", "coupled"],
+    ["sweep", "--table", "4", "--method", "dtm", "--eps", "0.05", "--max", "5"],
+])
+def test_an_out_that_fails_on_write_is_a_usage_error_and_closed(capsys, args):
+    # /dev/full opens, then refuses the write or the flush at close: the same line as an open that fails
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args + ["--out", "/dev/full"]) == 2
+        gc.collect()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}"]
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 

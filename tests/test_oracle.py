@@ -43,6 +43,12 @@ def test_exact_initial_condition():
         assert exact_delayed(p, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_exact_refuses_a_non_finite_t(t):
+    with pytest.raises(UsageError, match=r"^t must be finite$"):
+        exact_delayed(TABLE3, t)
+
+
 def test_exact_fixed_point_when_a_equals_b():
     # eps = alpha - beta makes H(0)=1 the attractor itself
     p = DelayedParams(0.6, 0.3, 0.5, 0.3)

@@ -106,6 +106,21 @@ def test_add_rejects_mismatched_operands():
         poly(1, 2) * poly(1, 2, 3)
 
 
+def test_neg_flips_every_sign():
+    assert repr((-SeriesPoly((1.0, -0.0, 2.5))).coeffs) == repr((-1.0, 0.0, -2.5))
+
+
+@pytest.mark.parametrize("op, method", [
+    (lambda s: s + None, "__add__"),
+    (lambda s: s - None, "__sub__"),
+    (lambda s: s * None, "__mul__"),
+], ids=["add", "sub", "mul"])
+def test_a_non_series_operand_is_a_type_error(op, method):
+    assert getattr(poly(1, 2), method)(None) is NotImplemented
+    with pytest.raises(TypeError):
+        op(poly(1, 2))
+
+
 def test_scale():
     assert poly(1, 2).scale(1.0).coeffs == (1.0, 2.0)
     assert poly(1, 2).scale(0.0).coeffs == (0.0, 0.0)
@@ -359,6 +374,11 @@ def test_monomial_placement():
 def test_monomial_rejects_degree_above_cap():
     with pytest.raises(UsageError):
         SeriesPoly.monomial(1.0, 4, 3)
+
+
+def test_monomial_rejects_a_negative_cap():
+    with pytest.raises(UsageError, match=r"^cap must be >= 0$"):
+        SeriesPoly.monomial(1.0, 0, -1)
 
 
 # -- evaluation ---------------------------------------------------------
