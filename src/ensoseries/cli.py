@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 
@@ -230,32 +231,29 @@ def cmd_trajectory(args) -> int:
                                  for x, col in zip(names, solve(m, p))])
 
 
-def _add_common(sub, model_required=True):
-    if model_required:
-        sub.add_argument("--model", choices=["coupled", "delayed"], required=True)
-        sub.add_argument("--c", type=float, default=None, help="coupled growth constant")
-        sub.add_argument("--eta", type=float, default=None, help="coupled H-h coupling")
-        sub.add_argument("--gamma", type=float, default=None, help="coupled damping")
-        sub.add_argument("--theta", type=float, default=None, help="coupled feedback")
-        sub.add_argument("--alpha", type=float, default=None, help="delayed growth constant")
-        sub.add_argument("--beta", type=float, default=None, help="delayed feedback constant")
-        sub.add_argument("--sigma", type=float, default=None, help="delay constant")
-        sub.add_argument(
-            "--eps", type=float, action="append", default=None,
-            help="cubic perturbation; repeat for several columns",
-        )
-        sub.add_argument("--order", type=int, default=None, help="series truncation order")
-        sub.add_argument("--terms", type=int, default=None, help="decomposition component count")
-        sub.add_argument("--iters", type=int, default=10, help="iteration count")
-        sub.add_argument("--t-max", type=float, default=None)
-        sub.add_argument("--t-step", type=float, default=None)
-        sub.add_argument("--methods", default=None, help="comma list, e.g. dtm,adm,vim")
-    sub.add_argument("--oracle-step", type=float, default=1e-4, help="reference integrator step")
-    sub.add_argument("--out", default=None, help="output file (default: stdout)")
+def _add_model_options(sub) -> None:
+    sub.add_argument("--model", choices=["coupled", "delayed"], required=True)
+    sub.add_argument("--c", type=float, default=None, help="coupled growth constant")
+    sub.add_argument("--eta", type=float, default=None, help="coupled H-h coupling")
+    sub.add_argument("--gamma", type=float, default=None, help="coupled damping")
+    sub.add_argument("--theta", type=float, default=None, help="coupled feedback")
+    sub.add_argument("--alpha", type=float, default=None, help="delayed growth constant")
+    sub.add_argument("--beta", type=float, default=None, help="delayed feedback constant")
+    sub.add_argument("--sigma", type=float, default=None, help="delay constant")
+    sub.add_argument(
+        "--eps", type=float, action="append", default=None,
+        help="cubic perturbation; repeat for several columns",
+    )
+    sub.add_argument("--order", type=int, default=None, help="series truncation order")
+    sub.add_argument("--terms", type=int, default=None, help="decomposition component count")
+    sub.add_argument("--iters", type=int, default=10, help="iteration count")
+    sub.add_argument("--t-max", type=float, default=None)
+    sub.add_argument("--t-step", type=float, default=None)
+    sub.add_argument("--methods", default=None, help="comma list, e.g. dtm,adm,vim")
 
 
 def _add_errors_options(sub) -> None:
-    _add_common(sub)
+    _add_model_options(sub)
     sub.add_argument("--oracle", choices=["exact", "rk4"], default=None)
 
 
@@ -265,34 +263,40 @@ def _add_sweep_options(sub) -> None:
     sub.add_argument("--eps", type=float, required=True)
     sub.add_argument("--min", type=int, default=1)
     sub.add_argument("--max", type=int, default=30)
-    _add_common(sub, model_required=False)
 
 
-# Each subcommand once: its help line, the function that adds its options, its handler.
+# Each subcommand once: its help line, the function that adds its own options, its handler.
 _COMMANDS = {
-    "table": ("solution values per method on a grid", _add_common, cmd_table),
+    "table": ("solution values per method on a grid", _add_model_options, cmd_table),
     "errors": ("absolute error of each method vs an oracle", _add_errors_options, cmd_errors),
     "sweep": ("deviation from a bundled table across orders", _add_sweep_options, cmd_sweep),
-    "trajectory": ("H (and h) curves per method", _add_common, cmd_trajectory),
+    "trajectory": ("H (and h) curves per method", _add_model_options, cmd_trajectory),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of ``command`` alone, or of all four subcommands if it is None.
 
-    Adding subparsers and options is most of the cost of a parser, and a call parses one subcommand.
+    Each subcommand takes its own options, then ``--oracle-step`` and ``--out``, which :func:`main` and every
+    handler read.  Adding subparsers and options is most of the cost of a parser, and a call parses one subcommand.
     """
+    import shutil  # on first use, as argparse imports it, so importing the CLI imports nothing more
+
+    # argparse's own width, read once here rather than by every formatter it builds, one per option
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="ensoseries",
         description="Series-method solvers for two nonlinear ENSO oscillator models.",
+        formatter_class=formatter,
     )
     names = "{" + ",".join(_COMMANDS) + "}"  # a lone subparser's usage lines name all four, as the full parser's do
     subs = parser.add_subparsers(dest="command", required=True, metavar=names if command else None)
     for name in (command,) if command else _COMMANDS:
-        help_text, add_options, handler = _COMMANDS[name]
-        sub = subs.add_parser(name, help=help_text)
+        help_text, add_options, _ = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text, formatter_class=formatter)
         add_options(sub)
-        sub.set_defaults(func=handler)
+        sub.add_argument("--oracle-step", type=float, default=1e-4, help="reference integrator step")
+        sub.add_argument("--out", default=None, help="output file (default: stdout)")
     return parser
 
 
@@ -303,7 +307,7 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         check_step(args.oracle_step)
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,13 +83,13 @@ def _taylor_delayed(H0, a, b, order: int) -> list:
 
 def solve_coupled(p: CoupledParams, order: int) -> SolutionPair:
     """The series of H and h to the given truncation order (at most ``MAX_ORDER``)."""
-    check_count(order, "order")
+    order = check_count(order, "order")
     W, V = _taylor_coupled(p.H0, p.h0, p.c, p.eta, p.eps, p.theta, p.gamma, order)
     return SolutionPair(_wrap(check_coeffs(tuple(W))), _wrap(check_coeffs(tuple(V))))
 
 
 def solve_delayed(p: DelayedParams, order: int) -> SeriesPoly:
     """The series of H for the scalar delayed model to the given order (at most ``MAX_ORDER``)."""
-    check_count(order, "order")
+    order = check_count(order, "order")
     a, b = reduced_delayed_coeffs(p)
     return _wrap(check_coeffs(tuple(_taylor_delayed(p.H0, a, b, order))))

@@ -5,6 +5,7 @@ The CLI maps these onto exit codes: ``UsageError`` exits with 2, any
 """
 
 import math
+import operator
 import sys
 
 # Coefficients beyond COEFF_LIMIT mean the evaluation left the trusted region
@@ -66,10 +67,15 @@ def require_finite(value, name: str) -> float:
 
 
 def check_count(count: int, name: str) -> int:
-    """``count``, or :class:`UsageError` if it lies outside the range ``COUNT_LIMITS`` gives ``name``.
+    """``count`` as an int, or :class:`UsageError` if it is not an integer or lies outside ``COUNT_LIMITS[name]``.
 
-    The solvers check their counts this way before they allocate anything.
+    The solvers check their counts this way before they allocate anything, and work on the int returned.  An
+    int, a bool or an object with ``__index__`` passes; a float such as 3.0 is refused, integral or not.
     """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {count!r}") from None
     low, high = COUNT_LIMITS[name]
     if not low <= count <= high:
         raise UsageError(f"{name} must be in {low}..{high}")

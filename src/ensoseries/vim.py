@@ -98,18 +98,22 @@ def _solve_work(iterations: int, degree_cap: int) -> int:
     return work
 
 
-def _iterates(params: CoupledParams | DelayedParams, iterations: int, degree_cap: int):
-    """Iterates 0..iterations from the constant initial value, as coefficient tuples at their working caps.
-
-    A coupled iterate is the pair ``(H, h)``, a delayed one ``H`` alone.
-    The limits :func:`vim_solve` names are checked before the first step.
-    """
-    check_count(iterations, "iterations")
-    check_count(degree_cap, "degree_cap")
+def _check_counts(iterations: int, degree_cap: int) -> tuple[int, int]:
+    """``iterations`` and ``degree_cap`` as ints, or :class:`UsageError` beyond the limits :func:`vim_solve` names."""
+    iterations, degree_cap = check_count(iterations, "iterations"), check_count(degree_cap, "degree_cap")
     work = _solve_work(iterations, degree_cap)
     if work > MAX_VIM_WORK:
         raise UsageError(f"{iterations} iterations at degree cap {degree_cap} need up to {work} "
                          f"multiply-adds, more than the {MAX_VIM_WORK} allowed")
+    return iterations, degree_cap
+
+
+def _iterates(params: CoupledParams | DelayedParams, iterations: int, degree_cap: int):
+    """Iterates 0..iterations from the constant initial value, as coefficient tuples at their working caps.
+
+    A coupled iterate is the pair ``(H, h)``, a delayed one ``H`` alone.  The counts are those
+    :func:`_check_counts` returns.
+    """
     coupled = isinstance(params, CoupledParams)
     if coupled:
         it = (params.H0,), (params.h0,)
@@ -142,6 +146,7 @@ def vim_solve(
     they may ask for at most ``MAX_VIM_WORK`` multiply-adds (see
     :func:`_solve_work`); more is refused before the first step.
     """
+    iterations, degree_cap = _check_counts(iterations, degree_cap)
     for it in _iterates(params, iterations, degree_cap):
         pass
     return _padded(params, it, degree_cap)
@@ -159,4 +164,5 @@ def vim_iterates(
     steps.  A list, not a generator, so every step has run when the call
     returns.
     """
+    iterations, degree_cap = _check_counts(iterations, degree_cap)
     return [_padded(params, it, degree_cap) for it in _iterates(params, iterations, degree_cap)]

@@ -30,6 +30,19 @@ from ensoseries.models import reduced_delayed_coeffs
 
 ADM_K_MAX = 20
 
+# Counts no solver may take: floats, integral or not, and a string.
+NOT_INTEGERS = (3.0, 2.5, math.nan, "3")
+
+
+class Index:
+    """A count that is no int but converts to one through ``__index__``, as ``range`` takes it."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
 
 def draw_coupled(rng: random.Random) -> CoupledParams:
     return CoupledParams(

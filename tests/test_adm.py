@@ -14,7 +14,7 @@ from ensoseries import (
 )
 from ensoseries import adm
 from ensoseries.models import reduced_delayed_coeffs
-from conftest import adm_draws, scalar_recursion_gap
+from conftest import NOT_INTEGERS, Index, adm_draws, scalar_recursion_gap
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
@@ -189,6 +189,9 @@ def test_solver_recursion_reproducible_with_standalone_polynomials():
 
 
 def test_solve_preconditions(monkeypatch):
+    assert adm_solve_coupled(TABLE1, Index(26)) == adm_solve_coupled(TABLE1, 26)
+    assert adm_solve_delayed(TABLE3, Index(26)) == adm_solve_delayed(TABLE3, 26)
+
     def no_solve(*args):
         raise AssertionError("a count out of range must be refused before any solve")
 
@@ -197,4 +200,7 @@ def test_solve_preconditions(monkeypatch):
     for solve, p in ((adm_solve_coupled, TABLE1), (adm_solve_delayed, TABLE3)):
         for n_terms in (0, 2002):
             with pytest.raises(UsageError, match=r"^n_terms must be in 1\.\.2001$"):
+                solve(p, n_terms)
+        for n_terms in NOT_INTEGERS:
+            with pytest.raises(UsageError, match=f"^n_terms must be an integer, got {n_terms!r}$"):
                 solve(p, n_terms)

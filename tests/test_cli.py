@@ -1,11 +1,13 @@
 """CLI subcommands: output shape, determinism, exit codes, bundled tables."""
 
+import argparse
 import contextlib
 import errno
 import gc
 import io
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -488,6 +490,28 @@ def test_main_parses_and_helps_as_the_full_parser(argv, capsys, monkeypatch):
     full = exit_and_output(build_parser().parse_args, argv, capsys)
     assert exit_and_output(main, argv, capsys) == full
     assert full[0] == (0 if "--help" in argv else 2)
+
+
+@pytest.mark.parametrize("command", [None, "table", "errors", "sweep", "trajectory"])
+def test_a_parser_build_reads_the_terminal_width_once(command, monkeypatch):
+    calls = []
+    real = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append(args) or real(*args))
+    build_parser(command)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("command", [None, "table", "errors", "sweep", "trajectory"])
+def test_help_at_the_width_taken_once_is_argparse_own(command, columns, monkeypatch):
+    # each parser's help and usage equal those of its own formatter class with no width given
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = build_parser(command)
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for each in (parser, *subs.choices.values()):
+        texts = each.format_help(), each.format_usage()
+        each.formatter_class = argparse.HelpFormatter
+        assert (each.format_help(), each.format_usage()) == texts
 
 
 def test_foreign_model_flags_rejected(tmp_path):

@@ -22,7 +22,7 @@ from ensoseries import dtm
 from ensoseries.errors import COEFF_LIMIT, FINITE_LIMIT, MAX_ORDER, check_coeffs
 from ensoseries.models import reduced_delayed_coeffs
 from ensoseries.reference import load_table
-from conftest import draw_coupled, draw_delayed
+from conftest import Index, draw_coupled, draw_delayed
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
@@ -113,6 +113,18 @@ def test_an_order_above_the_limit_is_refused_before_any_work(solve, p, monkeypat
     for order in (MAX_ORDER + 1, 20000, 10**9, 10**400):
         with pytest.raises(UsageError, match=f"must be in 0..{MAX_ORDER}$|must be in 1..{MAX_ORDER + 1}$"):
             solve(p, order)
+    for order in (3.0, 2.5, math.nan):  # an adm wrapper passes order + 1, no integer either
+        with pytest.raises(UsageError, match=r"^(order|n_terms) must be an integer, got "):
+            solve(p, order)
+
+
+def test_an_order_is_taken_as_an_integer_or_refused():
+    # a string cannot pass through the adm wrappers above, which add 1 to it
+    for solve, p in ((solve_coupled, TABLE1), (solve_delayed, TABLE3)):
+        with pytest.raises(UsageError, match="^order must be an integer, got '3'$"):
+            solve(p, "3")
+        assert solve(p, Index(25)) == solve(p, 25)
+        assert solve(p, True) == solve(p, 1)
 
 
 @pytest.mark.parametrize("solve", [solve_coupled, lambda p, n: adm_solve_coupled(p, n + 1)])

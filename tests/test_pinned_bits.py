@@ -1,8 +1,9 @@
-"""Two SHA-256s over thousands of seeded product and solver results.
+"""Three SHA-256s over thousands of seeded product, solver and evaluation results.
 
 The first constant was recorded before the series product was
 register-blocked, the second before the DTM cube coefficients were computed
-by a pure function instead of a stateful accumulator.  Both must hold on
+by a pure function instead of a stateful accumulator, the third over
+``SeriesPoly.eval`` and the residuals of DTM solves.  All must hold on
 every supported Python: a reordered float operation, or an interpreter whose
 sums round differently, changes some result's bits.  Each value enters the
 hash as ``float.hex``; a :class:`SeriesOverflowError` enters as its type and
@@ -27,9 +28,12 @@ from ensoseries.dtm import solve_coupled, solve_delayed
 
 PINNED_SHA256 = "9758786f44cf7a31e14a8a4a9024a27b7531847fd1b4aec3b8b0ce5a3d1bf46d"
 DTM_SHA256 = "072abc0f4d6f1890a346d264e098b94eafc797777a012ecfc05b7179da6de647"
+EVAL_SHA256 = "dafeeaf937add5e8d6f7bd62a8fd44c29b8fcc61b2de3eb769d87b2306faca3f"
 
 # A coefficient: mostly plain values, sometimes a signed zero, a subnormal or a huge value.
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1070, 1e160, -1e200)
+# Evaluation points: negative, both zeros, a subnormal, inside (0, 1), and far enough out that some sums overflow.
+TIMES = (-2.5, -0.3, -0.0, 0.0, 5e-324, 0.4, 0.999, 3.0, 1e30)
 
 
 def coefficient(rng):
@@ -118,6 +122,25 @@ def dtm_results():
             yield transform_bits(p, 2000)
 
 
+def eval_results():
+    """3,000 seeded results: 240 series at each of ``TIMES`` and one drawn time, then 600 DTM residuals."""
+    rng = random.Random(40213)
+    for _ in range(240):
+        a = series(rng, rng.randint(0, 70))
+        for t in TIMES + (rng.uniform(-1.5, 1.5),):
+            yield a.eval(t).hex()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterRangeWarning)
+        for _ in range(600):
+            p = params(rng)
+            try:
+                sol = (solve_coupled if isinstance(p, CoupledParams) else solve_delayed)(p, rng.randint(0, 60))
+            except SeriesOverflowError as exc:
+                yield f"{type(exc).__name__}:{exc.index}"
+                continue
+            yield bits(lambda: residual_check(sol, p))
+
+
 def digest(lines):
     h = hashlib.sha256()
     for line in lines:
@@ -133,6 +156,11 @@ def test_seeded_dtm_transforms_keep_their_pinned_bits():
     assert digest(dtm_results()) == DTM_SHA256
 
 
+def test_seeded_evaluations_and_dtm_residuals_keep_their_pinned_bits():
+    assert digest(eval_results()) == EVAL_SHA256
+
+
 if __name__ == "__main__":
     print(digest(results()))
     print(digest(dtm_results()))
+    print(digest(eval_results()))

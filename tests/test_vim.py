@@ -33,7 +33,7 @@ from ensoseries.vim import (
     _solve_work,
     vim_iterates,
 )
-from conftest import draw_coupled, draw_delayed, draw_until, plain_cube
+from conftest import NOT_INTEGERS, Index, draw_coupled, draw_delayed, draw_until, plain_cube
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
@@ -200,6 +200,8 @@ def test_counts_above_the_limits_are_refused_before_any_work(monkeypatch):
     assert vim_iterates(TABLE3, 1, MAX_ORDER)[1] == vim_solve(TABLE3, 1, MAX_ORDER)
     iterates = vim_iterates(TABLE1, MAX_ITERATIONS, 2)
     assert len(iterates) == MAX_ITERATIONS + 1 and iterates[-1] == vim_solve(TABLE1, MAX_ITERATIONS, 2)
+    assert vim_solve(TABLE1, Index(3), Index(12)) == vim_solve(TABLE1, 3, 12)
+    assert vim_iterates(TABLE3, Index(3), Index(12)) == vim_iterates(TABLE3, 3, 12)
     no_steps(monkeypatch)
     for solve in (vim_solve, vim_iterates):
         for call in (lambda: solve(TABLE1, MAX_ITERATIONS + 1),
@@ -212,6 +214,11 @@ def test_counts_above_the_limits_are_refused_before_any_work(monkeypatch):
             solve(TABLE1, MAX_ITERATIONS + 1, 2)
         with pytest.raises(UsageError, match=f"degree_cap must be in 0..{MAX_ORDER}$"):
             solve(TABLE3, 0, MAX_ORDER + 1)
+        for count in NOT_INTEGERS:
+            with pytest.raises(UsageError, match=f"^iterations must be an integer, got {count!r}$"):
+                solve(TABLE1, count)
+            with pytest.raises(UsageError, match=f"^degree_cap must be an integer, got {count!r}$"):
+                solve(TABLE3, 2, count)
 
 
 def test_solve_work_is_refused_above_the_budget_before_any_step(monkeypatch):
