@@ -15,21 +15,16 @@ COEFF_LIMIT = 1e15
 FINITE_LIMIT = sys.float_info.max
 
 # The most work one solve takes.  MAX_ORDER bounds every truncation order: a
-# DTM order, the order n_terms - 1 of an ADM solve (so n_terms reaches
-# MAX_ORDER + 1) and a VIM degree cap.  MAX_ITERATIONS bounds the VIM
-# steps.  On a 2-core Xeon, dtm.solve_delayed takes 0.2 s at order 2000, and
-# 1000 coupled VIM iterations at cap 64 take 0.17 s.
+# DTM order and the order n_terms - 1 of an ADM solve (so n_terms reaches
+# MAX_ORDER + 1).  MAX_ITERATIONS bounds the VIM steps, and with them the
+# work of a VIM solve, whose degree cap is fixed at 64: 1000 steps take at
+# most 4,145,204 multiply-adds.  On a 2-core Xeon, dtm.solve_delayed takes
+# 0.2 s at order 2000, and 1000 coupled VIM iterations take 0.17 s.
 MAX_ORDER = 2000
 MAX_ITERATIONS = 1000
 
 # Each solve count by the name its solver gives it, and its range low..high.
-COUNT_LIMITS = {"order": (0, MAX_ORDER), "n_terms": (1, MAX_ORDER + 1), "iterations": (0, MAX_ITERATIONS),
-                "degree_cap": (0, MAX_ORDER)}
-
-# The most multiply-adds one vim_solve may ask for (vim._solve_work); the CLI
-# asks at most 4,145,204.  Nine dense steps to cap 2000, 9,349,208 of them,
-# take 0.25 s on the same Xeon.
-MAX_VIM_WORK = 10**7
+COUNT_LIMITS = {"order": (0, MAX_ORDER), "n_terms": (1, MAX_ORDER + 1), "iterations": (0, MAX_ITERATIONS)}
 
 # The most RK4 steps one call takes, and grid rows the CLI builds; the README
 # jobs need about 2e4.  A larger count is refused before any step is taken.
@@ -58,12 +53,19 @@ class SeriesOverflowError(NumericError):
         super().__init__(f"coefficient {index} overflowed (|{value!r}| beyond trusted range)")
 
 
+def is_finite(value, name: str) -> bool:
+    """:func:`math.isfinite` of ``value``, or :class:`UsageError` naming ``name`` for a str, None or other non-real."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise UsageError(f"{name} must be a real number, got {value!r}") from None
+
+
 def require_finite(value, name: str) -> float:
-    """``value`` as a float, or :class:`UsageError` naming ``name`` if it is not finite."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise UsageError(f"{name} must be finite, got {value!r}")
-    return value
+    """``value`` as a float, or :class:`UsageError` naming ``name`` if it is no real number or not finite."""
+    if not is_finite(value, name):
+        raise UsageError(f"{name} must be finite, got {float(value)!r}")
+    return float(value)
 
 
 def check_count(count: int, name: str) -> int:
@@ -82,10 +84,11 @@ def check_count(count: int, name: str) -> int:
     return count
 
 
-def check_step(step: float) -> None:
-    """:class:`UsageError` unless ``step`` is positive and finite."""
-    if not 0.0 < step < math.inf:
+def check_step(step: float) -> float:
+    """``step`` as a float, or :class:`UsageError` unless it is positive and finite."""
+    if not (is_finite(step, "step") and step > 0.0):
         raise UsageError(f"step must be positive and finite, got {step!r}")
+    return float(step)
 
 
 def step_ratio(span: float, step: float) -> float:

@@ -20,7 +20,7 @@ import math
 import sys
 from math import isfinite
 
-from .errors import FINITE_LIMIT, DomainError, UsageError, check_coeffs, check_step, check_steps, step_ratio
+from .errors import FINITE_LIMIT, DomainError, UsageError, check_coeffs, check_step, check_steps, is_finite, step_ratio
 from .models import (
     CoupledParams,
     DelayedParams,
@@ -48,8 +48,9 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
     a q <= 0 with b*t < 0 a blow-up before t.  Every other input is taken by
     :func:`_decimal_closed_form`.
     """
-    if not math.isfinite(t):
+    if not is_finite(t, "t"):
         raise UsageError("t must be finite")
+    t = float(t)
     if p.H0 == 0.0:
         return 0.0
     a, b = reduced_delayed_coeffs(p)
@@ -155,9 +156,10 @@ def _rk4_delayed(p: DelayedParams, state: tuple[float], t: float, h: float, n: i
 
 def _rk4_gaps(ts: list[float] | tuple[float, ...], step: float) -> list[tuple[float, float, int]]:
     """Each gap up to a requested time, from the one before or 0, as ``(start, span, steps)``; see :func:`rk4_values`."""
-    check_step(step)
-    if not all(map(isfinite, ts)):
+    step = check_step(step)
+    if not all(is_finite(t, "times") for t in ts):
         raise UsageError("times must be finite")
+    ts = [float(t) for t in ts]
     if any(t < 0.0 for t in ts):
         raise UsageError("times must be >= 0")
     if any(b <= a for a, b in zip(ts, ts[1:])):

@@ -11,10 +11,10 @@ rounding: its sums run in another order than the DTM recurrence's, so the
 last bits can differ; everything above is transient and gets squeezed out by
 later steps.
 
-Cubing triples the polynomial degree per step, so iterates are truncated at a
-fixed degree cap (default 64).  The truncation only touches degrees above the
-cap and therefore never disturbs the order-n agreement for n below it.  Each
-step works at the iterate's live degree below that cap: the first three
+Cubing triples the polynomial degree per step, so iterates are truncated at
+the fixed degree cap ``DEGREE_CAP`` = 64.  The truncation only touches degrees
+above the cap and therefore never disturbs the order-n agreement for n below
+it.  Each step works at the iterate's live degree below that cap: the first three
 iterates stay below degree 14, so their products are not dense to degree 64.
 :func:`vim_solve` carries the iterates as plain coefficient tuples at that
 live degree and pads them to the degree cap once, at the end;
@@ -23,11 +23,11 @@ live degree and pads them to the degree cap once, at the end;
 
 from __future__ import annotations
 
-from .errors import MAX_VIM_WORK, UsageError, check_coeffs, check_count
+from .errors import check_coeffs, check_count
 from .models import CoupledParams, DelayedParams, SolutionPair, reduced_delayed_coeffs
 from .series import SeriesPoly, _cube, _live_degree, _wrap
 
-DEFAULT_DEGREE_CAP = 64
+DEGREE_CAP = 64
 
 
 def _at(coeffs: tuple[float, ...], m: int) -> tuple[float, ...]:
@@ -83,36 +83,10 @@ def _next_delayed(H, a: float, b: float, cap: int):
     return check_coeffs(tuple(H_next))
 
 
-def _solve_work(iterations: int, degree_cap: int) -> int:
-    """Most multiply-adds the cubes of ``iterations`` steps from a constant take.
-
-    Step n works at cap at most ``m(n)``: ``m(1) = min(degree_cap, 1)``,
-    ``m(n+1) = min(degree_cap, 3*m(n) + 1)`` (see :func:`_next_coupled`).
-    Its cube runs to degree m - 1, the last its loop reads: two products of
-    at most ``m*(m+1)/2`` multiply-adds.
-    """
-    work = m = 0
-    for _ in range(iterations):
-        m = min(degree_cap, 3 * m + 1)
-        work += m * (m + 1)
-    return work
-
-
-def _check_counts(iterations: int, degree_cap: int) -> tuple[int, int]:
-    """``iterations`` and ``degree_cap`` as ints, or :class:`UsageError` beyond the limits :func:`vim_solve` names."""
-    iterations, degree_cap = check_count(iterations, "iterations"), check_count(degree_cap, "degree_cap")
-    work = _solve_work(iterations, degree_cap)
-    if work > MAX_VIM_WORK:
-        raise UsageError(f"{iterations} iterations at degree cap {degree_cap} need up to {work} "
-                         f"multiply-adds, more than the {MAX_VIM_WORK} allowed")
-    return iterations, degree_cap
-
-
-def _iterates(params: CoupledParams | DelayedParams, iterations: int, degree_cap: int):
+def _iterates(params: CoupledParams | DelayedParams, iterations: int):
     """Iterates 0..iterations from the constant initial value, as coefficient tuples at their working caps.
 
-    A coupled iterate is the pair ``(H, h)``, a delayed one ``H`` alone.  The counts are those
-    :func:`_check_counts` returns.
+    A coupled iterate is the pair ``(H, h)``, a delayed one ``H`` alone.
     """
     coupled = isinstance(params, CoupledParams)
     if coupled:
@@ -122,47 +96,32 @@ def _iterates(params: CoupledParams | DelayedParams, iterations: int, degree_cap
         it = (params.H0,)
     yield it
     for _ in range(iterations):
-        it = _next_coupled(*it, params, degree_cap) if coupled else _next_delayed(it, a, b, degree_cap)
+        it = _next_coupled(*it, params, DEGREE_CAP) if coupled else _next_delayed(it, a, b, DEGREE_CAP)
         yield it
 
 
-def _padded(params: CoupledParams | DelayedParams, it, degree_cap: int) -> SolutionPair | SeriesPoly:
-    """One iterate of :func:`_iterates` padded to ``degree_cap``; its steps have checked it already."""
+def _padded(params: CoupledParams | DelayedParams, it) -> SolutionPair | SeriesPoly:
+    """One iterate of :func:`_iterates` padded to ``DEGREE_CAP``; its steps have checked it already."""
     if isinstance(params, CoupledParams):
-        return SolutionPair(_wrap(_at(it[0], degree_cap)), _wrap(_at(it[1], degree_cap)))
-    return _wrap(_at(it, degree_cap))
+        return SolutionPair(_wrap(_at(it[0], DEGREE_CAP)), _wrap(_at(it[1], DEGREE_CAP)))
+    return _wrap(_at(it, DEGREE_CAP))
 
 
-def vim_solve(
-    params: CoupledParams | DelayedParams,
-    iterations: int,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> SolutionPair | SeriesPoly:
+def vim_solve(params: CoupledParams | DelayedParams, iterations: int) -> SolutionPair | SeriesPoly:
     """Apply ``iterations`` correction steps from the constant initial iterate.
 
-    The iterates stay tuples at their working caps, and only the last is
-    padded to ``degree_cap``.  ``iterations`` may be at most
-    ``MAX_ITERATIONS`` and ``degree_cap`` at most ``MAX_ORDER``, and together
-    they may ask for at most ``MAX_VIM_WORK`` multiply-adds (see
-    :func:`_solve_work`); more is refused before the first step.
+    The iterates stay tuples at their working caps, and only the last is padded to ``DEGREE_CAP``.
+    ``iterations`` may be at most ``MAX_ITERATIONS``; more is refused before the first step.
     """
-    iterations, degree_cap = _check_counts(iterations, degree_cap)
-    for it in _iterates(params, iterations, degree_cap):
+    for it in _iterates(params, check_count(iterations, "iterations")):
         pass
-    return _padded(params, it, degree_cap)
+    return _padded(params, it)
 
 
-def vim_iterates(
-    params: CoupledParams | DelayedParams,
-    iterations: int,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> list[SolutionPair] | list[SeriesPoly]:
-    """Iterates 0..iterations, each padded to ``degree_cap``.
+def vim_iterates(params: CoupledParams | DelayedParams, iterations: int) -> list[SolutionPair] | list[SeriesPoly]:
+    """Iterates 0..iterations, each padded to ``DEGREE_CAP``.
 
-    Entry n is ``vim_solve(params, n, degree_cap)``, bit for bit, and the
-    limits are those of :func:`vim_solve`; every entry comes from one run of
-    steps.  A list, not a generator, so every step has run when the call
-    returns.
+    Entry n is ``vim_solve(params, n)``, bit for bit, and the limit is that of :func:`vim_solve`; every
+    entry comes from one run of steps.  A list, not a generator, so every step has run when the call returns.
     """
-    iterations, degree_cap = _check_counts(iterations, degree_cap)
-    return [_padded(params, it, degree_cap) for it in _iterates(params, iterations, degree_cap)]
+    return [_padded(params, it) for it in _iterates(params, check_count(iterations, "iterations"))]

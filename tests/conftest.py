@@ -22,11 +22,13 @@ from ensoseries import (
     ParameterRangeWarning,
     SeriesOverflowError,
     SeriesPoly,
+    SolutionPair,
     adm_solve_coupled,
     adm_solve_delayed,
 )
 from ensoseries import dtm
 from ensoseries.models import reduced_delayed_coeffs
+from ensoseries.vim import _at, _next_coupled, _next_delayed
 
 ADM_K_MAX = 20
 
@@ -75,6 +77,25 @@ def draw_until(draw, rng: random.Random, compute, max_tries: int = 400):
         except SeriesOverflowError:
             continue
     pytest.fail("could not draw enough non-overflowing parameter sets")
+
+
+def vim_at_cap(p, iterations, cap):
+    """``vim_solve(p, iterations)`` at degree cap ``cap`` in place of ``vim.DEGREE_CAP``.
+
+    Runs the step kernels ``_next_coupled``/``_next_delayed`` from the
+    constant start, as ``vim_solve`` does, and pads the last iterate to
+    ``cap`` with ``_at``, so a test can drive them at any cap.
+    """
+    if isinstance(p, CoupledParams):
+        H, h = (p.H0,), (p.h0,)
+        for _ in range(iterations):
+            H, h = _next_coupled(H, h, p, cap)
+        return SolutionPair(SeriesPoly(_at(H, cap)), SeriesPoly(_at(h, cap)))
+    a, b = reduced_delayed_coeffs(p)
+    H = (p.H0,)
+    for _ in range(iterations):
+        H = _next_delayed(H, a, b, cap)
+    return SeriesPoly(_at(H, cap))
 
 
 def adm_draws():

@@ -290,9 +290,9 @@ def _iterates(params, steps, order):
     """
     if isinstance(params, DelayedParams):
         return ((solve_delayed(params, order).coeffs, None),
-                [(H, None) for H in vim_iterates(params, steps, 64)[1:]])
+                [(H, None) for H in vim_iterates(params, steps)[1:]])
     pair = solve_coupled(params, order)
-    return (pair.H.coeffs, pair.h.coeffs), [(s.H, s.h) for s in vim_iterates(params, steps, 64)[1:]]
+    return (pair.H.coeffs, pair.h.coeffs), [(s.H, s.h) for s in vim_iterates(params, steps)[1:]]
 
 
 def test_criterion_5_vim_picard_matching_and_sweeps(tmp_path):

@@ -29,6 +29,11 @@ def s(*coeffs):
     return SeriesPoly(coeffs)
 
 
+def padded(*coeffs):
+    """``coeffs`` zero-padded to the 65 coefficients of a VIM series."""
+    return coeffs + (0.0,) * (65 - len(coeffs))
+
+
 # (build, field values in order, repr of the dataclass version)
 RECORDS = {
     "coupled": (
@@ -67,14 +72,14 @@ RECORDS = {
         "SolutionPair(H=SeriesPoly(coeffs=(1.0, 2.0)), h=SeriesPoly(coeffs=(3.0, -0.0)))",
     ),
     "vim-delayed": (
-        lambda: vim_solve(DelayedParams(0.5, 0.3, 0.25, 0.05), 1, 2),
-        ((1.0, 0.16216216216216217, 0.0),),
-        "SeriesPoly(coeffs=(1.0, 0.16216216216216217, 0.0))",
+        lambda: vim_solve(DelayedParams(0.5, 0.3, 0.25, 0.05), 1),
+        (padded(1.0, 0.16216216216216217),),
+        f"SeriesPoly(coeffs={padded(1.0, 0.16216216216216217)!r})",
     ),
     "vim-coupled": (
-        lambda: vim_solve(CoupledParams(1.0, 1.0, 1.0, 1.0, 0.1), 1, 1),
-        (s(1.0, 1.9), s(1.0, -2.0)),
-        "SolutionPair(H=SeriesPoly(coeffs=(1.0, 1.9)), h=SeriesPoly(coeffs=(1.0, -2.0)))",
+        lambda: vim_solve(CoupledParams(1.0, 1.0, 1.0, 1.0, 0.1), 1),
+        (s(*padded(1.0, 1.9)), s(*padded(1.0, -2.0))),
+        f"SolutionPair(H=SeriesPoly(coeffs={padded(1.0, 1.9)!r}), h=SeriesPoly(coeffs={padded(1.0, -2.0)!r}))",
     ),
     "adm": (
         lambda: adm_solve_delayed(DelayedParams(0.5, 0.3, 0.25, 0.05), 2),

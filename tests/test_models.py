@@ -1,6 +1,8 @@
 """Parameter types, validation behavior, and the delayed-model normalization."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -73,6 +75,19 @@ def test_non_finite_parameters_rejected():
         CoupledParams(math.nan, 1, 1, 1, 0.1)
     with pytest.raises(UsageError):
         DelayedParams(1.0, math.inf, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("bad", ["0.5", None])
+def test_parameters_that_are_no_real_numbers_are_refused(bad):
+    # a string was parsed as a float, None raised a plain TypeError
+    with pytest.raises(UsageError, match=f"^eps must be a real number, got {bad!r}$"):
+        CoupledParams(1, 1, 1, 1, bad)
+    with pytest.raises(UsageError, match=f"^beta must be a real number, got {bad!r}$"):
+        DelayedParams(1.0, bad, 0.5, 0.1)
+
+
+def test_parameters_take_any_real_number():
+    assert CoupledParams(Fraction(1, 2), Decimal("0.5"), 1, True, 0.1) == CoupledParams(0.5, 0.5, 1.0, 1.0, 0.1)
 
 
 def test_eps_outside_unit_interval_warns():

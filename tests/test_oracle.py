@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -442,6 +443,27 @@ def test_rk4_values_refuses_non_finite_times(bad):
         for ts in ([bad], [0.0, 0.5, bad]):
             with pytest.raises(UsageError):
                 rk4_values(p, ts)
+
+
+@pytest.mark.parametrize("bad", ["0.5", None])
+def test_oracles_refuse_times_and_steps_that_are_no_real_numbers(bad):
+    # each raised a plain TypeError
+    with pytest.raises(UsageError, match=f"^t must be a real number, got {bad!r}$"):
+        exact_delayed(TABLE3, bad)
+    for p in (TABLE1, TABLE3):
+        with pytest.raises(UsageError, match=f"^times must be a real number, got {bad!r}$"):
+            rk4_values(p, [0.5, bad])
+        with pytest.raises(UsageError, match=f"^step must be a real number, got {bad!r}$"):
+            rk4_values(p, [0.5], bad)
+
+
+def test_oracles_take_any_real_number():
+    # a Decimal time or step failed on its first float operation
+    for t in (Fraction(1, 2), Decimal("0.5")):
+        assert exact_delayed(TABLE3, t) == exact_delayed(TABLE3, 0.5)
+        for p in (TABLE1, TABLE3):
+            assert rk4_values(p, [t], t / 8) == rk4_values(p, [0.5], 0.0625)
+    assert exact_delayed(TABLE3, True) == exact_delayed(TABLE3, 1) == exact_delayed(TABLE3, 1.0)
 
 
 def test_rk4_refuses_a_nan_step():

@@ -2,6 +2,9 @@
 
 import math
 import random
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -399,6 +402,19 @@ def test_eval_simple_line():
 def test_eval_refuses_a_non_finite_t(t):
     with pytest.raises(UsageError, match=f"^t must be finite, got {t!r}$"):
         poly(1, 2).eval(t)
+
+
+@pytest.mark.parametrize("t", ["0.5", "x", None, 1j])
+def test_eval_refuses_a_t_that_is_no_real_number(t):
+    # '0.5' was parsed and evaluated, 'x' raised a plain ValueError and None a plain TypeError
+    with pytest.raises(UsageError, match=f"^t must be a real number, got {re.escape(repr(t))}$"):
+        poly(1, 2).eval(t)
+
+
+def test_eval_takes_any_real_number():
+    for t in (Fraction(1, 2), Decimal("0.5")):
+        assert poly(1, 2).eval(t) == poly(1, 2).eval(0.5) == 2.0
+    assert poly(1, 2).eval(True) == poly(1, 2).eval(1) == 3.0
 
 
 def test_eval_matches_naive_power_sum():

@@ -20,20 +20,12 @@ from ensoseries import (
     vim_solve,
 )
 from ensoseries.dtm import solve_coupled, solve_delayed
-from ensoseries.errors import MAX_ITERATIONS, MAX_ORDER, MAX_VIM_WORK, check_coeffs
+from ensoseries.errors import MAX_ITERATIONS, check_coeffs
 from ensoseries.models import reduced_delayed_coeffs
 from ensoseries.reference import load_table
 from ensoseries import series, vim
-from ensoseries.vim import (
-    DEFAULT_DEGREE_CAP,
-    _at,
-    _live_degree,
-    _next_coupled,
-    _next_delayed,
-    _solve_work,
-    vim_iterates,
-)
-from conftest import NOT_INTEGERS, Index, draw_coupled, draw_delayed, draw_until, plain_cube
+from ensoseries.vim import DEGREE_CAP, _at, _live_degree, _next_coupled, _next_delayed, vim_iterates
+from conftest import NOT_INTEGERS, Index, draw_coupled, draw_delayed, draw_until, plain_cube, vim_at_cap
 
 TABLE1 = CoupledParams(1, 1, 1, 1, 0.1)
 TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
@@ -41,14 +33,14 @@ TABLE3 = DelayedParams(0.5, 0.3, 0.25, 0.05)
 
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_zero_parameters_fix_the_constant():
-    start, stepped = vim_iterates(CoupledParams(0, 0, 0, 0, 0.0), 1, 8)
-    assert start.H.coeffs == start.h.coeffs == (1.0,) + (0.0,) * 8
+    start, stepped = vim_iterates(CoupledParams(0, 0, 0, 0, 0.0), 1)
+    assert start.H.coeffs == start.h.coeffs == (1.0,) + (0.0,) * DEGREE_CAP
     assert stepped.H.coeffs == start.H.coeffs
     assert stepped.h.coeffs == start.h.coeffs
 
 
 def test_one_step_is_a_hand_integration():
-    iterates = vim_iterates(TABLE1, 1, 8)
+    iterates = vim_iterates(TABLE1, 1)
     assert len(iterates) == 2
     stepped = iterates[1]
     assert stepped.H.coeffs[:2] == (1.0, 1.9)
@@ -59,12 +51,12 @@ def test_one_step_is_a_hand_integration():
 @pytest.mark.filterwarnings("ignore::ensoseries.ParameterRangeWarning")
 def test_delayed_fixed_point():
     p = DelayedParams(0.7, 0.7, 0.5, 0.0)
-    stepped = vim_iterates(p, 1, 8)[1]
-    assert stepped.coeffs == (1.0,) + (0.0,) * 8
+    stepped = vim_iterates(p, 1)[1]
+    assert stepped.coeffs == (1.0,) + (0.0,) * DEGREE_CAP
 
 
 def test_delayed_one_step():
-    stepped = vim_iterates(TABLE3, 1, 8)[1]
+    stepped = vim_iterates(TABLE3, 1)[1]
     assert stepped.coeffs[1] == pytest.approx(0.15 / 0.925, rel=1e-14)
     assert all(c == 0.0 for c in stepped.coeffs[2:])
 
@@ -94,7 +86,7 @@ def test_delayed_sufficient_steps_near_published_value():
 
 
 def test_initial_condition_preserved_every_iteration():
-    for pair in vim_iterates(TABLE1, 6, 32):
+    for pair in vim_iterates(TABLE1, 6):
         assert pair.H.eval(0.0) == 1.0
         assert pair.h.eval(0.0) == 1.0
 
@@ -106,7 +98,7 @@ def test_picard_order_matching_sample():
         W = r.H.coeffs
         try:  # each iterate up to the first that overflows
             for n in range(1, 9):
-                H = vim_solve(p, n, 64).H
+                H = vim_solve(p, n).H
                 for k in range(n + 1):
                     gap = abs(H.coeffs[k] - W[k])
                     assert gap <= 1e-12 * max(1.0, abs(W[k]))
@@ -121,7 +113,7 @@ def test_picard_order_matching_delayed_sample():
         W = r.coeffs
         try:  # each iterate up to the first that overflows
             for n in range(1, 7):
-                H = vim_solve(p, n, 64)
+                H = vim_solve(p, n)
                 for k in range(n + 1):
                     gap = abs(H.coeffs[k] - W[k])
                     assert gap <= 1e-12 * max(1.0, abs(W[k]))
@@ -138,10 +130,10 @@ def test_picard_order_matching_on_the_bundled_sets_holds_to_rounding():
             p = table.params(eps)
             if table.model == "coupled":
                 r = solve_coupled(p, 12)
-                pairs = [((s.H, r.H.coeffs), (s.h, r.h.coeffs)) for s in vim_iterates(p, 12, 64)]
+                pairs = [((s.H, r.H.coeffs), (s.h, r.h.coeffs)) for s in vim_iterates(p, 12)]
             else:
                 r = solve_delayed(p, 12)
-                pairs = [((s, r.coeffs),) for s in vim_iterates(p, 12, 64)]
+                pairs = [((s, r.coeffs),) for s in vim_iterates(p, 12)]
             assert len(pairs) == 13
             for n, iterate in enumerate(pairs):
                 for series, W in iterate:
@@ -156,7 +148,7 @@ def _max_gap_on_grid(a: SeriesPoly, b: SeriesPoly, t_max=1.0, points=21):
 
 def test_iterate_differences_shrink_for_table_parameters():
     for params in (TABLE1, TABLE3):
-        Hs = [it if isinstance(params, DelayedParams) else it.H for it in vim_iterates(params, 8, 64)]
+        Hs = [it if isinstance(params, DelayedParams) else it.H for it in vim_iterates(params, 8)]
         gaps = [_max_gap_on_grid(nxt, H) for H, nxt in zip(Hs, Hs[1:])]
         assert len(gaps) == 8
         assert all(b <= a * (1 + 1e-12) for a, b in zip(gaps, gaps[1:]))
@@ -164,7 +156,7 @@ def test_iterate_differences_shrink_for_table_parameters():
 
 def test_overflow_policy_applies():
     with pytest.raises(SeriesOverflowError):
-        vim_solve(CoupledParams(40.0, 0, 0, 0, 0.5), 12, degree_cap=64)
+        vim_solve(CoupledParams(40.0, 0, 0, 0, 0.5), 12)
 
 
 @pytest.mark.parametrize("p", [
@@ -182,8 +174,6 @@ def test_usage_errors():
     for solve in (vim_solve, vim_iterates):
         with pytest.raises(UsageError):
             solve(TABLE1, -1)
-        with pytest.raises(UsageError):
-            solve(TABLE1, 1, -2)
 
 
 def no_steps(monkeypatch):
@@ -196,60 +186,44 @@ def no_steps(monkeypatch):
 
 
 def test_counts_above_the_limits_are_refused_before_any_work(monkeypatch):
-    assert vim_solve(TABLE3, 1, MAX_ORDER).cap == MAX_ORDER
-    assert vim_iterates(TABLE3, 1, MAX_ORDER)[1] == vim_solve(TABLE3, 1, MAX_ORDER)
-    iterates = vim_iterates(TABLE1, MAX_ITERATIONS, 2)
-    assert len(iterates) == MAX_ITERATIONS + 1 and iterates[-1] == vim_solve(TABLE1, MAX_ITERATIONS, 2)
-    assert vim_solve(TABLE1, Index(3), Index(12)) == vim_solve(TABLE1, 3, 12)
-    assert vim_iterates(TABLE3, Index(3), Index(12)) == vim_iterates(TABLE3, 3, 12)
+    iterates = vim_iterates(TABLE1, MAX_ITERATIONS)
+    assert len(iterates) == MAX_ITERATIONS + 1 and iterates[-1] == vim_solve(TABLE1, MAX_ITERATIONS)
+    assert vim_solve(TABLE1, Index(3)) == vim_solve(TABLE1, 3)
+    assert vim_iterates(TABLE3, Index(3)) == vim_iterates(TABLE3, 3)
     no_steps(monkeypatch)
     for solve in (vim_solve, vim_iterates):
-        for call in (lambda: solve(TABLE1, MAX_ITERATIONS + 1),
-                     lambda: solve(TABLE3, 10**9),
-                     lambda: solve(TABLE3, 1, MAX_ORDER + 1),
-                     lambda: solve(TABLE1, 1, 10**12)):
-            with pytest.raises(UsageError, match="must be in 0.."):
+        for call in (lambda: solve(TABLE1, MAX_ITERATIONS + 1), lambda: solve(TABLE3, 10**9)):
+            with pytest.raises(UsageError, match=f"^iterations must be in 0..{MAX_ITERATIONS}$"):
                 call()
-        with pytest.raises(UsageError, match=f"iterations must be in 0..{MAX_ITERATIONS}$"):
-            solve(TABLE1, MAX_ITERATIONS + 1, 2)
-        with pytest.raises(UsageError, match=f"degree_cap must be in 0..{MAX_ORDER}$"):
-            solve(TABLE3, 0, MAX_ORDER + 1)
         for count in NOT_INTEGERS:
             with pytest.raises(UsageError, match=f"^iterations must be an integer, got {count!r}$"):
                 solve(TABLE1, count)
-            with pytest.raises(UsageError, match=f"^degree_cap must be an integer, got {count!r}$"):
-                solve(TABLE3, 2, count)
 
 
-def test_solve_work_is_refused_above_the_budget_before_any_step(monkeypatch):
-    # the CLI's largest VIM solve stays accepted; both count limits together are refused
-    assert _solve_work(MAX_ITERATIONS, DEFAULT_DEGREE_CAP) == 4_145_204 <= MAX_VIM_WORK
-    assert _solve_work(9, MAX_ORDER) == 9_349_208 <= MAX_VIM_WORK < _solve_work(10, MAX_ORDER) == 13_351_208
-    assert vim_solve(TABLE3, 9, MAX_ORDER).cap == MAX_ORDER
-    assert vim_iterates(TABLE3, 9, MAX_ORDER)[-1] == vim_solve(TABLE3, 9, MAX_ORDER)
-    no_steps(monkeypatch)
-    for solve in (vim_solve, vim_iterates):
-        for iterations, cap in ((MAX_ITERATIONS, MAX_ORDER), (10, MAX_ORDER), (MAX_ITERATIONS, 100)):
-            with pytest.raises(UsageError, match=f"more than the {MAX_VIM_WORK} allowed$"):
-                solve(TABLE1, iterations, cap)
+# working caps of the first steps from a constant: m(1) = 1, m(n+1) = min(64, 3*m(n) + 1)
+WORKING_CAPS = (1, 4, 13, 40, 64, 64, 64)
 
 
-def test_solve_work_bounds_the_multiply_adds_of_the_cubes(monkeypatch):
-    # a step at working cap m cubes H[:m]: each product counts m(m+1)/2 multiply-adds; dense iterates reach the bound
-    macs = []
+def test_max_iterations_alone_bounds_the_multiply_adds(monkeypatch):
+    # a step at working cap m cubes H[:m] with two products of m(m+1)/2 multiply-adds each, where H is dense
+    widths = []
     product = series._product
 
     def counted(a, b, da, db):
-        macs.append(len(a) * (len(a) + 1) // 2)
+        widths.append(len(a))
         return product(a, b, da, db)
 
     monkeypatch.setattr(series, "_product", counted)
     for p in (TABLE1, TABLE3, CoupledParams(1, 0, 1, 0, 0.1, h0=0.0)):
         for iterations in range(8):
-            for cap in (0, 1, 2, 5, 13, 64, 200):
-                macs.clear()
-                vim_solve(p, iterations, cap)
-                assert sum(macs) == _solve_work(iterations, cap)
+            widths.clear()
+            vim_solve(p, iterations)
+            assert widths == [m for m in WORKING_CAPS[:iterations] for _ in range(2)]
+    # the most any solve the iteration limit allows can take, on dense coupled and delayed draws
+    for p in (TABLE1, TABLE3):
+        widths.clear()
+        vim_solve(p, MAX_ITERATIONS)
+        assert sum(m * (m + 1) // 2 for m in widths) == 4_145_204 < 10**7
 
 
 # -- the live-degree step against a dense step at the full cap ----------
@@ -366,23 +340,30 @@ def overflow_bits(exc):
     return exc.index, exc.value.hex()
 
 
+def cut(sol, cap):
+    """``sol`` with every series cut to ``cap``."""
+    if isinstance(sol, SolutionPair):
+        return SolutionPair(cut(sol.H, cap), cut(sol.h, cap))
+    return SeriesPoly(_at(sol.coeffs, cap))
+
+
 def sol_bits(sol):
     """Exact hex coefficients of a solution: H (and h) of a pair, or one series."""
     return [x.hex() for s in ((sol.H, sol.h) if isinstance(sol, SolutionPair) else (sol,)) for x in s.coeffs]
 
 
-def solve_bits(p, iterations, cap):
+def solve_bits(p, iterations):
     """``sol_bits`` of ``vim_solve``, or its overflow's index and value."""
     try:
-        return sol_bits(vim_solve(p, iterations, cap))
+        return sol_bits(vim_solve(p, iterations))
     except SeriesOverflowError as exc:
         return overflow_bits(exc)
 
 
-def iterates_bits(p, iterations, cap):
+def iterates_bits(p, iterations):
     """``sol_bits`` of each entry of ``vim_iterates``, or its overflow's index and value."""
     try:
-        return [sol_bits(sol) for sol in vim_iterates(p, iterations, cap)]
+        return [sol_bits(sol) for sol in vim_iterates(p, iterations)]
     except SeriesOverflowError as exc:
         return overflow_bits(exc)
 
@@ -395,13 +376,17 @@ OVERFLOWING = [CoupledParams(40.0, 0, 0, 0, 0.5), CoupledParams(1, 1, 1, 1, 0.1,
 @pytest.mark.parametrize("cap", [0, 1, 2, 5, 10, 64])
 def test_solve_is_bit_identical_to_the_public_steps(cap):
     # entry k of vim_iterates(p, n) is vim_solve(p, k): one pads every iterate, the other the last;
-    # a list whose last step overflows is refused with the overflow that solve gives
+    # a list whose last step overflows is refused with the overflow that solve gives.  The kernels
+    # driven at a lower cap give the solve's coefficients up to that cap: coefficient j of a step
+    # reads only degrees up to j
     overflows = 0
     for p in [p for p, _ in random_draws()] + OVERFLOWING:
         n = 12 if p in OVERFLOWING else 5
-        solved = [solve_bits(p, k, cap) for k in range(n + 1)]
+        solved = [solve_bits(p, k) for k in range(n + 1)]
         for k in range(n + 1):
-            assert iterates_bits(p, k, cap) == (solved[k] if isinstance(solved[k], tuple) else solved[: k + 1])
+            assert iterates_bits(p, k) == (solved[k] if isinstance(solved[k], tuple) else solved[: k + 1])
+            if not isinstance(solved[k], tuple):
+                assert sol_bits(vim_at_cap(p, k, cap)) == sol_bits(cut(vim_solve(p, k), cap))
         overflows += isinstance(solved[-1], tuple)
     assert overflows >= 2  # the comparison reached the overflow path
 
