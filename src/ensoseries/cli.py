@@ -20,7 +20,7 @@ import math
 import sys
 
 from .dtm import solve_coupled, solve_delayed
-from .errors import NumericError, UsageError, check_count, check_step, check_steps, step_ratio
+from .errors import NumericError, UsageError, check_count, check_step, check_steps, real, step_ratio
 from .models import CoupledParams, DelayedParams, SolutionPair
 from .oracle import _rk4_gaps, exact_delayed, rk4_values
 from .reference import TABLE_INFO, load_table
@@ -39,8 +39,7 @@ def _fmt(value: float) -> str:
 
 
 def _grid(t_max: float, t_step: float) -> list[float]:
-    if not (math.isfinite(t_max) and math.isfinite(t_step)):
-        raise UsageError("t-max and t-step must be finite")
+    t_max, t_step = real(t_max, "t-max"), real(t_step, "t-step")
     if t_step <= 0.0 or t_max < t_step:
         raise UsageError("need 0 < t-step <= t-max")
     n = round(step_ratio(t_max, t_step))

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, the work limits and the value guards.
+"""Exception and warning types shared across the package, the work limits and the input guards, :func:`real` for reals.
 
 The CLI maps these onto exit codes: ``UsageError`` exits with 2, any
 ``NumericError`` with 3.
@@ -53,19 +53,21 @@ class SeriesOverflowError(NumericError):
         super().__init__(f"coefficient {index} overflowed (|{value!r}| beyond trusted range)")
 
 
-def is_finite(value, name: str) -> bool:
-    """:func:`math.isfinite` of ``value``, or :class:`UsageError` naming ``name`` for a str, None or other non-real."""
-    try:
-        return math.isfinite(value)
+def real(value, name: str) -> float:
+    """``value`` as a finite float, or :class:`UsageError` naming ``name``: the one gate of every real that comes in.
+
+    A str, bytes, None or complex is refused, never parsed, as are nan, the infinities, ``Decimal('sNaN')`` and an int
+    or ``Fraction`` past the float range; a bool, a ``Decimal`` or an object with ``__float__`` or ``__index__`` passes.
+    """
+    try:  # a float needs no conversion; ldexp(x, 0) is exact and, like math.isfinite, parses no str
+        x = value if value.__class__ is float else math.ldexp(value, 0)
     except TypeError:
         raise UsageError(f"{name} must be a real number, got {value!r}") from None
-
-
-def require_finite(value, name: str) -> float:
-    """``value`` as a float, or :class:`UsageError` naming ``name`` if it is no real number or not finite."""
-    if not is_finite(value, name):
-        raise UsageError(f"{name} must be finite, got {float(value)!r}")
-    return float(value)
+    except (OverflowError, ValueError) as exc:  # past the float range, or a signalling NaN
+        raise UsageError(f"{name} must be finite as a float: {exc}") from None
+    if math.isfinite(x):
+        return x
+    raise UsageError(f"{name} must be finite, got {x!r}")
 
 
 def check_count(count: int, name: str) -> int:
@@ -85,10 +87,11 @@ def check_count(count: int, name: str) -> int:
 
 
 def check_step(step: float) -> float:
-    """``step`` as a float, or :class:`UsageError` unless it is positive and finite."""
-    if not (is_finite(step, "step") and step > 0.0):
-        raise UsageError(f"step must be positive and finite, got {step!r}")
-    return float(step)
+    """``step`` as a float, or :class:`UsageError` unless it is a real number, positive and finite."""
+    value = step if step.__class__ is float else real(step, "step")
+    if not 0.0 < value < math.inf:
+        raise UsageError(f"step must be positive and finite, got {value!r}")
+    return value
 
 
 def step_ratio(span: float, step: float) -> float:

@@ -21,7 +21,7 @@ import warnings
 from math import isfinite
 
 from ._frozen import Frozen
-from .errors import ParameterRangeWarning, SingularModelError, UsageError, require_finite
+from .errors import ParameterRangeWarning, SingularModelError, UsageError, real
 
 
 def _warn_eps_range(eps: float) -> None:
@@ -41,7 +41,7 @@ class CoupledParams(Frozen):
 
     def __post_init__(self):
         for name in self._fields:
-            object.__setattr__(self, name, require_finite(getattr(self, name), name))
+            object.__setattr__(self, name, real(getattr(self, name), name))
         _warn_eps_range(self.eps)
 
 
@@ -63,7 +63,7 @@ class DelayedParams(Frozen):
 
     def __post_init__(self):
         for name in self._fields:
-            object.__setattr__(self, name, require_finite(getattr(self, name), name))
+            object.__setattr__(self, name, real(getattr(self, name), name))
         denom = 1.0 - self.beta * self.sigma
         if denom == 0.0:
             raise SingularModelError("beta*sigma == 1 makes the model singular")

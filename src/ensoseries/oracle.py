@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from math import isfinite
 
-from .errors import FINITE_LIMIT, DomainError, UsageError, check_coeffs, check_step, check_steps, is_finite, step_ratio
+from .errors import FINITE_LIMIT, DomainError, UsageError, check_coeffs, check_step, check_steps, real, step_ratio
 from .models import (
     CoupledParams,
     DelayedParams,
@@ -48,9 +49,7 @@ def exact_delayed(p: DelayedParams, t: float) -> float:
     a q <= 0 with b*t < 0 a blow-up before t.  Every other input is taken by
     :func:`_decimal_closed_form`.
     """
-    if not is_finite(t, "t"):
-        raise UsageError("t must be finite")
-    t = float(t)
+    t = real(t, "t")
     if p.H0 == 0.0:
         return 0.0
     a, b = reduced_delayed_coeffs(p)
@@ -154,12 +153,10 @@ def _rk4_delayed(p: DelayedParams, state: tuple[float], t: float, h: float, n: i
     return (u,)
 
 
-def _rk4_gaps(ts: list[float] | tuple[float, ...], step: float) -> list[tuple[float, float, int]]:
+def _rk4_gaps(ts: Iterable[float], step: float) -> list[tuple[float, float, int]]:
     """Each gap up to a requested time, from the one before or 0, as ``(start, span, steps)``; see :func:`rk4_values`."""
     step = check_step(step)
-    if not all(is_finite(t, "times") for t in ts):
-        raise UsageError("times must be finite")
-    ts = [float(t) for t in ts]
+    ts = [real(t, "times") for t in ts]
     if any(t < 0.0 for t in ts):
         raise UsageError("times must be >= 0")
     if any(b <= a for a, b in zip(ts, ts[1:])):
@@ -172,10 +169,10 @@ def _rk4_gaps(ts: list[float] | tuple[float, ...], step: float) -> list[tuple[fl
 
 def rk4_values(
     params: CoupledParams | DelayedParams,
-    ts: list[float] | tuple[float, ...],
+    ts: Iterable[float],
     step: float = 1e-4,
 ) -> list[tuple[float, ...]]:
-    """States at the requested times, integrating piecewise from t = 0.
+    """States at the requested times ``ts``, any iterable (read once), integrating piecewise from t = 0.
 
     Sub-steps never exceed ``step``, and each requested time is hit exactly,
     so the values carry full RK4 accuracy at the nodes.  More than

@@ -19,20 +19,20 @@ three it read before down a window of locals.  No sum uses ``sum``,
 :meth:`SeriesPoly.cauchy_mul` and :meth:`SeriesPoly.cube` run the same
 kernels.
 
-Coefficients are checked where they come in: the public constructor converts
-each one to float and refuses NaN and infinities.  An operation's result is
-computed from series that were already checked, so it is wrapped by
-:func:`_trusted`, which only confirms in one pass that nothing overflowed;
-both run the solvers' guard, :func:`errors.check_coeffs`, at ``FINITE_LIMIT``.
+Coefficients are checked where they come in, each through :func:`errors.real`
+in the public constructor, as are ``monomial``'s value, ``scale``'s factor and
+``eval``'s time.  An operation on checked series only confirms, in one pass of
+:func:`_trusted` (:func:`errors.check_coeffs` at ``FINITE_LIMIT``), that nothing overflowed.
 :func:`_wrap` wraps a tuple that its caller has checked already.
 """
 
 from __future__ import annotations
 
+import operator
 from math import copysign
 
 from ._frozen import Frozen
-from .errors import FINITE_LIMIT, SeriesOverflowError, UsageError, check_coeffs, require_finite
+from .errors import FINITE_LIMIT, UsageError, check_coeffs, real
 
 
 class SeriesPoly(Frozen):
@@ -41,13 +41,9 @@ class SeriesPoly(Frozen):
     __slots__ = ("coeffs",)
 
     def __post_init__(self):
-        coeffs = tuple(map(float, self.coeffs))
+        coeffs = tuple(real(c, f"coefficient {k}") for k, c in enumerate(self.coeffs))
         if not coeffs:
             raise UsageError("a series needs at least the degree-0 coefficient")
-        try:
-            check_coeffs(coeffs, FINITE_LIMIT)
-        except SeriesOverflowError as exc:  # the caller's value, not an overflow
-            raise UsageError(f"coefficient {exc.index} is not finite: {exc.value!r}") from None
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -59,14 +55,18 @@ class SeriesPoly(Frozen):
 
     @classmethod
     def monomial(cls, value: float, degree: int, cap: int) -> "SeriesPoly":
-        """Series with ``value`` at ``degree`` and zeros elsewhere."""
+        """Series with ``value`` at ``degree`` and zeros elsewhere; ``degree`` and ``cap`` are integers."""
+        try:
+            degree, cap = operator.index(degree), operator.index(cap)
+        except TypeError:
+            raise UsageError(f"monomial degree and cap must be integers, got {degree!r} and {cap!r}") from None
         if cap < 0:
             raise UsageError("cap must be >= 0")
         if not 0 <= degree <= cap:
             raise UsageError(f"monomial degree {degree} outside 0..{cap}")
         coeffs = [0.0] * (cap + 1)
-        coeffs[degree] = require_finite(value, "value")
-        return cls(tuple(coeffs))
+        coeffs[degree] = real(value, "value")
+        return _wrap(tuple(coeffs))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -90,7 +90,7 @@ class SeriesPoly(Frozen):
         return _trusted(tuple(-a for a in self.coeffs))
 
     def scale(self, factor: float) -> "SeriesPoly":
-        factor = require_finite(factor, "factor")
+        factor = real(factor, "factor")
         return _trusted(tuple(factor * a for a in self.coeffs))
 
     def __mul__(self, other):
@@ -138,7 +138,7 @@ class SeriesPoly(Frozen):
 
     def eval(self, t: float) -> float:
         """Horner evaluation of the truncated series at ``t``."""
-        t = require_finite(t, "t")
+        t = real(t, "t")
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * t + c

@@ -46,7 +46,7 @@ def test_exact_initial_condition():
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_exact_refuses_a_non_finite_t(t):
-    with pytest.raises(UsageError, match=r"^t must be finite$"):
+    with pytest.raises(UsageError, match=f"^t must be finite, got {t!r}$"):
         exact_delayed(TABLE3, t)
 
 
